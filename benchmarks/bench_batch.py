@@ -66,8 +66,7 @@ def _run_kernel(net, energies, radio, delta, sites, *,
     for _ in range(repeats):
         start = time.perf_counter()
         tours = [plan_algorithm2(net, energy, radio, delta,
-                                 scoring=scoring, sites=sites,
-                                 engine="kernel")
+                                 scoring=scoring, sites=sites)
                  for energy in energies]
         times.append(time.perf_counter() - start)
     return {"wall_s": min(times),

@@ -33,7 +33,6 @@ from repro.core import (
     build_hovering_sites,
     build_auxiliary_graph,
     PlannerKernel,
-    ENGINES,
     validate_tour_feasibility,
     collection_upper_bound,
     UpperBoundReport,
@@ -62,7 +61,7 @@ __all__ = [
     "plan_algorithm1", "plan_algorithm2", "plan_algorithm3", "plan_benchmark",
     "CollectionTour", "FeasibilityReport", "validate_tour_feasibility",
     "build_hovering_sites", "build_auxiliary_graph",
-    "PlannerKernel", "ENGINES",
+    "PlannerKernel",
     "collection_upper_bound", "UpperBoundReport", "FleetPlan", "plan_fleet",
     # models
     "EnergyModel", "EnergyLedger", "PAPER_ENERGY_MODEL",

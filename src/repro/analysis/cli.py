@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--flow", action="store_true",
                        help="also run the interprocedural flow rules "
                             "(determinism taint, transport purity, "
-                            "engine parity)")
+                            "batch-surface parity)")
     check.add_argument("--callgraph-out", default=None, metavar="FILE",
                        help="export the call graph (.dot -> GraphViz, "
                             "else JSON); implies building it")

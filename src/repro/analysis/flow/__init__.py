@@ -10,8 +10,8 @@ that consume them:
   attributes;
 * ``flow-transport`` (:mod:`.transport`) — the parallel worker boundary
   only carries provably JSON-safe data;
-* ``flow-parity`` (:mod:`.parity`) — engine dispatch signatures and
-  ``meta["perf"]`` key contracts must agree.
+* ``flow-parity`` (:mod:`.parity`) — ``plan_X`` / ``plan_X_batch``
+  signatures and ``meta["perf"]`` key contracts must agree.
 
 The expensive shared artifacts (call graph, taint fixpoint) are computed
 once per :class:`~repro.analysis.engine.Project` through

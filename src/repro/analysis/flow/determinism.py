@@ -1,7 +1,7 @@
 """``flow-determinism`` — nondeterminism may not reach a reproducible sink.
 
-The repo's core promise is bitwise-identical tours and sweep rows across
-``engine="dense"|"kernel"|"batch"`` and any ``jobs=N``.  That promise
+The repo's core promise is bitwise-identical tours and sweep rows per
+cell and per batch column, for any ``jobs=N``.  That promise
 dies silently when a nondeterministic value (or ordering) flows — often
 several calls deep — into one of the *reproducible sinks*:
 

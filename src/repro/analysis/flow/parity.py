@@ -1,27 +1,25 @@
-"""``flow-parity`` — engine dispatch surfaces must not drift apart.
+"""``flow-parity`` — per-cell and batch-column surfaces must not drift apart.
 
-Three invariants keep ``engine="dense"|"kernel"|"batch"`` (and the next
-engine) interchangeable, and all three are checkable from the call
-graph without running a planner:
+Two invariants keep a ``plan_X`` planner and its stacked
+``plan_X_batch`` sibling interchangeable for the sweep layer, and both
+are checkable from the call graph without running a planner:
 
 1. **Signature parity** — every ``plan_X_batch`` must accept the same
    planner kwargs as its per-variant sibling ``plan_X``, modulo the
-   *dispatch-only* kwargs (``engine``, ``tsp_mode`` — consumed by the
+   *dispatch-only* kwarg ``tsp_mode`` (consumed by the column
    dispatcher, never by the stacked formulation) and the structural
    ``energy`` → ``energies`` rename.  A kwarg accepted by one surface
    and silently swallowed (or rejected) by the other is exactly how a
-   sweep config stops meaning the same thing across engines.
-2. **perf key contract** — every ``perf()`` writer in an engine family
-   must publish the same ``meta["perf"]`` key set: ``engine``,
-   ``seconds``, and the family's registered work counters (read from
-   the ``metrics.counter(name)`` registration loops).  Downstream
-   consumers (``SweepRow.deterministic_dict``, the claims harness,
-   benchmark reports) index those keys blind.
-3. **engine literals** — an ``"engine"`` value written by a perf writer
-   must be a member of the family's ``ENGINES`` registry tuple.
+   sweep config stops meaning the same thing per cell and per column.
+2. **perf key contract** — every ``perf()`` writer in a family must
+   publish the same ``meta["perf"]`` key set: ``engine``, ``seconds``,
+   and the family's registered work counters (read from the
+   ``metrics.counter(name)`` registration loops).  Downstream consumers
+   (``SweepRow.deterministic_dict``, the claims harness, benchmark
+   reports) index those keys blind.
 
-An *engine family* is a two-component module prefix (``repro.core``,
-``repro.experiments``): engines that must interoperate live in the same
+A *family* is a two-component module prefix (``repro.core``,
+``repro.experiments``): surfaces that must interoperate live in the same
 subpackage, and scoping the contract this way keeps unrelated packages
 (and test fixtures) from polluting each other's key sets.
 
@@ -34,11 +32,11 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.engine import Finding, Project, SourceModule
+from repro.analysis.engine import Finding, Project
 from repro.analysis.flow.callgraph import CallGraph, FunctionInfo
 
 #: Kwargs consumed by the dispatcher, legitimately absent from batch.
-DISPATCH_ONLY = frozenset({"engine", "tsp_mode"})
+DISPATCH_ONLY = frozenset({"tsp_mode"})
 
 #: The per-variant -> stacked structural parameter rename.
 _STRUCTURAL_RENAME = ("energy", "energies")
@@ -53,30 +51,12 @@ def _family(info_or_mod) -> str:
     return ".".join(mod.dotted_name.split(".")[:2])
 
 
-def _module_tuple_const(mod: SourceModule, name: str) -> Optional[List[str]]:
-    """A top-level ``NAME = ("a", "b", ...)`` string tuple, if present."""
-    if mod.tree is None:
-        return None
-    for stmt in mod.tree.body:
-        if isinstance(stmt, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == name
-                for t in stmt.targets):
-            if isinstance(stmt.value, (ast.Tuple, ast.List)):
-                vals = [e.value for e in stmt.value.elts
-                        if isinstance(e, ast.Constant)
-                        and isinstance(e.value, str)]
-                if len(vals) == len(stmt.value.elts):
-                    return vals
-    return None
-
-
 class _PerfWriter:
     """One ``perf()`` method's statically visible key set."""
 
     def __init__(self, info: FunctionInfo) -> None:
         self.info = info
         self.keys: Set[str] = set()
-        self.engine_literals: List[Tuple[int, str]] = []
         self.open = False          #: uses .update(...) — key set unbounded
         self.line = info.lineno
         self._scan()
@@ -108,13 +88,9 @@ class _PerfWriter:
                 returned.add(node.value.id)
 
     def _take_dict(self, node: ast.Dict) -> None:
-        for key, value in zip(node.keys, node.values):
+        for key in node.keys:
             if isinstance(key, ast.Constant) and isinstance(key.value, str):
                 self.keys.add(key.value)
-                if key.value == "engine" \
-                        and isinstance(value, ast.Constant) \
-                        and isinstance(value.value, str):
-                    self.engine_literals.append((key.lineno, value.value))
 
 
 def _registered_counters(graph: CallGraph) -> Dict[str, Set[str]]:
@@ -155,12 +131,11 @@ def _registered_counters(graph: CallGraph) -> Dict[str, Set[str]]:
 
 
 class FlowParityRule:
-    """Diff engine dispatch signatures and perf-key write sites."""
+    """Diff plan_X/plan_X_batch signatures and perf-key write sites."""
 
     rule_id = "flow-parity"
     description = ("plan_X/plan_X_batch signatures and perf() key sets "
-                   "must agree within an engine family; engine literals "
-                   "must come from ENGINES")
+                   "must agree within a family")
 
     def check(self, project: Project) -> Iterator[Finding]:
         from repro.analysis.flow import FlowContext
@@ -197,7 +172,7 @@ class FlowParityRule:
                             f"{base.short}() accepts",
                     hint=f"add {param!r} to {batch.short}() (or make it "
                          "dispatch-only) so sweep configs mean the same "
-                         f"thing under every engine; sibling at "
+                         f"thing per cell and per column; sibling at "
                          f"{base.module.rel}:{base.lineno}")
             extra = batch_params - base_params - {energies}
             for param in sorted(extra):
@@ -212,7 +187,7 @@ class FlowParityRule:
                          f"planner too (sibling at "
                          f"{base.module.rel}:{base.lineno})")
 
-    # -- 2 + 3. perf key contract and engine literals ------------------- #
+    # -- 2. perf key contract ------------------------------------------- #
 
     def _check_perf(self, graph: CallGraph) -> Iterator[Finding]:
         writers: Dict[str, List[_PerfWriter]] = {}
@@ -221,7 +196,6 @@ class FlowParityRule:
                 writers.setdefault(_family(info), []).append(
                     _PerfWriter(info))
         counters = _registered_counters(graph)
-        engines = self._engines_by_family(graph)
         for family in sorted(writers):
             fam_writers = writers[family]
             contract: Set[str] = set(_BASE_PERF_KEYS)
@@ -230,19 +204,6 @@ class FlowParityRule:
                 contract |= writer.keys
             for writer in sorted(fam_writers,
                                  key=lambda w: w.info.qname):
-                for line, literal in writer.engine_literals:
-                    fam_engines = engines.get(family)
-                    if fam_engines is not None \
-                            and literal not in fam_engines:
-                        yield Finding(
-                            rule=self.rule_id,
-                            path=writer.info.module.rel, line=line,
-                            message=f"perf writer "
-                                    f"{writer.info.short}() reports "
-                                    f"engine {literal!r}, not a member "
-                                    f"of ENGINES {tuple(fam_engines)}",
-                            hint="register the engine in ENGINES or fix "
-                                 "the literal")
                 if writer.open:
                     continue       # key set unbounded; counters cover it
                 missing = sorted(contract - writer.keys)
@@ -253,25 +214,14 @@ class FlowParityRule:
                         message=f"perf writer {writer.info.short}() "
                                 f"omits key(s) {missing} from the "
                                 f"{family} meta['perf'] contract",
-                        hint="every engine's perf() must publish the "
+                        hint="every perf() writer must publish the "
                              "same key set (engine, seconds, and the "
                              "registered counters) so consumers can "
                              "index blind; emit the key (0 if unused) "
                              "or add '# repro: allow[flow-parity]' "
                              "stating why the key cannot exist here")
 
-    @staticmethod
-    def _engines_by_family(graph: CallGraph) -> Dict[str, List[str]]:
-        out: Dict[str, List[str]] = {}
-        for env in graph.envs.values():
-            engines = _module_tuple_const(env.module, "ENGINES")
-            if engines:
-                out.setdefault(_family(env.module), []).extend(
-                    e for e in engines
-                    if e not in out.get(_family(env.module), []))
-        return out
-
-    # -- 4. _COLUMN_KWARGS declarations --------------------------------- #
+    # -- 3. _COLUMN_KWARGS declarations --------------------------------- #
 
     def _check_column_kwargs(self, graph: CallGraph) -> Iterator[Finding]:
         plan_funcs: Dict[str, FunctionInfo] = {}

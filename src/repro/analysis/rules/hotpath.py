@@ -21,14 +21,14 @@ rule makes the contract machine-checked: inside code marked
 * per-iteration reallocating calls — ``np.insert`` / ``np.delete`` /
   ``np.append`` / ``np.concatenate`` — lexically inside a ``for`` /
   ``while`` loop: each call copies its whole operand, so an
-  insertion-construction loop built on them is quadratic.  The
-  vectorized GRASP engine (``repro.orienteering``) keeps these out of
-  its per-restart loops; the one deliberate exception (the scalar
-  reference constructor) carries an allow comment.
+  insertion-construction loop built on them is quadratic.  The GRASP
+  constructors (``repro.orienteering``) keep these out of their
+  per-restart loops; the one deliberate exception (one O(k) copy per
+  accepted insertion) carries an allow comment.
 
 Scope markers nest: a ``# repro: hot-path`` comment at module top level
 marks the whole file; a function containing ``# repro: cold-path``
-opts back out (the legacy dense-engine branches); a single function in an
+opts back out; a single function in an
 otherwise cold module can be marked hot on its own.  Intentional dense
 allocations (small, once-per-run) carry
 ``# repro: allow[hot-path-purity] -- reason``.

@@ -1,49 +1,27 @@
-"""``registry-sync`` — registries, dispatchers, and docs stay in step.
+"""``registry-sync`` — the planner registry, dispatcher, and docs stay in step.
 
-Three registries gate how users reach the planners:
+``repro.core.planner.PLANNERS`` (method name -> description) gates how
+users reach the planners:
 
-* ``repro.core.planner.PLANNERS`` (method name -> description) must match
-  the ``method == "..."`` dispatch branches inside the facade (the
-  ``plan_tour`` entry point or its ``_dispatch`` helper) exactly, in both
-  directions;
-* the engine registries — ``repro.core.kernel.ENGINES`` (the kernel
-  planners) unioned with ``repro.core.algorithm1.ENGINES`` (Algorithm 1's
-  GRASP engines) — must together contain every ``engine=`` string
-  default in the library (function defaults and ``kwargs.pop("engine",
-  ...)`` fallbacks alike);
-* ``docs/architecture.md`` must mention every planner method and every
-  engine, so the architecture document cannot silently fall behind a new
-  registry entry.
+* it must match the ``method == "..."`` dispatch branches inside the
+  facade (the ``plan_tour`` entry point or its ``_dispatch`` helper)
+  exactly, in both directions;
+* ``docs/architecture.md`` must mention every planner method, so the
+  architecture document cannot silently fall behind a new registry entry.
 
-The rule reads the registry modules from the project root even when the
-checked paths do not include them (``check tests`` still sees ``src``).
+The rule reads the registry module from the project root even when the
+checked paths do not include it (``check tests`` still sees ``src``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
-from repro.analysis.engine import Finding, Project, SourceModule, iter_call_name
+from repro.analysis.engine import Finding, Project, SourceModule
 
 _PLANNER_MODULE = "src/repro/core/planner.py"
-_KERNEL_MODULE = "src/repro/core/kernel.py"
-#: Further modules contributing their own ``ENGINES`` literal to the
-#: union the ``engine=`` defaults are checked against.
-_EXTRA_ENGINE_MODULES = ("src/repro/core/algorithm1.py",)
 _ARCH_DOC = "docs/architecture.md"
-
-
-def _string_elements(node: ast.expr) -> Optional[List[str]]:
-    """Constant string elements of a list/tuple literal, else None."""
-    if not isinstance(node, (ast.List, ast.Tuple)):
-        return None
-    out = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.append(elt.value)
-    return out
 
 
 def _top_level_assign(mod: SourceModule, name: str) -> Optional[ast.expr]:
@@ -62,19 +40,13 @@ def _top_level_assign(mod: SourceModule, name: str) -> Optional[ast.expr]:
 
 
 class RegistrySyncRule:
-    """Cross-check PLANNERS/ENGINES against dispatch code and docs."""
+    """Cross-check PLANNERS against dispatch code and docs."""
 
     rule_id = "registry-sync"
-    description = ("PLANNERS/ENGINES registries must match plan_tour "
-                   "dispatch, engine= defaults, and docs/architecture.md")
+    description = ("the PLANNERS registry must match plan_tour dispatch "
+                   "and docs/architecture.md")
 
     def check(self, project: Project) -> Iterator[Finding]:
-        yield from self._check_planners(project)
-        yield from self._check_engines(project)
-
-    # -- PLANNERS <-> plan_tour <-> docs -------------------------------- #
-
-    def _check_planners(self, project: Project) -> Iterator[Finding]:
         mod = project.ensure_module(_PLANNER_MODULE)
         if mod is None or mod.tree is None:
             return
@@ -138,78 +110,6 @@ class RegistrySyncRule:
                                 and isinstance(comp.value, str):
                             out.add(comp.value)
         return out
-
-    # -- ENGINES <-> engine= defaults <-> docs -------------------------- #
-
-    def _check_engines(self, project: Project) -> Iterator[Finding]:
-        kernel = project.ensure_module(_KERNEL_MODULE)
-        if kernel is None or kernel.tree is None:
-            return
-        value = _top_level_assign(kernel, "ENGINES")
-        engines = _string_elements(value) if value is not None else None
-        if not engines:
-            yield Finding(rule=self.rule_id, path=kernel.rel, line=1,
-                          message="ENGINES registry not found as a literal "
-                                  "tuple/list of strings",
-                          hint="keep ENGINES a flat literal so tools can "
-                               "read it")
-            return
-        known = set(engines)
-        for extra_rel in _EXTRA_ENGINE_MODULES:
-            extra = project.ensure_module(extra_rel)
-            if extra is None or extra.tree is None:
-                continue
-            extra_value = _top_level_assign(extra, "ENGINES")
-            extra_engines = (_string_elements(extra_value)
-                             if extra_value is not None else None)
-            if extra_engines:
-                known |= set(extra_engines)
-                engines = engines + [e for e in extra_engines
-                                     if e not in engines]
-        for mod in project.repro_modules():
-            if mod.tree is None:
-                continue
-            for node in ast.walk(mod.tree):
-                for line, default in self._engine_defaults(node):
-                    if default not in known:
-                        yield Finding(
-                            rule=self.rule_id, path=mod.rel, line=line,
-                            message=f"engine default {default!r} is not in "
-                                    f"the ENGINES registries "
-                                    f"{tuple(engines)}",
-                            hint="register the engine in ENGINES or fix the "
-                                 "default")
-        arch = project.read_root_file(_ARCH_DOC)
-        if arch is not None:
-            for engine in engines:
-                if f'"{engine}"' not in arch:
-                    yield Finding(
-                        rule=self.rule_id, path=kernel.rel, line=1,
-                        message=f"engine {engine!r} is not mentioned in "
-                                f"{_ARCH_DOC}",
-                        hint="document the engine in the architecture notes")
-
-    @staticmethod
-    def _engine_defaults(node: ast.AST) -> Iterator[Tuple[int, str]]:
-        """Yield ``(line, default)`` for engine= parameter/pop defaults."""
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = node.args
-            params = args.posonlyargs + args.args + args.kwonlyargs
-            defaults = ([None] * (len(args.posonlyargs) + len(args.args)
-                                  - len(args.defaults))
-                        + list(args.defaults) + list(args.kw_defaults))
-            for arg, default in zip(params, defaults):
-                if arg.arg == "engine" and isinstance(default, ast.Constant) \
-                        and isinstance(default.value, str):
-                    yield arg.lineno, default.value
-        if isinstance(node, ast.Call):
-            chain = iter_call_name(node)
-            if chain and chain[-1] in ("pop", "get") and len(node.args) == 2:
-                key, default = node.args
-                if (isinstance(key, ast.Constant) and key.value == "engine"
-                        and isinstance(default, ast.Constant)
-                        and isinstance(default.value, str)):
-                    yield node.lineno, default.value
 
 
 __all__ = ["RegistrySyncRule"]

@@ -14,13 +14,13 @@
   virtual hovering locations (paper Algorithm 3),
 * :mod:`repro.core.benchmark_alg` — the paper's comparison baseline
   (Christofides tour over all sensors + min-ratio pruning),
-* :mod:`repro.core.batch` — the column-stacked ``engine="batch"`` planner
-  state (one instance, B energy variants as one numpy program),
+* :mod:`repro.core.batch` — the column-stacked planner state (one
+  instance, B energy variants as one numpy program),
 * :mod:`repro.core.planner` — one-call facade over all four planners.
 """
 
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import ENGINES, PlannerKernel, PruneCache
+from repro.core.kernel import PlannerKernel, PruneCache
 from repro.core.auxgraph import AuxiliaryGraph, build_auxiliary_graph
 from repro.core.tour import CollectionTour, FeasibilityReport, validate_tour_feasibility
 from repro.core.algorithm1 import plan_algorithm1
@@ -67,7 +67,6 @@ __all__ = [
     "plan_dict_to_tour",
     "HoveringSites",
     "build_hovering_sites",
-    "ENGINES",
     "PlannerKernel",
     "PruneCache",
     "AuxiliaryGraph",

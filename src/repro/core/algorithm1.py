@@ -37,27 +37,11 @@ from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
 from repro.orienteering.grasp import warm_tour_from_nodes
-from repro.orienteering.problem import OrienteeringInstance, trusted_instance
+from repro.orienteering.problem import OrienteeringInstance
 from repro.orienteering.solver import solve_orienteering
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import SeedLike
-
-#: Engines accepted by Algorithm 1's ``engine=`` parameter.
-#: ``"scalar"`` — restart-by-restart GRASP over a fully-validated
-#: instance (default); ``"fast"`` — the stacked construction engine of
-#: :mod:`repro.orienteering.fast` over a trusted (validation-skipping)
-#: instance.  Both produce bitwise-identical tours.
-ENGINES = ("scalar", "fast")
-
-
-def check_engine(engine: str) -> str:
-    """Validate Algorithm 1's ``engine=`` argument."""
-    if engine not in ENGINES:
-        raise InvalidParameterError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
-
 
 def _conflict_neighbors_from_overlap(overlap: np.ndarray) -> List[np.ndarray]:
     """Per-node conflict lists (site ids shifted by +1; node 0 = depot)."""
@@ -73,7 +57,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
                     solver: str = "grasp",
                     n_restarts: int = 8,
                     seed: SeedLike = None,
-                    engine: str = "scalar",
                     sites: Optional[HoveringSites] = None,
                     site_reduction=None,
                     graph: Optional[AuxiliaryGraph] = None,
@@ -95,12 +78,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         Orienteering backend (``"auto"``/``"exact"``/``"grasp"``/``"greedy"``).
     n_restarts, seed:
         GRASP parameters.
-    engine:
-        ``"scalar"`` (default) or ``"fast"`` — the stacked GRASP engine
-        (:mod:`repro.orienteering.fast`), which also skips the O(n²)
-        instance re-validation (the inputs are this module's own
-        builders' outputs).  Both engines return bitwise-identical
-        tours; the choice is surfaced under ``meta["perf"]["engine"]``.
     sites, graph, conflict_neighbors:
         Pre-built reduction inputs (else built from the problem inputs).
         Sweep campaigns memoize these per (instance, δ) via
@@ -138,7 +115,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
     if overlap not in ("conflict", "ignore"):
         raise InvalidParameterError(
             f"overlap must be 'conflict' or 'ignore', got {overlap!r}")
-    engine = check_engine(engine)
     r0 = radio.coverage_radius
     if delta > r0:
         raise InvalidParameterError(
@@ -175,18 +151,9 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
                          else _conflict_neighbors_from_overlap(
                              sites.overlap_matrix()))
 
-    if engine == "fast":
-        # The graph/conflict artifacts come from this module's own
-        # builders (or the artifact cache replaying them), so the O(n²)
-        # re-validation of OrienteeringInstance.__post_init__ is skipped.
-        instance = trusted_instance(graph.costs, graph.awards,
-                                    energy.capacity, depot=0,
+    instance = OrienteeringInstance(costs=graph.costs, awards=graph.awards,
+                                    budget=energy.capacity, depot=0,
                                     conflict_neighbor_lists=neighbors)
-    else:
-        instance = OrienteeringInstance(costs=graph.costs,
-                                        awards=graph.awards,
-                                        budget=energy.capacity, depot=0,
-                                        conflict_neighbor_lists=neighbors)
     # The graph (cached across a sweep's cells) owns the transposed cost
     # matrix; attach it so per-cell instances never re-transpose.
     instance.attach_costs_t(graph.costs_t)
@@ -198,8 +165,7 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
                  if warm_nodes is not None else None)
     solution = solve_orienteering(instance, method=solver,
                                   n_restarts=n_restarts, seed=seed,
-                                  engine=engine, tape_nodes=tape_nodes,
-                                  warm_tour=warm_tour)
+                                  tape_nodes=tape_nodes, warm_tour=warm_tour)
 
     visited_sites = solution.tour[solution.tour > 0] - 1  # back to site ids
     points = graph.points[solution.tour]
@@ -218,7 +184,7 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         "orienteering_cost": solution.cost,
         "overlap_mode": overlap,
         "delta": float(delta),
-        "perf": {"engine": engine,
+        "perf": {"engine": "scalar",
                  **({"grasp": solution.stats} if solution.stats else {})},
     }
     attach_reduction_meta(meta, sites)
@@ -228,4 +194,4 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         meta=meta)
 
 
-__all__ = ["plan_algorithm1", "ENGINES", "check_engine"]
+__all__ = ["plan_algorithm1"]

@@ -13,9 +13,8 @@ This module is a thin *policy* layer: which candidate to take, under which
 scoring rule.  All per-candidate state — residual awards/hover times with
 dirty-set invalidation and the cheapest-insertion delta cache — lives in
 :class:`repro.core.kernel.PlannerKernel`, which makes each greedy step
-O(overlap) instead of O(m·n + m·|tour|).  ``engine="dense"`` selects the
-legacy full-recompute path (bitwise-identical results; kept for
-equivalence tests and ``benchmarks/bench_kernel.py``).
+O(overlap) instead of O(m·n + m·|tour|).  A whole capacity column runs
+as one stacked program in :func:`repro.core.batch.plan_algorithm2_batch`.
 
 Incremental-TSP modes
 ---------------------
@@ -35,7 +34,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import PlannerKernel, check_engine
+from repro.core.kernel import PlannerKernel
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
@@ -114,8 +113,7 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
                     scoring: str = "ratio",
                     sites: Optional[HoveringSites] = None,
                     site_reduction=None,
-                    max_iterations: Optional[int] = None,
-                    engine: str = "kernel") -> CollectionTour:
+                    max_iterations: Optional[int] = None) -> CollectionTour:
     """Plan a full-collection tour with the greedy max-ratio heuristic.
 
     Parameters
@@ -141,9 +139,6 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
         / its dict form.  Ignored when *sites* is already reduced.
     max_iterations:
         Safety bound on greedy iterations (default: number of candidates).
-    engine:
-        ``"kernel"`` — incremental sparse planner state (default);
-        ``"dense"`` — legacy full-recompute loops (identical results).
     """
     # repro: hot-path  (the greedy loop must stay O(overlap) per step)
     if tsp_mode not in ("insertion", "christofides"):
@@ -152,25 +147,13 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
     if scoring not in SCORING_POLICIES:
         raise InvalidParameterError(
             f"scoring must be one of {SCORING_POLICIES}, got {scoring!r}")
-    check_engine(engine)
-    if engine == "batch":
-        if tsp_mode != "insertion":
-            raise InvalidParameterError(
-                "engine='batch' supports tsp_mode='insertion' only "
-                "(the Christofides mode re-solves a TSP per candidate "
-                "and has no stacked formulation)")
-        from repro.core.batch import plan_algorithm2_batch
-        return plan_algorithm2_batch(
-            network, [energy], radio, delta, polish=polish,
-            scoring=scoring, sites=sites, site_reduction=site_reduction,
-            max_iterations=max_iterations)[0]
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
     if reduction.enabled and not isinstance(sites, ReducedSites):
         sites = reduce_sites(sites, reduction, energy=energy)
 
-    kern = PlannerKernel(sites, energy, radio, engine=engine)
+    kern = PlannerKernel(sites, energy, radio)
     pts_all = kern.points_all
     volumes = network.volumes
     eta_h = energy.hover_power
@@ -253,7 +236,6 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
         "scoring": scoring,
         "polished": bool(polish),
         "delta": float(sites.delta),
-        "engine": engine,
         "perf": kern.perf(),
     }
     attach_reduction_meta(meta, sites)

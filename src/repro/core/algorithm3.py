@@ -22,10 +22,9 @@ Like Algorithm 2, this module is a thin policy layer over
 hover times, the per-(site, k) sojourns and partial awards, and the
 cheapest-insertion deltas, recomputing rows only for candidates whose
 covered sensors drained since the last step — the paper's "recompute the
-overlapping candidates" rule (lines 11–12) made literal.  With
-``engine="dense"`` the legacy full ``(m, n)``-per-iteration formulation
-runs instead (bitwise-identical results, kept for equivalence tests and
-benchmarking).
+overlapping candidates" rule (lines 11–12) made literal.  A whole
+capacity column runs as one stacked program in
+:func:`repro.core.batch.plan_algorithm3_batch`.
 
 With ``K = 1`` this planner coincides with Algorithm 2 (the paper's
 observation that DCM is the special case of PDCM); the test suite asserts
@@ -43,7 +42,7 @@ import numpy as np
 
 from repro.core.algorithm2 import _DENOM_EPS
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import PlannerKernel, check_engine
+from repro.core.kernel import PlannerKernel
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
@@ -66,8 +65,7 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
                     polish: bool = True,
                     sites: Optional[HoveringSites] = None,
                     site_reduction=None,
-                    max_iterations: Optional[int] = None,
-                    engine: str = "kernel") -> CollectionTour:
+                    max_iterations: Optional[int] = None) -> CollectionTour:
     """Plan a partial-collection tour with the K-virtual-location heuristic.
 
     Parameters
@@ -91,27 +89,16 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         Safety bound on greedy iterations (default ``2 * K * (m + 1)``,
         mirroring the paper's ``M' = K * M`` virtual-square count with
         headroom for post-polish resumption).
-    engine:
-        ``"kernel"`` — incremental sparse planner state (default);
-        ``"dense"`` — legacy full-recompute loops (identical results).
     """
     # repro: hot-path  (the greedy loop must stay O(overlap) per step)
     K = check_integer(K, "K", minimum=1)
-    check_engine(engine)
-    if engine == "batch":
-        from repro.core.batch import plan_algorithm3_batch
-        return plan_algorithm3_batch(
-            network, [energy], radio, delta, K, polish=polish,
-            sites=sites, site_reduction=site_reduction,
-            max_iterations=max_iterations)[0]
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
     if reduction.enabled and not isinstance(sites, ReducedSites):
         sites = reduce_sites(sites, reduction, energy=energy)
 
-    kern = PlannerKernel(sites, energy, radio, engine=engine,
-                         volume_tol=_VOLUME_TOL)
+    kern = PlannerKernel(sites, energy, radio, volume_tol=_VOLUME_TOL)
     pts_all = kern.points_all
     bandwidth = radio.bandwidth
     eta_h = energy.hover_power
@@ -195,7 +182,6 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         "K": K,
         "polished": bool(polish),
         "delta": float(sites.delta),
-        "engine": engine,
         "perf": kern.perf(),
     }
     attach_reduction_meta(meta, sites)

@@ -1,4 +1,4 @@
-"""Vectorized batch planner engine (``engine="batch"``).
+"""Vectorized batch planner for capacity columns (``batch_columns=True``).
 
 The paper's figures are *columns* of closely related plans: one network
 instance planned at B parameter variants (Fig. 5's capacity sweep, the
@@ -40,7 +40,8 @@ into ``(B, ·)`` arrays over one shared
 
 Every per-variant result — tour, sojourns, collected volumes, iteration
 count, work counters — is **bitwise-identical** to planning that variant
-alone with ``engine="kernel"`` (or ``"dense"``): all elementwise energy
+alone with :func:`~repro.core.algorithm2.plan_algorithm2` /
+:func:`~repro.core.algorithm3.plan_algorithm3`: all elementwise energy
 and score arithmetic broadcasts the identical float operations, and the
 per-row ``argmax``/``argmin`` keep the sequential first-extremum
 tie-breaking.  ``tests/test_core_batch.py`` pins the equivalence across
@@ -609,7 +610,7 @@ def plan_algorithm2_batch(network: SensorNetwork,
     """Plan one Algorithm 2 capacity column: one tour per energy variant.
 
     Each returned tour is bitwise-identical to
-    ``plan_algorithm2(..., energies[b], engine="kernel")`` — same points,
+    ``plan_algorithm2(..., energies[b])`` — same points,
     sojourns, collected volumes, iteration counts.  Only
     ``tsp_mode="insertion"`` batches (the Christofides mode re-solves a
     TSP per candidate and has no stacked formulation).
@@ -705,7 +706,6 @@ def plan_algorithm2_batch(network: SensorNetwork,
             "scoring": scoring,
             "polished": bool(polish),
             "delta": float(sites.delta),
-            "engine": "batch",
             "perf": kern.perf(b),
         }
         attach_reduction_meta(meta, sites)
@@ -729,7 +729,7 @@ def plan_algorithm3_batch(network: SensorNetwork,
     """Plan one Algorithm 3 capacity column: one tour per energy variant.
 
     Bitwise-identical per variant to
-    ``plan_algorithm3(..., energies[b], engine="kernel")``;
+    ``plan_algorithm3(..., energies[b])``;
     ``site_reduction`` follows the column-wide max-capacity convention of
     :func:`plan_algorithm2_batch`.
     """
@@ -828,7 +828,6 @@ def plan_algorithm3_batch(network: SensorNetwork,
             "K": K,
             "polished": bool(polish),
             "delta": float(sites.delta),
-            "engine": "batch",
             "perf": kern.perf(b),
         }
         attach_reduction_meta(meta, sites)

@@ -10,12 +10,11 @@ loses the least data per joule saved — i.e. the minimum of
 then splice its neighbours together.  The loop always terminates because
 the depot-only tour costs zero energy.
 
-The pruning loop runs on :class:`repro.core.kernel.PruneCache` by default:
-a removal only changes the splice savings of the removed node's two
+The pruning loop runs on :class:`repro.core.kernel.PruneCache`: a
+removal only changes the splice savings of the removed node's two
 neighbours, so each round is two scalar rescores plus one vectorised
 argmin instead of a fresh Python pass over the whole tour (O(k) vs O(k²)
-scalar work across a prune-down).  ``engine="dense"`` keeps the legacy
-loop for equivalence tests; results are bitwise-identical.
+scalar work across a prune-down).
 
 The paper's running-time observation — the baseline gets *faster* as the
 battery grows, because fewer nodes need pruning — falls straight out of
@@ -28,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.kernel import PruneCache, check_engine
+from repro.core.kernel import PruneCache
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
@@ -40,8 +39,7 @@ from repro.tsp.length import tour_length_matrix
 
 
 def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
-                   radio: RadioModel, *,
-                   engine: str = "kernel") -> CollectionTour:
+                   radio: RadioModel) -> CollectionTour:
     """Plan a tour with the Christofides-then-prune baseline.
 
     Parameters
@@ -51,12 +49,8 @@ def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
         its hovering locations are the sensor positions themselves, and
         each visit collects exactly that sensor's data (the paper's
         baseline does not exploit multi-sensor coverage).
-    engine:
-        ``"kernel"`` — incremental neighbour-only rescoring (default);
-        ``"dense"`` — legacy full rescan per removal (identical results).
     """
     # repro: hot-path  (the prune-down must stay O(1) rescores per removal)
-    check_engine(engine)
     n = network.n_nodes
     pts_all = np.vstack([network.depot[None, :], network.positions])
     volumes = network.volumes
@@ -80,49 +74,18 @@ def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
         return hover * eta_h + travel * etat_m
 
     removals = 0
-    rescored = 0
     current = tour_energy(tour)
     with span("benchmark.prune"):
-        if engine in ("kernel", "batch"):
-            # The prune baseline has no stacked formulation; "batch"
-            # falls back to the incremental removal cache.
-            cache = PruneCache(dist, volumes, hover_times, eta_h, etat_m)
-            cache.set_tour(tour)
-            while current > capacity + 1e-9 and len(cache.tour) > 1:
-                best_i = cache.best()
-                if best_i < 0:
-                    break  # only zero-saving nodes left; cannot reduce more
-                cache.remove(best_i)
-                removals += 1
-                current = tour_energy(cache.tour)
-            tour = cache.tour
-            rescored = cache.rescored
-        else:
-            while current > capacity + 1e-9 and len(tour) > 1:
-                best_i, best_ratio = -1, np.inf
-                k = len(tour)
-                for i in range(k):
-                    v = tour[i]
-                    if v == 0:
-                        continue
-                    prev_node = tour[i - 1]
-                    next_node = tour[(i + 1) % k]
-                    saved_travel = (dist[prev_node, v] + dist[v, next_node]
-                                    - dist[prev_node, next_node])
-                    saved = hover_times[v - 1] * eta_h + saved_travel * etat_m
-                    rescored += 1
-                    # Data lost per joule saved; prefer removing cheap data
-                    # that frees much energy.  Guard: zero saving still has a
-                    # defined (infinite) ratio and is never preferred over a
-                    # real saving.
-                    ratio = volumes[v - 1] / saved if saved > 1e-12 else np.inf
-                    if ratio < best_ratio:
-                        best_ratio, best_i = ratio, i
-                if best_i < 0:
-                    break  # only zero-saving nodes left; cannot reduce more
-                tour.pop(best_i)
-                removals += 1
-                current = tour_energy(tour)
+        cache = PruneCache(dist, volumes, hover_times, eta_h, etat_m)
+        cache.set_tour(tour)
+        while current > capacity + 1e-9 and len(cache.tour) > 1:
+            best_i = cache.best()
+            if best_i < 0:
+                break  # only zero-saving nodes left; cannot reduce more
+            cache.remove(best_i)
+            removals += 1
+            current = tour_energy(cache.tour)
+        tour = cache.tour
 
     order = np.array(tour, dtype=int)
     sojourns = np.array([0.0 if v == 0 else hover_times[v - 1] for v in tour])
@@ -136,8 +99,7 @@ def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
             "n_visited": int(len(order) - 1),
             "removals": removals,
             "initial_nodes": n,
-            "engine": engine,
-            "perf": {"engine": engine, "ratios_rescored": rescored},
+            "perf": {"engine": "kernel", "ratios_rescored": cache.rescored},
         })
 
 

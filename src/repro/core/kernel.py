@@ -34,9 +34,8 @@ Every result is **bitwise-identical** to the dense formulation's on the
 planners' seeded test instances (tie-breaking order preserved: full
 rescans use the same first-minimum ``argmin`` semantics, and the O(1)
 update breaks exact ties toward the lower edge index exactly like a fresh
-``argmin`` would).  ``engine="dense"`` keeps the legacy full-recompute
-path available behind the same interface for equivalence tests and the
-``benchmarks/bench_kernel.py`` comparison.
+``argmin`` would).  The full-recompute formulation lives on in the test
+suite as the equivalence oracle.
 
 The kernel also keeps lightweight perf counters (selections, sites
 rescored, deltas recomputed, wall-clock per phase) in a
@@ -51,8 +50,7 @@ from __future__ import annotations
 
 # repro: hot-path
 # (The whole module is checked by the hot-path-purity rule: no dense
-# (m, n) temporaries may be allocated here.  The legacy dense-engine
-# methods opt out individually with '# repro: cold-path'.)
+# (m, n) temporaries may be allocated here.)
 
 from typing import Dict, List, Optional, Tuple
 
@@ -64,21 +62,6 @@ from repro.geometry.distance import cross_distances
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import span
 from repro.utils.errors import InvalidParameterError
-
-#: Engines accepted by the planners' ``engine=`` parameter.
-#: ``"kernel"`` — sparse incremental state (default); ``"dense"`` — legacy
-#: full-recompute baseline; ``"batch"`` — the column-stacked engine of
-#: :mod:`repro.core.batch` (Algorithms 2-3; elsewhere it behaves like
-#: ``"kernel"``).  All three produce bitwise-identical tours.
-ENGINES = ("kernel", "dense", "batch")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an ``engine=`` argument."""
-    if engine not in ENGINES:
-        raise InvalidParameterError(
-            f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
@@ -103,9 +86,6 @@ class PlannerKernel:
     energy, radio:
         Problem models; the kernel only needs ``radio.bandwidth`` but keeps
         both for provenance.
-    engine:
-        ``"kernel"`` (sparse incremental, default) or ``"dense"`` (legacy
-        full-recompute — same results, used as the equivalence baseline).
     volume_tol:
         Residual volumes below this many MB are snapped to zero after a
         partial drain (Algorithm 3's dust threshold; 0 disables).
@@ -120,8 +100,7 @@ class PlannerKernel:
     """
 
     def __init__(self, sites: HoveringSites, energy, radio, *,
-                 engine: str = "kernel", volume_tol: float = 0.0) -> None:
-        self.engine = check_engine(engine)
+                 volume_tol: float = 0.0) -> None:
         self.sites = sites
         self.energy = energy
         self.radio = radio
@@ -131,12 +110,7 @@ class PlannerKernel:
         self.bandwidth = radio.bandwidth
         self.points_all = np.vstack([sites.network.depot[None, :],
                                      sites.points])
-        # "batch" reaching a scalar PlannerKernel (e.g. through planners
-        # that have no stacked formulation) behaves exactly like "kernel".
-        self._sparse = self.engine in ("kernel", "batch")
-        self.csr: Optional[SparseCoverage] = (
-            SparseCoverage.from_matrix(sites.cov_matrix)
-            if self._sparse else None)
+        self.csr = SparseCoverage.from_matrix(sites.cov_matrix)
 
         # --- residual state -------------------------------------------- #
         self.rem = sites.network.volumes.astype(float).copy()
@@ -174,25 +148,17 @@ class PlannerKernel:
     def residual_scores(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current ``(P', t')`` for every candidate (cached; do not mutate).
 
-        Dense engine: one ``cov @ rem`` matmul plus a masked row-max per
-        call (the legacy per-iteration cost).  Kernel engine: cached arrays
-        refreshed only for candidates overlapping sensors drained since the
-        last call.
+        Cached arrays, refreshed only for candidates overlapping sensors
+        drained since the last call.
         """
         with self.metrics.time("rescore"), span("kernel.rescore"):
-            if self._sparse:
-                self._flush_residuals()
-            else:
-                self._p_res = self.sites.residual_awards(self.rem)
-                self._t_res = self.sites.residual_hover_times(self.rem)
-                self.metrics.counter("sites_rescored").inc(self.m)
+            self._flush_residuals()
         return self._p_res, self._t_res
 
     def _flush_residuals(self) -> None:
         """Rescore exactly the sites overlapping drained sensors."""
         if not self._dirty_sensors.any():
             return
-        assert self.csr is not None
         dirty = self.csr.sites_covering(np.flatnonzero(self._dirty_sensors))
         self._dirty_sensors[:] = False
         if len(dirty) == 0:
@@ -210,8 +176,8 @@ class PlannerKernel:
         """Algorithm 3's ``(t', tau, partial awards)`` over K partitions.
 
         ``tau[j, k] = t'(s_j) * fractions[k]`` and ``p_partial[j, k]`` is
-        Eq. 4 evaluated on residual volumes.  Kernel engine: rows are
-        recomputed only for candidates whose residuals changed.
+        Eq. 4 evaluated on residual volumes.  Rows are recomputed only for
+        candidates whose residuals changed.
         """
         fractions = np.asarray(fractions, dtype=float)
         if self._fractions is None or not np.array_equal(self._fractions,
@@ -223,42 +189,19 @@ class PlannerKernel:
             self._tau = np.zeros((self.m, len(fractions)))
             # repro: allow[hot-path-purity] -- (m, K) cache, not (m, n)
             self._p_partial = np.zeros((self.m, len(fractions)))
-        if self._sparse:
-            with self.metrics.time("rescore"), span("kernel.rescore"):
-                self._flush_residuals()
-            with self.metrics.time("partial"), span("kernel.partial"):
-                self._flush_partial()
-        else:
-            with self.metrics.time("partial"), span("kernel.partial"):
-                self._dense_partial()
+        with self.metrics.time("rescore"), span("kernel.rescore"):
+            self._flush_residuals()
+        with self.metrics.time("partial"), span("kernel.partial"):
+            self._flush_partial()
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
-
-    def _dense_partial(self) -> None:
-        """Legacy formulation: full ``(m, n)`` residual matrix per call."""
-        # repro: cold-path  (the dense engine is the equivalence baseline)
-        cov = self.sites.cov_matrix
-        fractions = self._fractions
-        assert fractions is not None
-        R = np.where(cov, self.rem[None, :], 0.0)
-        t_max = (R.max(axis=1) if self.n else np.zeros(self.m)) \
-            / self.bandwidth
-        self._t_res = t_max
-        tau = t_max[:, None] * fractions[None, :]
-        p_partial = np.empty((self.m, len(fractions)))
-        for k in range(len(fractions)):
-            p_partial[:, k] = np.minimum(
-                R, (self.bandwidth * tau[:, k])[:, None]).sum(axis=1)
-        self._tau = tau
-        self._p_partial = p_partial
-        self.metrics.counter("sites_rescored").inc(self.m)
 
     def _flush_partial(self) -> None:
         """Recompute the partial-award rows of dirty sites only."""
         if not self._partial_dirty.any():
             return
-        assert (self.csr is not None and self._fractions is not None
-                and self._tau is not None and self._p_partial is not None)
+        assert (self._fractions is not None and self._tau is not None
+                and self._p_partial is not None)
         dirty = np.flatnonzero(self._partial_dirty)
         self._partial_dirty[:] = False
         # repro: allow[hot-path-purity] -- (|dirty|, K) rows, not (m, n)
@@ -276,7 +219,7 @@ class PlannerKernel:
     # ------------------------------------------------------------------ #
     def drain_full(self, site: int) -> None:
         """Full collection at *site*: covered sensors drop to zero (DCM)."""
-        idx = self._sensors_of(site)
+        idx = self.csr.sensors_of(site)
         changed = idx[self.rem[idx] > 0.0]
         self.rem[idx] = 0.0
         self.covered[idx] = True
@@ -290,7 +233,7 @@ class PlannerKernel:
         channel; residuals below ``volume_tol`` are snapped to zero
         everywhere, mirroring the legacy loop's dust cleanup.
         """
-        idx = self._sensors_of(site)
+        idx = self.csr.sensors_of(site)
         vals = self.rem[idx]
         uploaded = np.minimum(vals, self.bandwidth * duration)
         self.rem[idx] = vals - uploaded
@@ -304,11 +247,6 @@ class PlannerKernel:
         self._dirty_sensors |= changed
         self.metrics.counter("drains").inc()
 
-    def _sensors_of(self, site: int) -> np.ndarray:
-        if self.csr is not None:
-            return self.csr.sensors_of(site)
-        return np.flatnonzero(self.sites.cov_matrix[site])
-
     # ------------------------------------------------------------------ #
     # Cheapest-insertion delta cache
     # ------------------------------------------------------------------ #
@@ -317,11 +255,10 @@ class PlannerKernel:
 
         ``positions[j]`` is the tour index *before which* site ``j`` would
         be inserted.  Returns copies — safe for policy layers to clamp or
-        mask.  Dense engine recomputes the full scan per call; kernel
-        engine serves the incrementally-maintained cache.
+        mask.  Served from the incrementally-maintained cache.
         """
         with self.metrics.time("insertion"), span("kernel.insertion"):
-            if self._ins_stale or not self._sparse:
+            if self._ins_stale:
                 self._flush_insertion()
         return self._ins_deltas.copy(), (self._ins_edges + 1).astype(int)
 
@@ -347,11 +284,11 @@ class PlannerKernel:
     def insert(self, site: int) -> int:
         """Insert candidate *site* at its cached best position.
 
-        Updates the tour and — on the kernel engine — repairs the delta
-        cache in place: every candidate is checked against the two edges
-        the insertion created (O(1), exact-tie broken toward the lower
-        edge index like a fresh ``argmin``), and only candidates whose
-        recorded best edge was destroyed are fully rescanned.
+        Updates the tour and repairs the delta cache in place: every
+        candidate is checked against the two edges the insertion created
+        (O(1), exact-tie broken toward the lower edge index like a fresh
+        ``argmin``), and only candidates whose recorded best edge was
+        destroyed are fully rescanned.
 
         Returns the insertion position (for the caller's bookkeeping).
         """
@@ -371,9 +308,6 @@ class PlannerKernel:
         b = self.tour[(e + 1) % k_old]
         self.tour.insert(pos, node)
         self.in_tour[node] = True
-        if not self._sparse:
-            self._ins_stale = True
-            return pos
 
         with self.metrics.time("insertion"), span("kernel.insertion"):
             deltas, edges = self._ins_deltas, self._ins_edges
@@ -436,7 +370,7 @@ class PlannerKernel:
 
     def perf(self) -> Dict[str, object]:
         """Perf-counter snapshot for ``CollectionTour.meta["perf"]``."""
-        snap: Dict[str, object] = {"engine": self.engine}
+        snap: Dict[str, object] = {"engine": "kernel"}
         snap.update(self.counters)
         snap["seconds"] = {k: round(v, 6) for k, v in self.timers.items()}
         return snap
@@ -510,4 +444,4 @@ class PruneCache:
         return node
 
 
-__all__ = ["PlannerKernel", "PruneCache", "ENGINES", "check_engine"]
+__all__ = ["PlannerKernel", "PruneCache"]

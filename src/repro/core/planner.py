@@ -14,8 +14,9 @@ bitwise-identical with the ledger on or off.
 
 from __future__ import annotations
 
+import inspect
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.core.algorithm1 import plan_algorithm1
 from repro.core.algorithm2 import plan_algorithm2
@@ -41,24 +42,32 @@ PLANNERS: Dict[str, str] = {
 }
 
 
+def _call(method: str, planner: Callable[..., CollectionTour],
+          args: tuple, kwargs: Dict[str, Any]) -> CollectionTour:
+    """Call *planner*, naming any option it does not take."""
+    options = list(inspect.signature(planner).parameters)[len(args):]
+    unknown = sorted(set(kwargs) - set(options))
+    if unknown:
+        raise InvalidParameterError(
+            f"{method} planner got unknown option(s) {unknown}; "
+            f"it takes: {', '.join(options) or 'none'}")
+    return planner(*args, **kwargs)
+
+
 def _dispatch(network: SensorNetwork, energy: EnergyModel, radio: RadioModel,
               method: str, delta: float,
               kwargs: Dict[str, Any]) -> CollectionTour:
     """The method dispatch proper (kwargs may be mutated; pass a copy)."""
+    problem = (network, energy, radio, delta)
     if method == "algorithm1":
-        return plan_algorithm1(network, energy, radio, delta, **kwargs)
+        return _call(method, plan_algorithm1, problem, kwargs)
     if method == "algorithm2":
-        return plan_algorithm2(network, energy, radio, delta, **kwargs)
+        return _call(method, plan_algorithm2, problem, kwargs)
     if method == "algorithm3":
         kwargs.setdefault("K", 2)
-        return plan_algorithm3(network, energy, radio, delta, **kwargs)
+        return _call(method, plan_algorithm3, problem, kwargs)
     if method == "benchmark":
-        engine = kwargs.pop("engine", "kernel")
-        if kwargs:
-            raise InvalidParameterError(
-                f"benchmark planner takes no extra options, "
-                f"got {sorted(kwargs)}")
-        return plan_benchmark(network, energy, radio, engine=engine)
+        return _call(method, plan_benchmark, problem[:3], kwargs)
     raise InvalidParameterError(
         f"unknown method {method!r}; expected one of {sorted(PLANNERS)}")
 

@@ -16,7 +16,7 @@ the planners' feasibility test ``new_energy <= E + 1e-9`` (any closed tour
 through ``s`` has length ``>= 2·d(depot, s)``, so the travel term alone
 already overshoots).  Removing such sites changes neither the residual
 scores nor the argmax tie-breaks of the survivors, so Algorithms 2/3
-produce bitwise-identical tours on every engine (pinned by
+produce bitwise-identical tours per cell and per batch column (pinned by
 ``tests/test_core_reduce.py`` and the hypothesis properties).
 
 ``aggressive`` — three additional heuristic stages that trade collected
@@ -38,7 +38,7 @@ never assumed):
   2-opt) over a greedy set-cover skeleton of the survivors and drop sites
   whose cheapest-insertion detour off that corridor exceeds
   ``corridor_budget_factor``·R0 metres.  The budget is deliberately
-  denominated in metres, not joules, so the scalar and batch engines
+  denominated in metres, not joules, so per-cell plans and batch columns
   (which plan whole capacity columns at once) agree on the survivor set.
 
 A coverage-repair step then re-adds the best dropped site for any sensor

@@ -94,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-columns", action="store_true",
                         help="plan each eligible algorithm's whole "
                              "parameter column per instance as one "
-                             "engine='batch' call (Fig. 5's capacity "
-                             "sweep; identical results, stacked numpy "
+                             "stacked call (Fig. 5's capacity sweep; "
+                             "identical results, stacked numpy "
                              "execution)")
     parser.add_argument("--delta-continuation", action="store_true",
                         help="fig4 only: add an Algorithm 1 series and "
@@ -104,12 +104,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "corridor and first GRASP construction from "
                              "the coarser grid's tour (strict-improvement "
                              "acceptance; requires the artifact cache)")
-    parser.add_argument("--engine", choices=["scalar", "fast"],
-                        default="scalar",
-                        help="orienteering engine for the Algorithm 1 "
-                             "series (fig3, and the series added by "
-                             "--delta-continuation): 'fast' = vectorized "
-                             "GRASP, bitwise-identical tours)")
     parser.add_argument("--site-reduction",
                         choices=["off", "safe", "aggressive"],
                         default="off",
@@ -172,9 +166,7 @@ def main(argv=None) -> int:
                      else args.site_reduction)
         extra = {}
         if args.delta_continuation and fig == "fig4":
-            extra = {"delta_continuation": True, "engine": args.engine}
-        elif fig == "fig3" and args.engine != "scalar":
-            extra = {"engine": args.engine}
+            extra = {"delta_continuation": True}
         with activated(tracer):
             result = RUNNERS[fig](config, progress=progress,
                                   jobs=args.jobs, cache=not args.no_cache,

@@ -27,20 +27,12 @@ from repro.network.sensor_network import SensorNetwork
 def fig3_algorithms(config: ExperimentConfig, *,
                     solver: str = "grasp",
                     n_restarts: int = 3,
-                    seed: int = 0,
-                    engine: str = "scalar") -> list:
-    """The two algorithms plotted in Fig. 3.
-
-    ``engine`` selects Algorithm 1's orienteering engine — ``"fast"``
-    runs the stacked GRASP of :mod:`repro.orienteering.fast` with
-    bitwise-identical tours (``benchmarks/bench_alg1.py`` pins the
-    speedup and the row equality at paper scale).
-    """
+                    seed: int = 0) -> list:
+    """The two algorithms plotted in Fig. 3."""
     return [
         AlgoSpec("Algorithm 1", "algorithm1",
                  {"delta": config.delta, "solver": solver,
-                  "n_restarts": n_restarts, "seed": seed,
-                  "engine": engine}),
+                  "n_restarts": n_restarts, "seed": seed}),
         AlgoSpec("Benchmark", "benchmark", {}),
     ]
 
@@ -50,8 +42,7 @@ def run_fig3(config: ExperimentConfig,
              *, n_restarts: int = 3, validate: bool = True,
              progress=None, jobs: int = 1, cache: bool = True,
              batch_columns: bool = False,
-             site_reduction=None,
-             engine: str = "scalar") -> SweepResult:
+             site_reduction=None) -> SweepResult:
     """Run the Fig. 3 capacity sweep and return the aggregated rows.
 
     ``jobs``/``cache`` select the execution engine and the per-instance
@@ -63,13 +54,10 @@ def run_fig3(config: ExperimentConfig,
     ``site_reduction`` applies the candidate-site reduction pre-pass to
     the Algorithm 1 cells (the benchmark has no δ-grid); GRASP seeding
     is reduction-aware, so ``safe`` leaves the rows bitwise-identical.
-    ``engine`` selects Algorithm 1's orienteering engine (``"scalar"`` /
-    ``"fast"``; identical tours, see :func:`fig3_algorithms`).
     """
     if instances is None:
         instances = make_instances(config)
-    algorithms = fig3_algorithms(config, n_restarts=n_restarts,
-                                 engine=engine)
+    algorithms = fig3_algorithms(config, n_restarts=n_restarts)
     return run_sweep(
         config, instances, algorithms,
         param_name="capacity",

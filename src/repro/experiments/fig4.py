@@ -27,21 +27,19 @@ from repro.network.sensor_network import SensorNetwork
 
 def fig4_algorithms(config: ExperimentConfig, *,
                     algorithm1: bool = False,
-                    n_restarts: int = 3,
-                    engine: str = "scalar") -> list:
+                    n_restarts: int = 3) -> list:
     """Algorithm 2, Algorithm 3 per K, and the benchmark.
 
     With ``algorithm1=True`` an Algorithm 1 series (GRASP with
-    *n_restarts* restarts on the given orienteering *engine*) is
-    prepended — the paper's Fig. 4 omits it, but it is the series the
-    δ-continuation mode chains, so the CLI adds it alongside
-    ``--delta-continuation``.
+    *n_restarts* restarts) is prepended — the paper's Fig. 4 omits it,
+    but it is the series the δ-continuation mode chains, so the CLI adds
+    it alongside ``--delta-continuation``.
     """
     algos = []
     if algorithm1:
         algos.append(AlgoSpec("Algorithm 1", "algorithm1",
                               {"solver": "grasp", "n_restarts": n_restarts,
-                               "seed": 0, "engine": engine}))
+                               "seed": 0}))
     algos.append(AlgoSpec("Algorithm 2", "algorithm2", {}))
     for k in config.k_values:
         algos.append(AlgoSpec(f"Algorithm 3 (K={k})", "algorithm3", {"K": k}))
@@ -56,7 +54,6 @@ def run_fig4(config: ExperimentConfig,
              batch_columns: bool = False,
              site_reduction=None,
              algorithm1: bool = False,
-             engine: str = "scalar",
              delta_continuation: bool = False) -> SweepResult:
     """Run the Fig. 4 δ sweep and return the aggregated rows.
 
@@ -71,8 +68,8 @@ def run_fig4(config: ExperimentConfig,
     reduction pre-pass to every Algorithm 2/3 cell — the dense-δ end of
     this sweep is where it pays the most (see ``DESIGN.md``).
 
-    ``algorithm1`` adds an Algorithm 1 series on the given orienteering
-    *engine* (see :func:`fig4_algorithms`); ``delta_continuation``
+    ``algorithm1`` adds an Algorithm 1 series (see
+    :func:`fig4_algorithms`); ``delta_continuation``
     implies it and chains its δ cells coarse→fine with warm starts
     (:mod:`repro.experiments.continuation`).
     """
@@ -88,7 +85,7 @@ def run_fig4(config: ExperimentConfig,
 
     return run_sweep(
         config, instances,
-        fig4_algorithms(config, algorithm1=algorithm1, engine=engine),
+        fig4_algorithms(config, algorithm1=algorithm1),
         param_name="delta",
         param_values=config.delta_sweep,
         make_energy=lambda cfg, value: cfg.energy_model(),

@@ -38,7 +38,7 @@ def run_fig5(config: ExperimentConfig,
     fixed here, so the cache builds each instance's grid exactly once
     for the whole sweep.  This sweep is the batch-column showcase: with
     ``batch_columns=True`` every Algorithm 2/3 spec plans its whole
-    capacity column per instance in one ``engine="batch"`` call
+    capacity column per instance in one stacked call
     (identical tours, one stacked numpy program instead of one greedy
     loop per capacity; the benchmark keeps the per-cell path).
     ``site_reduction`` applies the candidate-site reduction pre-pass to

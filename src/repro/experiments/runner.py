@@ -20,11 +20,11 @@ run.  See ``docs/experiments.md``.
 ``batch_columns=True`` additionally groups each algorithm's cells into
 *columns*: when a spec's kwargs are identical at every parameter value
 and only the energy model varies (Fig. 5's capacity sweep), all of its
-values are planned per instance in one ``engine="batch"`` call
+values are planned per instance in one stacked call
 (:mod:`repro.core.batch`) — batch within a process, processes across
 instances under ``jobs > 1``.  Batch plans are bitwise-identical to
-``engine="kernel"`` plans, so every deterministic row field except the
-perf engine/counters (which reflect the batch engine) is unchanged;
+per-cell plans, so every deterministic row field except the perf
+engine/counters (``"batch"`` instead of ``"kernel"``) is unchanged;
 per-cell ``mean_time_s`` becomes the column wall-clock divided by the
 column width.  Ineligible specs (the benchmark, swept-δ kwargs,
 non-insertion TSP modes) silently keep the per-cell path.
@@ -368,7 +368,7 @@ def run_sweep(config: ExperimentConfig,
         or a caller-owned cache instance (sequential path only).
     batch_columns:
         Plan each eligible algorithm's whole value column per instance
-        in one stacked ``engine="batch"`` call (see the module
+        in one stacked call (see the module
         docstring).  Deterministic row fields other than the perf
         engine/counters are unchanged; ineligible specs keep the
         per-cell path.
@@ -592,9 +592,9 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
 #: A spec using any other option falls back to the per-cell path.
 _COLUMN_KWARGS: Dict[str, frozenset] = {
     "algorithm2": frozenset({"delta", "polish", "scoring", "max_iterations",
-                             "engine", "tsp_mode", "site_reduction"}),
+                             "tsp_mode", "site_reduction"}),
     "algorithm3": frozenset({"delta", "K", "polish", "max_iterations",
-                             "engine", "site_reduction"}),
+                             "site_reduction"}),
 }
 
 
@@ -610,7 +610,7 @@ def batchable_column(config: ExperimentConfig,
 
     Batchable means the stacked planner can replay every cell exactly:
     the method has a batch formulation (Algorithms 2/3 with the default
-    insertion construction and the kernel-family engine), the planner
+    insertion construction), the planner
     kwargs are identical JSON at every parameter value (so geometry and
     policy are shared), and the energy models differ only in capacity-like
     fields — :class:`~repro.core.batch.BatchPlannerKernel` requires equal
@@ -630,8 +630,6 @@ def batchable_column(config: ExperimentConfig,
     if not keys_equal or not set(kwargs0) <= allowed:
         return False
     if "delta" not in kwargs0:
-        return False
-    if kwargs0.get("engine", "kernel") not in ("kernel", "batch"):
         return False
     if kwargs0.get("tsp_mode", "insertion") != "insertion":
         return False
@@ -671,7 +669,6 @@ def _plan_column_instance(net: SensorNetwork,
         call_kwargs = cache.augment_kwargs(net, cap_energy, radio,
                                            spec.method, call_kwargs)
     delta = call_kwargs.pop("delta")
-    call_kwargs.pop("engine", None)
     call_kwargs.pop("tsp_mode", None)
     if spec.method == "algorithm3":
         K = call_kwargs.pop("K")

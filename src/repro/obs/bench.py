@@ -234,24 +234,18 @@ register_case(BenchCase(
     config={**_PLAN_CONFIG, "method": "algorithm1"},
     fn=lambda: _plan_workload("algorithm1")))
 register_case(BenchCase(
-    name="plan.alg1_fast", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm1", "engine": "fast"},
-    fn=lambda: _plan_workload("algorithm1", engine="fast")))
-register_case(BenchCase(
     name="plan.alg2_kernel", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm2", "engine": "kernel"},
-    fn=lambda: _plan_workload("algorithm2", engine="kernel")))
+    config={**_PLAN_CONFIG, "method": "algorithm2"},
+    fn=lambda: _plan_workload("algorithm2")))
 register_case(BenchCase(
     name="plan.alg2_reduce", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm2", "engine": "kernel",
+    config={**_PLAN_CONFIG, "method": "algorithm2",
             "site_reduction": "aggressive"},
-    fn=lambda: _plan_workload("algorithm2", engine="kernel",
-                              site_reduction="aggressive")))
+    fn=lambda: _plan_workload("algorithm2", site_reduction="aggressive")))
 register_case(BenchCase(
     name="plan.alg3_kernel", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm3", "K": 2,
-            "engine": "kernel"},
-    fn=lambda: _plan_workload("algorithm3", K=2, engine="kernel")))
+    config={**_PLAN_CONFIG, "method": "algorithm3", "K": 2},
+    fn=lambda: _plan_workload("algorithm3", K=2)))
 register_case(BenchCase(
     name="plan.benchmark", suites=("smoke",),
     config={**_PLAN_CONFIG, "method": "benchmark"},

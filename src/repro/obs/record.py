@@ -18,7 +18,10 @@ A :class:`RunRecord` is the ledger's unit of accounting — every
     executor ships work units with) — two records with equal hashes ran
     the same campaign;
 ``engine`` / ``jobs``
-    execution engine (``kernel``/``dense``/``batch``) and worker count;
+    the plan's ``meta["perf"]["engine"]`` path label (``kernel`` for a
+    per-cell Algorithm 2/3 plan and the baseline's prune cache, ``batch``
+    for a batch column, ``scalar`` for Algorithm 1's restart-by-restart
+    GRASP) and worker count;
 ``wall_s``
     measured wall-clock seconds (**nondeterministic** — excluded from
     :meth:`RunRecord.deterministic_dict`);

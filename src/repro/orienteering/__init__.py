@@ -15,8 +15,6 @@ Bansal et al. 3-approximation):
 * :mod:`repro.orienteering.greedy` — deterministic best-ratio insertion,
 * :mod:`repro.orienteering.local_search` — add/drop/replace/2-opt polishing,
 * :mod:`repro.orienteering.grasp` — randomised multi-start wrapper,
-* :mod:`repro.orienteering.fast` — the stacked GRASP engine (all restarts
-  as one numpy program, bitwise-identical to the scalar path),
 * :mod:`repro.orienteering.solver` — facade picking exact vs GRASP by size.
 
 All solvers support optional *conflict groups* — sets of mutually exclusive
@@ -25,23 +23,19 @@ overlapping" assumption.
 """
 
 from repro.orienteering.problem import (OrienteeringInstance,
-                                        OrienteeringSolution,
-                                        trusted_instance)
+                                        OrienteeringSolution)
 from repro.orienteering.exact import solve_exact
 from repro.orienteering.greedy import solve_greedy
 from repro.orienteering.local_search import improve_solution
 from repro.orienteering.grasp import solve_grasp
-from repro.orienteering.fast import solve_grasp_fast
 from repro.orienteering.solver import solve_orienteering
 
 __all__ = [
     "OrienteeringInstance",
     "OrienteeringSolution",
-    "trusted_instance",
     "solve_exact",
     "solve_greedy",
     "improve_solution",
     "solve_grasp",
-    "solve_grasp_fast",
     "solve_orienteering",
 ]

@@ -8,12 +8,10 @@ O(n * |tour|) numpy work per step instead of O(n * |tour|) Python loops.
 Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
 *sorted* restricted candidate list by :func:`rcl_pick`.  Because the
-tape is drawn up front and the RCL is ordered by node index, the scalar
-restart loop (:func:`greedy_fill` once per restart) and the stacked
-fast engine (:mod:`repro.orienteering.fast`, all restarts at once) make
-bitwise-identical choices from the same tape row — and the choices are
-invariant under site renumbering that preserves relative index order
-(the `ReducedSites` survivor maps do).
+tape is drawn up front and the RCL is ordered by node index, each
+restart (:func:`greedy_fill` on one tape row) is replayable on its own,
+and its choices are invariant under site renumbering that preserves
+relative index order (the `ReducedSites` survivor maps do).
 """
 # repro: hot-path
 
@@ -83,9 +81,7 @@ def insertion_ratio(deltas: np.ndarray, awards: np.ndarray,
                     feasible: np.ndarray) -> np.ndarray:
     """Award-per-marginal-cost score; ``-inf`` off the feasible set.
 
-    Zero-delta feasible insertions score ``+inf`` (free award).  Shared
-    by the scalar constructor and the stacked fast engine so both paths
-    rank candidates through the identical float expression.
+    Zero-delta feasible insertions score ``+inf`` (free award).
     """
     with np.errstate(divide="ignore"):
         return np.where(
@@ -102,8 +98,7 @@ def rcl_pick(ratio: np.ndarray, n_feasible: int, u: float,
     ordered by **node index** — an order-isomorphism under any
     renumbering that preserves relative index order, which is what makes
     reduction-seeded restarts renumbering-invariant.  ``u`` in ``[0, 1)``
-    indexes the list uniformly; the same ``(ratio, u)`` pair yields the
-    same node on the scalar and stacked paths.
+    indexes the list uniformly.
     """
     k = rcl_size if rcl_size < n_feasible else n_feasible
     top = np.sort(np.argpartition(-ratio, k - 1)[:k])

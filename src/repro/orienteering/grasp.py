@@ -53,11 +53,11 @@ def polish_constructions(instance: OrienteeringInstance,
                          ) -> OrienteeringSolution:
     """Dedup, polish, and select over an ordered construction stream.
 
-    The shared back half of the scalar and stacked GRASP engines:
-    identical constructions run local search once (it is a pure function
-    of the tour), the best solution is kept in stream order, and the
-    optional *warm_tour* is polished last — replacing the winner only on
-    strict improvement.  Work counters land on ``solution.stats``.
+    GRASP's back half: identical constructions run local search once
+    (it is a pure function of the tour), the best solution is kept in
+    stream order, and the optional *warm_tour* is polished last —
+    replacing the winner only on strict improvement.  Work counters land
+    on ``solution.stats``.
     """
     metrics = MetricsRegistry()
     for name in GRASP_STAT_NAMES:

@@ -3,12 +3,6 @@
 ``method="auto"`` (the default) uses the exact subset DP when the instance
 is small enough to verify optimality and GRASP otherwise — so small unit
 tests get exact answers for free while the planners scale.
-
-GRASP itself runs on one of two engines: ``"scalar"`` (restart-by-restart,
-:func:`~repro.orienteering.grasp.solve_grasp`) or ``"fast"`` (all restarts
-as one stacked numpy program,
-:func:`~repro.orienteering.fast.solve_grasp_fast`).  Both consume the same
-pre-drawn RNG tape and produce bitwise-identical solutions.
 """
 
 from __future__ import annotations
@@ -19,7 +13,6 @@ import numpy as np
 
 from repro.obs.tracer import span
 from repro.orienteering.exact import MAX_EXACT_NODES, solve_exact
-from repro.orienteering.fast import solve_grasp_fast
 from repro.orienteering.grasp import solve_grasp
 from repro.orienteering.greedy import solve_greedy
 from repro.orienteering.problem import OrienteeringInstance, OrienteeringSolution
@@ -29,16 +22,12 @@ from repro.utils.rng import SeedLike
 #: "auto" switches from exact DP to GRASP above this node count.
 AUTO_EXACT_THRESHOLD = 13
 
-#: GRASP execution engines (both bitwise-identical; see module docstring).
-GRASP_ENGINES = ("scalar", "fast")
-
 
 def solve_orienteering(instance: OrienteeringInstance, *,
                        method: str = "auto",
                        seed: SeedLike = None,
                        n_restarts: int = 8,
                        rcl_size: int = 3,
-                       engine: str = "scalar",
                        tape_nodes: Optional[int] = None,
                        warm_tour: Optional[np.ndarray] = None
                        ) -> OrienteeringSolution:
@@ -52,9 +41,6 @@ def solve_orienteering(instance: OrienteeringInstance, *,
         ``"auto"``, ``"exact"``, ``"grasp"``, or ``"greedy"``.
     seed, n_restarts, rcl_size:
         Passed through to GRASP when applicable.
-    engine:
-        GRASP execution engine, ``"scalar"`` or ``"fast"`` (bitwise-
-        identical results; ignored by the exact/greedy backends).
     tape_nodes, warm_tour:
         Passed through to GRASP: the RNG-tape sizing override (for
         renumbering-invariant restarts on reduced instances) and an
@@ -65,17 +51,13 @@ def solve_orienteering(instance: OrienteeringInstance, *,
     OrienteeringSolution
         Always budget-feasible; the depot-only tour when nothing fits.
     """
-    if engine not in GRASP_ENGINES:
-        raise InvalidParameterError(
-            f"engine must be one of {GRASP_ENGINES}, got {engine!r}")
-    grasp = solve_grasp_fast if engine == "fast" else solve_grasp
     with span("orienteering.solve", method=method, n_nodes=instance.n_nodes):
         if method == "auto":
             if instance.n_nodes <= AUTO_EXACT_THRESHOLD:
                 return solve_exact(instance)
-            return grasp(instance, n_restarts=n_restarts,
-                         rcl_size=rcl_size, seed=seed,
-                         tape_nodes=tape_nodes, warm_tour=warm_tour)
+            return solve_grasp(instance, n_restarts=n_restarts,
+                               rcl_size=rcl_size, seed=seed,
+                               tape_nodes=tape_nodes, warm_tour=warm_tour)
         if method == "exact":
             if instance.n_nodes > MAX_EXACT_NODES:
                 raise InvalidParameterError(
@@ -83,9 +65,9 @@ def solve_orienteering(instance: OrienteeringInstance, *,
                     f"instance has {instance.n_nodes}")
             return solve_exact(instance)
         if method == "grasp":
-            return grasp(instance, n_restarts=n_restarts,
-                         rcl_size=rcl_size, seed=seed,
-                         tape_nodes=tape_nodes, warm_tour=warm_tour)
+            return solve_grasp(instance, n_restarts=n_restarts,
+                               rcl_size=rcl_size, seed=seed,
+                               tape_nodes=tape_nodes, warm_tour=warm_tour)
         if method == "greedy":
             return solve_greedy(instance)
     raise InvalidParameterError(
@@ -93,4 +75,4 @@ def solve_orienteering(instance: OrienteeringInstance, *,
         "expected 'auto', 'exact', 'grasp', or 'greedy'")
 
 
-__all__ = ["solve_orienteering", "AUTO_EXACT_THRESHOLD", "GRASP_ENGINES"]
+__all__ = ["solve_orienteering", "AUTO_EXACT_THRESHOLD"]

@@ -1,4 +1,4 @@
-"""Engine family for the ``flow-parity`` perf-contract fixtures.
+"""Kernel family for the ``flow-parity`` perf-contract fixtures.
 
 Two kernels of one family (``repro.flowpar``): ``AKernel`` registers the
 family's counters and publishes the full ``perf()`` contract, while
@@ -9,14 +9,11 @@ rule must report against the family contract
 
 from __future__ import annotations
 
-__all__ = ["ENGINES", "AKernel", "BKernel", "CKernel"]
-
-#: Engine names of this fixture family.
-ENGINES = ("afix", "bfix", "cfix")
+__all__ = ["AKernel", "BKernel", "CKernel"]
 
 
 class AKernel:
-    """Reference engine: registers counters, publishes the full contract."""
+    """Reference kernel: registers counters, publishes the full contract."""
 
     def __init__(self, metrics):
         self.metrics = metrics
@@ -29,7 +26,7 @@ class AKernel:
 
 
 class BKernel:
-    """Drifting engine: ``perf`` omits ``flushes`` (true positive)."""
+    """Drifting kernel: ``perf`` omits ``flushes`` (true positive)."""
 
     def perf(self) -> dict:
         """Partial perf payload missing a registered counter."""
@@ -37,7 +34,7 @@ class BKernel:
 
 
 class CKernel:
-    """Drifting engine whose gap is sanctioned inline (suppressed)."""
+    """Drifting kernel whose gap is sanctioned inline (suppressed)."""
 
     def perf(self) -> dict:
         """Partial perf payload, allowed for this fixture."""

@@ -1,7 +1,7 @@
 """Dispatch-surface pairs for the ``flow-parity`` signature fixtures.
 
 * ``plan_fix`` / ``plan_fix_batch`` — **true positive**: the batch
-  variant drops the ``sites`` kwarg (``engine`` is dispatch-only and
+  variant drops the ``sites`` kwarg (``tsp_mode`` is dispatch-only and
   legitimately absent; ``energy`` -> ``energies`` is the sanctioned
   structural rename);
 * ``plan_quiet`` / ``plan_quiet_batch`` — **suppressed**: same gap,
@@ -16,9 +16,9 @@ __all__ = ["plan_fix", "plan_fix_batch", "plan_ok", "plan_ok_batch",
 
 
 def plan_fix(network, energy, *, polish: bool = True, sites: int = 0,
-             engine: str = "dense") -> list:
+             tsp_mode: str = "insertion") -> list:
     """Base surface of the drifting pair."""
-    return [network, energy, polish, sites, engine]
+    return [network, energy, polish, sites, tsp_mode]
 
 
 def plan_fix_batch(network, energies, *, polish: bool = True) -> list:
@@ -38,9 +38,9 @@ def plan_quiet_batch(network, energies) -> list:
 
 
 def plan_ok(network, energy, *, scoring: str = "greedy",
-            engine: str = "dense") -> list:
+            tsp_mode: str = "insertion") -> list:
     """Base surface of the clean pair (negative)."""
-    return [network, energy, scoring, engine]
+    return [network, energy, scoring, tsp_mode]
 
 
 def plan_ok_batch(network, energies, *, scoring: str = "greedy") -> list:

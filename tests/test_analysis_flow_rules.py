@@ -110,9 +110,9 @@ class TestFlowParity:
     def test_dispatch_only_and_rename_are_not_drift(self):
         project = load_fixture("parity")
         raw = raw_findings(project, FlowParityRule())
-        # `engine` is dispatch-only and `energy -> energies` is the
+        # `tsp_mode` is dispatch-only and `energy -> energies` is the
         # sanctioned structural rename: neither may be reported.
-        assert not any("'engine'" in f.message or "'energy'" in f.message
+        assert not any("'tsp_mode'" in f.message or "'energy'" in f.message
                        for f in raw)
         assert not any("plan_ok" in f.message for f in raw)
 

@@ -318,25 +318,16 @@ PLANNER_OK = """
         if method == "algorithm2":
             return 2
         if method == "benchmark":
-            kwargs.pop("engine", "kernel")
             return 0
         raise ValueError(method)
 """
 
-KERNEL_OK = """
-    ENGINES = ("kernel", "dense")
-
-    def check_engine(engine):
-        return engine
-"""
-
-ARCH_OK = 'planners: algorithm2 and benchmark; engines "kernel" and "dense".'
+ARCH_OK = "planners: algorithm2 and benchmark."
 
 
 class TestRegistrySync:
-    def files(self, planner=PLANNER_OK, kernel=KERNEL_OK):
-        return {"src/repro/core/planner.py": planner,
-                "src/repro/core/kernel.py": kernel}
+    def files(self, planner=PLANNER_OK):
+        return {"src/repro/core/planner.py": planner}
 
     def test_quiet_when_in_sync(self, tmp_path):
         project = make_project(tmp_path, self.files(),
@@ -371,23 +362,10 @@ class TestRegistrySync:
         assert any("'secret'" in f.message and "missing" in f.message
                    for f in found)
 
-    def test_fires_on_unknown_engine_default(self, tmp_path):
-        files = self.files()
-        files["src/repro/core/fast.py"] = """
-            def plan_fast(network, *, engine="turbo"):
-                return engine
-        """
-        project = make_project(tmp_path, files,
-                               docs={"docs/architecture.md": ARCH_OK})
-        found = rule_findings(project, RegistrySyncRule())
-        assert len(found) == 1
-        assert "'turbo'" in found[0].message
-
     def test_fires_on_undocumented_planner(self, tmp_path):
         project = make_project(
             tmp_path, self.files(),
-            docs={"docs/architecture.md":
-                  'only algorithm2 here; engines "kernel" and "dense"'})
+            docs={"docs/architecture.md": "only algorithm2 here"})
         found = rule_findings(project, RegistrySyncRule())
         assert len(found) == 1
         assert "'benchmark'" in found[0].message

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.algorithm1 import plan_algorithm1
+from repro.core.auxgraph import build_auxiliary_graph
+from repro.core.hovering import build_hovering_sites
+from repro.core.planner import plan_tour
 from repro.core.tour import validate_tour_feasibility
 from repro.utils.errors import InvalidParameterError
 
@@ -122,3 +125,19 @@ class TestQuality:
         assert tour.meta["n_candidates"] > 0
         assert tour.meta["delta"] == 30.0
         assert tour.meta["n_visited"] == tour.n_hovers
+
+
+class TestPrebuiltGraphValidation:
+    """A supplied auxiliary graph is validated like any instance."""
+
+    @pytest.mark.parametrize("fault", ["nan", "negative", "asymmetric"])
+    def test_corrupt_graph_costs_rejected(self, small_net, radio, energy,
+                                          fault):
+        sites = build_hovering_sites(small_net, radio, 30.0)
+        graph = build_auxiliary_graph(sites, energy)
+        value = {"nan": np.nan, "negative": -1.0,
+                 "asymmetric": graph.costs[1, 2] * 2.0 + 1.0}[fault]
+        graph.costs[1, 2] = value
+        with pytest.raises(InvalidParameterError, match="costs must be"):
+            plan_tour(small_net, energy, radio, method="algorithm1",
+                      delta=30.0, graph=graph, seed=0, n_restarts=2)

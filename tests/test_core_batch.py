@@ -1,8 +1,8 @@
-"""Tests for repro.core.batch (column-stacked Algorithm 2/3 engine).
+"""Tests for repro.core.batch (column-stacked Algorithm 2/3 planner).
 
-The batch engine's contract is *bitwise identity*: planning a capacity
+The batch planner's contract is *bitwise identity*: planning a capacity
 column in one stacked call must reproduce, per variant, exactly the
-tour the per-cell ``engine="kernel"`` (and ``"dense"``) path builds —
+tour the per-cell kernel path (and the dense oracle) builds —
 same points, sojourns, collected volumes, iteration counts — for any
 column grouping.  These tests pin that contract on every seeded
 scenario, plus the validation and diagnostics surface.
@@ -21,12 +21,14 @@ from repro.core.batch import (
     plan_algorithm3_batch,
 )
 from repro.core.hovering import build_hovering_sites
-from repro.core.kernel import ENGINES, check_engine
 from repro.energy.model import EnergyModel
+from repro.experiments.config import reduced_settings
+from repro.experiments.runner import AlgoSpec, batchable_column
 from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
 from repro.network.scenarios import SCENARIOS, make_scenario
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import kernel_and_dense
 
 CAPACITIES = (2e4, 5e4, 1e5, 3e5, 8e5)
 
@@ -53,9 +55,8 @@ class TestAlgorithm2Equivalence:
         energies = _energies()
         column = plan_algorithm2_batch(net, energies, radio, delta=30.0)
         for energy, batch in zip(energies, column):
-            for engine in ("kernel", "dense"):
-                single = plan_algorithm2(net, energy, radio, delta=30.0,
-                                         engine=engine)
+            for single in kernel_and_dense(plan_algorithm2, net, energy,
+                                           radio, delta=30.0):
                 assert_same_tour(batch, single)
 
     @pytest.mark.parametrize("scoring", ["ratio", "award"])
@@ -68,17 +69,17 @@ class TestAlgorithm2Equivalence:
                                        polish=polish)
         for energy, batch in zip(energies, column):
             single = plan_algorithm2(small_net, energy, radio, delta=25.0,
-                                     scoring=scoring, polish=polish,
-                                     engine="kernel")
+                                     scoring=scoring, polish=polish)
             assert_same_tour(batch, single)
 
     def test_engine_batch_dispatch_single(self, small_net, radio, energy):
-        batch = plan_algorithm2(small_net, energy, radio, delta=25.0,
-                                engine="batch")
-        kernel = plan_algorithm2(small_net, energy, radio, delta=25.0,
-                                 engine="kernel")
+        """A one-variant column is the per-cell plan, labelled batch."""
+        (batch,) = plan_algorithm2_batch(small_net, [energy], radio,
+                                         delta=25.0)
+        kernel = plan_algorithm2(small_net, energy, radio, delta=25.0)
         assert_same_tour(batch, kernel)
-        assert batch.meta["engine"] == "batch"
+        assert batch.meta["perf"]["engine"] == "batch"
+        assert kernel.meta["perf"]["engine"] == "kernel"
 
     def test_empty_network(self, generator, radio, energy):
         net = generator.uniform(0, seed=0)
@@ -90,8 +91,7 @@ class TestAlgorithm2Equivalence:
         column = plan_algorithm2_batch(small_net, [roomy_energy], radio,
                                        delta=25.0, max_iterations=3)
         single = plan_algorithm2(small_net, roomy_energy, radio,
-                                 delta=25.0, max_iterations=3,
-                                 engine="kernel")
+                                 delta=25.0, max_iterations=3)
         assert_same_tour(column[0], single)
         assert column[0].meta["iterations"] <= 3
 
@@ -105,18 +105,18 @@ class TestAlgorithm3Equivalence:
         column = plan_algorithm3_batch(net, energies, radio,
                                        delta=30.0, K=K)
         for energy, batch in zip(energies, column):
-            for engine in ("kernel", "dense"):
-                single = plan_algorithm3(net, energy, radio, delta=30.0,
-                                         K=K, engine=engine)
+            for single in kernel_and_dense(plan_algorithm3, net, energy,
+                                           radio, delta=30.0, K=K):
                 assert_same_tour(batch, single)
 
     def test_engine_batch_dispatch_single(self, small_net, radio, energy):
-        batch = plan_algorithm3(small_net, energy, radio, delta=25.0,
-                                K=2, engine="batch")
-        kernel = plan_algorithm3(small_net, energy, radio, delta=25.0,
-                                 K=2, engine="kernel")
+        """A one-variant column is the per-cell plan, labelled batch."""
+        (batch,) = plan_algorithm3_batch(small_net, [energy], radio,
+                                         delta=25.0, K=2)
+        kernel = plan_algorithm3(small_net, energy, radio, delta=25.0, K=2)
         assert_same_tour(batch, kernel)
-        assert batch.meta["engine"] == "batch"
+        assert batch.meta["perf"]["engine"] == "batch"
+        assert kernel.meta["perf"]["engine"] == "kernel"
 
 
 class TestGroupingInvariance:
@@ -149,17 +149,21 @@ class TestGroupingInvariance:
 
 
 class TestValidation:
-    def test_check_engine_lists_batch(self):
-        with pytest.raises(InvalidParameterError) as excinfo:
-            check_engine("warp")
-        assert str(ENGINES) in str(excinfo.value)
-        assert "batch" in str(excinfo.value)
-
-    def test_christofides_batch_rejected(self, small_net, radio, energy):
-        with pytest.raises(InvalidParameterError,
-                           match="tsp_mode='insertion' only"):
-            plan_algorithm2(small_net, energy, radio, delta=25.0,
-                            engine="batch", tsp_mode="christofides")
+    def test_christofides_batch_rejected(self):
+        """The Christofides mode has no stacked formulation: a column
+        using it never reaches the batch planner."""
+        config = reduced_settings()
+        spec = AlgoSpec("Algorithm 2", "algorithm2",
+                        {"delta": 25.0, "tsp_mode": "christofides"})
+        assert not batchable_column(
+            config, spec, config.capacity_sweep,
+            lambda cfg, value: cfg.energy_model(capacity=value),
+            lambda cfg, value, s: dict(s.kwargs))
+        spec = AlgoSpec("Algorithm 2", "algorithm2", {"delta": 25.0})
+        assert batchable_column(
+            config, spec, config.capacity_sweep,
+            lambda cfg, value: cfg.energy_model(capacity=value),
+            lambda cfg, value, s: dict(s.kwargs))
 
     def test_mismatched_rates_rejected(self, small_net, radio):
         energies = [
@@ -228,9 +232,9 @@ class TestEngineEquivalenceProperty:
         energies = _energies(caps)
         column = plan_algorithm2_batch(net, energies, radio, delta=30.0)
         for energy, batch in zip(energies, column):
-            for engine in ("kernel", "dense"):
-                assert_same_tour(batch, plan_algorithm2(
-                    net, energy, radio, delta=30.0, engine=engine))
+            for single in kernel_and_dense(plan_algorithm2, net, energy,
+                                           radio, delta=30.0):
+                assert_same_tour(batch, single)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -244,6 +248,6 @@ class TestEngineEquivalenceProperty:
         column = plan_algorithm3_batch(net, energies, radio,
                                        delta=30.0, K=K)
         for energy, batch in zip(energies, column):
-            for engine in ("kernel", "dense"):
-                assert_same_tour(batch, plan_algorithm3(
-                    net, energy, radio, delta=30.0, K=K, engine=engine))
+            for single in kernel_and_dense(plan_algorithm3, net, energy,
+                                           radio, delta=30.0, K=K):
+                assert_same_tour(batch, single)

@@ -2,8 +2,9 @@
 
 Three layers of guarantees:
 
-1. **End-to-end bitwise equivalence** — ``engine="kernel"`` and
-   ``engine="dense"`` produce *identical* tours (points, sojourns,
+1. **End-to-end bitwise equivalence** — the incremental kernel and the
+   full-recompute oracles of ``tests/oracles.py`` (``DenseKernel``,
+   ``LegacyPruneCache``) produce *identical* tours (points, sojourns,
    collected volumes) for Algorithms 2/3 and the benchmark baseline on
    seeded instances across δ ∈ {10, 20, 40} and K ∈ {1, 2, 4}.
 2. **Component oracles** — the dirty-set residual cache, the partial-award
@@ -16,14 +17,18 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.core.algorithm2 import _insertion_deltas, plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
+from repro.core.batch import BatchPlannerKernel
 from repro.core.benchmark_alg import plan_benchmark
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import ENGINES, PlannerKernel, PruneCache, check_engine
+from repro.core.kernel import PlannerKernel, PruneCache
+from repro.core.planner import plan_tour
 from repro.energy.model import EnergyModel
 from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import pairwise_distances
@@ -32,6 +37,8 @@ from repro.network.generator import NetworkGenerator
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import (IMPLEMENTATIONS, DenseKernel, kernel_and_dense,
+                          legacy_prune, plan_on)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
 ENERGY = EnergyModel(capacity=2e4, hover_power=150.0,
@@ -50,16 +57,6 @@ def _assert_same_tour(a, b) -> None:
     np.testing.assert_array_equal(a.collected, b.collected)
     assert a.meta["n_visited"] == b.meta["n_visited"]
     assert a.meta["iterations"] == b.meta["iterations"]
-
-
-class TestCheckEngine:
-    def test_accepts_known_engines(self):
-        for eng in ENGINES:
-            assert check_engine(eng) == eng
-
-    def test_rejects_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            check_engine("turbo")
 
 
 class TestSparseCoverage:
@@ -113,7 +110,7 @@ class TestDirtySetResiduals:
     def _kernels(self, seed=0):
         net = _net(seed)
         sites = build_hovering_sites(net, RADIO, 25.0)
-        return (sites, PlannerKernel(sites, ENERGY, RADIO, engine="kernel"))
+        return (sites, PlannerKernel(sites, ENERGY, RADIO))
 
     def test_initial_scores_match_oracle(self):
         sites, kern = self._kernels()
@@ -160,10 +157,8 @@ class TestDirtySetResiduals:
     def test_partial_scores_match_dense_engine(self, K):
         net = _net(5)
         sites = build_hovering_sites(net, RADIO, 25.0)
-        a = PlannerKernel(sites, ENERGY, RADIO, engine="kernel",
-                          volume_tol=1e-9)
-        b = PlannerKernel(sites, ENERGY, RADIO, engine="dense",
-                          volume_tol=1e-9)
+        a = PlannerKernel(sites, ENERGY, RADIO, volume_tol=1e-9)
+        b = DenseKernel(sites, ENERGY, RADIO, volume_tol=1e-9)
         fractions = np.arange(1, K + 1) / K
         rng = np.random.default_rng(5)
         for _ in range(8):
@@ -186,7 +181,7 @@ class TestInsertionCache:
     def test_insert_sequence_matches_full_scan(self, seed):
         net = _net(seed, n=25)
         sites = build_hovering_sites(net, RADIO, 30.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         rng = np.random.default_rng(seed + 50)
         candidates = rng.permutation(sites.n_sites)[:min(10, sites.n_sites)]
         for site in candidates:
@@ -206,7 +201,7 @@ class TestInsertionCache:
     def test_insert_keeps_tour_consistent(self):
         net = _net(9, n=15)
         sites = build_hovering_sites(net, RADIO, 40.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         for site in range(min(5, sites.n_sites)):
             kern.insertion_state()
             pos = kern.insert(site)
@@ -218,7 +213,7 @@ class TestInsertionCache:
     def test_set_tour_flushes_cache(self):
         net = _net(2, n=15)
         sites = build_hovering_sites(net, RADIO, 40.0)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine="kernel")
+        kern = PlannerKernel(sites, ENERGY, RADIO)
         kern.insertion_state()
         for site in range(min(4, sites.n_sites)):
             kern.insert(site)
@@ -281,70 +276,58 @@ class TestPruneCache:
 
 
 class TestEngineEquivalenceAlg2:
-    """Alg. 2 kernel vs dense: identical on ≥10 seeded instances."""
+    """Alg. 2 kernel vs dense oracle: identical on ≥10 seeded instances."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("delta", [10.0, 20.0, 40.0])
     def test_insertion_mode(self, seed, delta):
         net = _net(seed)
-        a = plan_algorithm2(net, ENERGY, RADIO, delta, engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, delta, engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm2, net, ENERGY,
+                                             RADIO, delta))
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_christofides_mode(self, seed):
         net = _net(seed, n=12)
-        a = plan_algorithm2(net, ENERGY, RADIO, 40.0,
-                            tsp_mode="christofides", engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 40.0,
-                            tsp_mode="christofides", engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm2, net, ENERGY,
+                                             RADIO, 40.0,
+                                             tsp_mode="christofides"))
 
     @pytest.mark.parametrize("scoring", ["award", "proximity", "hover_ratio"])
     def test_scoring_variants(self, scoring):
         net = _net(4)
-        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, scoring=scoring,
-                            engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 20.0, scoring=scoring,
-                            engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm2, net, ENERGY,
+                                             RADIO, 20.0, scoring=scoring))
 
     def test_no_polish(self):
         net = _net(6)
-        a = plan_algorithm2(net, ENERGY, RADIO, 20.0, polish=False,
-                            engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 20.0, polish=False,
-                            engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm2, net, ENERGY,
+                                             RADIO, 20.0, polish=False))
 
 
 class TestEngineEquivalenceAlg3:
-    """Alg. 3 kernel vs dense across δ and K."""
+    """Alg. 3 kernel vs dense oracle across δ and K."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("delta", [10.0, 20.0, 40.0])
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_partial_collection(self, seed, delta, K):
         net = _net(seed)
-        a = plan_algorithm3(net, ENERGY, RADIO, delta, K=K, engine="kernel")
-        b = plan_algorithm3(net, ENERGY, RADIO, delta, K=K, engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm3, net, ENERGY,
+                                             RADIO, delta, K=K))
 
     def test_no_polish(self):
         net = _net(3)
-        a = plan_algorithm3(net, ENERGY, RADIO, 20.0, K=2, polish=False,
-                            engine="kernel")
-        b = plan_algorithm3(net, ENERGY, RADIO, 20.0, K=2, polish=False,
-                            engine="dense")
-        _assert_same_tour(a, b)
+        _assert_same_tour(*kernel_and_dense(plan_algorithm3, net, ENERGY,
+                                             RADIO, 20.0, K=2, polish=False))
 
 
 class TestEngineEquivalenceBenchmark:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_prune_loop(self, seed):
         net = _net(seed)
-        a = plan_benchmark(net, ENERGY, RADIO, engine="kernel")
-        b = plan_benchmark(net, ENERGY, RADIO, engine="dense")
+        a = plan_benchmark(net, ENERGY, RADIO)
+        with legacy_prune():
+            b = plan_benchmark(net, ENERGY, RADIO)
         np.testing.assert_array_equal(a.points, b.points)
         np.testing.assert_array_equal(a.sojourns, b.sojourns)
         np.testing.assert_array_equal(a.collected, b.collected)
@@ -365,7 +348,7 @@ class TestPerfCounters:
                     "sites_rescored", "deltas_recomputed"):
             assert perf[key] >= 0
         assert set(perf["seconds"]) == {"rescore", "insertion", "partial"}
-        assert tour.meta["engine"] == "kernel"
+        assert "engine" not in tour.meta
 
     def test_alg3_meta_perf(self):
         net = _net(0, n=15)
@@ -375,8 +358,7 @@ class TestPerfCounters:
 
     def test_kernel_beats_dense_on_rescoring(self):
         net = _net(1)
-        a = plan_algorithm2(net, ENERGY, RADIO, 15.0, engine="kernel")
-        b = plan_algorithm2(net, ENERGY, RADIO, 15.0, engine="dense")
+        a, b = kernel_and_dense(plan_algorithm2, net, ENERGY, RADIO, 15.0)
         assert (a.meta["perf"]["sites_rescored"]
                 < b.meta["perf"]["sites_rescored"])
 
@@ -407,31 +389,37 @@ class TestEdgeCases:
         np.testing.assert_array_equal(sites.hover_times,
                                       np.zeros(sites.n_sites))
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", IMPLEMENTATIONS)
     def test_planners_on_empty_network(self, engine):
         net = self._empty_net()
-        t2 = plan_algorithm2(net, ENERGY, RADIO, 25.0, engine=engine)
+        t2 = plan_on(engine, plan_algorithm2, net, ENERGY, RADIO, 25.0)
         assert t2.meta["n_visited"] == 0
-        t3 = plan_algorithm3(net, ENERGY, RADIO, 25.0, K=2, engine=engine)
+        t3 = plan_on(engine, plan_algorithm3, net, ENERGY, RADIO, 25.0, K=2)
         assert t3.meta["n_visited"] == 0
-        tb = plan_benchmark(net, ENERGY, RADIO, engine=engine)
+        with legacy_prune() if engine == "dense" else nullcontext():
+            tb = plan_benchmark(net, ENERGY, RADIO)
         assert tb.meta["n_visited"] == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", IMPLEMENTATIONS)
     def test_kernel_zero_sensor_sites(self, engine):
         """A kernel over (m, 0) coverage scores everything as zero."""
         net = self._empty_net()
         sites = build_hovering_sites(net, RADIO, 50.0, prune=False)
-        kern = PlannerKernel(sites, ENERGY, RADIO, engine=engine)
+        if engine == "batch":
+            kern = BatchPlannerKernel(sites, [ENERGY], RADIO)
+        else:
+            cls = DenseKernel if engine == "dense" else PlannerKernel
+            kern = cls(sites, ENERGY, RADIO)
         p_res, t_res = kern.residual_scores()
-        np.testing.assert_array_equal(p_res, np.zeros(sites.n_sites))
-        np.testing.assert_array_equal(t_res, np.zeros(sites.n_sites))
+        np.testing.assert_array_equal(np.ravel(p_res),
+                                      np.zeros(sites.n_sites))
+        np.testing.assert_array_equal(np.ravel(t_res),
+                                      np.zeros(sites.n_sites))
 
     def test_rejects_bad_engine(self):
+        """``engine=`` is no planner option: the facade names it."""
         net = _net(0, n=10)
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm2(net, ENERGY, RADIO, 25.0, engine="gpu")
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm3(net, ENERGY, RADIO, 25.0, K=2, engine="gpu")
-        with pytest.raises(InvalidParameterError):
-            plan_benchmark(net, ENERGY, RADIO, engine="gpu")
+        for method in ("algorithm2", "algorithm3", "benchmark"):
+            with pytest.raises(InvalidParameterError, match="'engine'"):
+                plan_tour(net, ENERGY, RADIO, method=method, delta=25.0,
+                          engine="gpu")

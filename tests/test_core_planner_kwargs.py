@@ -1,13 +1,19 @@
 """``plan_tour`` kwarg validation: unknown methods, stray options, and
-``engine=`` passthrough to every engine-aware planner."""
+the fixed ``meta["perf"]["engine"]`` label of each planner's one path."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro.core.kernel import ENGINES
+from repro.core.algorithm2 import plan_algorithm2
+from repro.core.algorithm3 import plan_algorithm3
 from repro.core.planner import PLANNERS, plan_tour
+from repro.experiments.config import reduced_settings
+from repro.experiments.runner import AlgoSpec, batchable_column
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import IMPLEMENTATIONS, dense_planners, legacy_prune, plan_on
 
 
 class TestMethodValidation:
@@ -42,41 +48,74 @@ class TestStrayKwargs:
 
     def test_algorithm2_rejects_unknown_kwargs(self, small_net, energy,
                                                radio):
-        with pytest.raises(TypeError):
-            plan_tour(small_net, energy, radio, method="algorithm2",
-                      warp_speed=True)
+        """Algorithm 2 — and every other method — names the option it
+        does not take instead of leaking a bare ``TypeError``."""
+        for method in PLANNERS:
+            with pytest.raises(InvalidParameterError) as exc:
+                plan_tour(small_net, energy, radio, method=method,
+                          warp_speed=True)
+            message = str(exc.value)
+            assert method in message and "'warp_speed'" in message
 
     def test_bad_engine_rejected_everywhere(self, small_net, energy, radio):
-        for method in ("algorithm2", "algorithm3", "benchmark"):
+        """``engine=`` is no planner option any more; a stale one gets a
+        clear message from every method."""
+        for method in PLANNERS:
             with pytest.raises(InvalidParameterError) as exc:
                 plan_tour(small_net, energy, radio, method=method,
                           delta=25.0, engine="turbo")
-            assert "turbo" in str(exc.value)
+            assert "'engine'" in str(exc.value)
 
 
 class TestEnginePassthrough:
     @pytest.mark.parametrize("method", ["algorithm2", "algorithm3",
                                         "benchmark"])
-    @pytest.mark.parametrize("engine", list(ENGINES))
+    @pytest.mark.parametrize("engine", IMPLEMENTATIONS)
     def test_engine_reaches_tour_meta(self, small_net, energy, radio,
                                       method, engine):
-        tour = plan_tour(small_net, energy, radio, method=method,
-                         delta=25.0, engine=engine)
-        assert tour.meta["engine"] == engine
+        """The path that planned a tour names itself in
+        ``meta["perf"]["engine"]``; the baseline has one path and keeps
+        its label under the prune oracle and in batch-column sweeps."""
+        if method == "benchmark":
+            plain = plan_tour(small_net, energy, radio, method=method)
+            if engine == "batch":
+                config = reduced_settings()
+                assert not batchable_column(
+                    config, AlgoSpec("Benchmark", method, {}),
+                    config.capacity_sweep,
+                    lambda cfg, value: cfg.energy_model(capacity=value),
+                    lambda cfg, value, spec: dict(spec.kwargs))
+            with legacy_prune() if engine == "dense" else nullcontext():
+                tour = plan_tour(small_net, energy, radio, method=method)
+            assert tour.collected_volume == plain.collected_volume
+            expected = "kernel"
+        else:
+            planner = {"algorithm2": plan_algorithm2,
+                       "algorithm3": plan_algorithm3}[method]
+            kwargs = {"K": 2} if method == "algorithm3" else {}
+            tour = plan_on(engine, planner, small_net, energy, radio, 25.0,
+                           **kwargs)
+            expected = engine
+        assert tour.meta["perf"]["engine"] == expected
+        assert "engine" not in tour.meta
 
     def test_engine_default_is_kernel(self, small_net, energy, radio):
         for method in ("algorithm2", "algorithm3", "benchmark"):
             tour = plan_tour(small_net, energy, radio, method=method,
                              delta=25.0)
-            assert tour.meta["engine"] == "kernel"
+            assert tour.meta["perf"]["engine"] == "kernel"
+            assert "engine" not in tour.meta
+        tour = plan_tour(small_net, energy, radio, method="algorithm1",
+                         delta=25.0)
+        assert tour.meta["perf"]["engine"] == "scalar"
 
     def test_engines_agree_through_the_facade(self, small_net, energy,
                                               radio):
-        tours = [plan_tour(small_net, energy, radio, method="algorithm2",
-                           delta=25.0, engine=e) for e in ENGINES]
-        baseline = tours[0]
-        for other in tours[1:]:
-            assert other.collected_volume == pytest.approx(
-                baseline.collected_volume)
-            assert list(other.sojourns) == pytest.approx(
-                list(baseline.sojourns))
+        kernel = plan_tour(small_net, energy, radio, method="algorithm2",
+                           delta=25.0)
+        with dense_planners():
+            dense = plan_tour(small_net, energy, radio, method="algorithm2",
+                              delta=25.0)
+        assert dense.meta["perf"]["engine"] == "dense"
+        assert dense.collected_volume == kernel.collected_volume
+        assert list(dense.sojourns) == list(kernel.sojourns)

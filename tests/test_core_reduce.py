@@ -23,7 +23,6 @@ from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.auxgraph import build_auxiliary_graph
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.kernel import ENGINES
 from repro.core.reduce import (
     REDUCTION_LEVELS,
     ReducedSites,
@@ -37,6 +36,7 @@ from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
 from repro.network.sensor_network import SensorNetwork
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import IMPLEMENTATIONS, plan_on
 
 
 def assert_same_tour(a, b):
@@ -212,23 +212,23 @@ class TestSafeStages:
         red = reduce_sites(sites, "safe")
         assert red.stats["unreachable"] == 0
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", IMPLEMENTATIONS)
     def test_safe_is_plan_preserving_alg2(self, small_net, radio, energy,
                                           engine):
-        base = plan_algorithm2(small_net, energy, radio, delta=20.0,
-                               engine=engine)
-        red = plan_algorithm2(small_net, energy, radio, delta=20.0,
-                              engine=engine, site_reduction="safe")
+        base = plan_on(engine, plan_algorithm2, small_net, energy, radio,
+                       20.0)
+        red = plan_on(engine, plan_algorithm2, small_net, energy, radio,
+                      20.0, site_reduction="safe")
         assert_same_tour(base, red)
         assert base.meta["iterations"] == red.meta["iterations"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", IMPLEMENTATIONS)
     def test_safe_is_plan_preserving_alg3(self, small_net, radio, energy,
                                           engine):
-        base = plan_algorithm3(small_net, energy, radio, delta=20.0, K=2,
-                               engine=engine)
-        red = plan_algorithm3(small_net, energy, radio, delta=20.0, K=2,
-                              engine=engine, site_reduction="safe")
+        base = plan_on(engine, plan_algorithm3, small_net, energy, radio,
+                       20.0, K=2)
+        red = plan_on(engine, plan_algorithm3, small_net, energy, radio,
+                      20.0, K=2, site_reduction="safe")
         assert_same_tour(base, red)
 
     def test_safe_preserving_greedy_alg1(self, small_net, radio, energy):
@@ -406,15 +406,14 @@ class TestSafeLosslessProperty:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 15), n=st.integers(6, 16),
            cap=st.sampled_from([4e3, 1e4, 3e4, 1e5]),
-           engine=st.sampled_from(ENGINES))
+           engine=st.sampled_from(IMPLEMENTATIONS))
     def test_safe_lossless_all_engines(self, radio, seed, n, cap, engine):
         net = _NETS.get(seed, n)
         energy = EnergyModel(capacity=cap, hover_power=150.0,
                              travel_power=100.0, speed=10.0)
-        base = plan_algorithm2(net, energy, radio, delta=25.0,
-                               engine=engine)
-        red = plan_algorithm2(net, energy, radio, delta=25.0,
-                              engine=engine, site_reduction="safe")
+        base = plan_on(engine, plan_algorithm2, net, energy, radio, 25.0)
+        red = plan_on(engine, plan_algorithm2, net, energy, radio, 25.0,
+                      site_reduction="safe")
         assert_same_tour(base, red)
 
     @settings(max_examples=15, deadline=None,

@@ -25,10 +25,9 @@ CONFIG = ExperimentConfig(n_nodes=24, n_instances=2, seed=13)
 DELTAS = [30.0, 20.0, 15.0]
 
 
-def alg1_spec(engine="fast"):
+def alg1_spec():
     return AlgoSpec("Algorithm 1", "algorithm1",
-                    {"solver": "grasp", "n_restarts": 3, "seed": 0,
-                     "engine": engine})
+                    {"solver": "grasp", "n_restarts": 3, "seed": 0})
 
 
 def make_kwargs(cfg, value, spec):
@@ -175,14 +174,6 @@ class TestContinuationSweeps:
         # The finer (later) cell did evaluate the warm start.
         assert warm.rows[1].perf["grasp.warm_starts"] == 1.0
 
-    def test_engines_agree_under_continuation(self):
-        warm_fast = sweep([alg1_spec("fast")], delta_continuation=True)
-        warm_scalar = sweep([alg1_spec("scalar")], delta_continuation=True)
-        for rf, rs in zip(warm_fast.rows, warm_scalar.rows):
-            assert rf.mean_volume_gb == rs.mean_volume_gb
-            assert rf.perf["grasp.warm_starts"] \
-                == rs.perf["grasp.warm_starts"]
-
     def test_aggressive_reduction_jobs_parity(self):
         warm = sweep([alg1_spec()], delta_continuation=True,
                      site_reduction="aggressive")
@@ -196,13 +187,13 @@ class TestFig4Wiring:
     def test_fig4_algorithms_optional_alg1(self):
         names = [s.name for s in fig4_algorithms(CONFIG)]
         assert "Algorithm 1" not in names
-        with_alg1 = fig4_algorithms(CONFIG, algorithm1=True, engine="fast")
+        with_alg1 = fig4_algorithms(CONFIG, algorithm1=True)
         assert with_alg1[0].name == "Algorithm 1"
-        assert with_alg1[0].kwargs["engine"] == "fast"
+        assert with_alg1[0].method == "algorithm1"
         assert names == [s.name for s in with_alg1[1:]]
 
     def test_run_fig4_continuation_implies_alg1(self):
         config = ExperimentConfig(n_nodes=15, n_instances=1, seed=3)
-        result = run_fig4(config, delta_continuation=True, engine="fast")
+        result = run_fig4(config, delta_continuation=True)
         assert "Algorithm 1" in result.algorithms()
         assert result.meta["continuation_chains"] == 1

@@ -365,7 +365,7 @@ def det_rows_sans_perf(result):
 
 
 class TestBatchColumns:
-    """``batch_columns=True`` plans eligible columns with engine='batch'."""
+    """``batch_columns=True`` plans eligible columns on the batch planner."""
 
     @pytest.fixture(scope="class")
     def fig5_plain(self, tiny_config):

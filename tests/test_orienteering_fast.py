@@ -1,28 +1,28 @@
-"""Vectorized GRASP engine — bitwise equivalence and warm-start contracts.
+"""GRASP's RNG tape, reduction-aware seeding, and warm-start contracts.
 
-The whole point of ``engine="fast"`` is that it is *not* a different
-solver: every restart of the stacked construction replays the scalar
-path's choices exactly (same RNG tape, same sorted-RCL picks), so tours,
-awards, costs, and the restart stats must match bitwise.  Hypothesis
-hunts the corners; the plan-level tests pin the Algorithm 1 dispatch,
-the reduction-aware tape sizing, and the strict-improvement warm-start
-acceptance the δ-continuation mode relies on.
+Every randomised restart replays one row of a pre-drawn RNG tape through
+the index-sorted RCL pick, so restarts are replayable one at a time and
+a ``safe`` site reduction (a pure renumbering of survivors) cannot
+change a tour.  The plan-level tests pin Algorithm 1's reduction-aware
+tape sizing and its ``meta["perf"]`` contract, and the warm-start tests
+pin the strict-improvement acceptance the δ-continuation mode relies on.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.algorithm1 import ENGINES, check_engine, plan_algorithm1
+from repro.core.algorithm1 import plan_algorithm1
+from repro.core.planner import plan_tour
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
 from repro.geometry.region import Region
 from repro.network.sensor_network import SensorNetwork
-from repro.orienteering.fast import solve_grasp_fast, stacked_constructions
-from repro.orienteering.grasp import (GRASP_STAT_NAMES, solve_grasp,
-                                      warm_tour_from_nodes)
+from repro.orienteering._vector import draw_rng_tape
+from repro.orienteering.grasp import (GRASP_STAT_NAMES, better_solution,
+                                      solve_grasp, warm_tour_from_nodes)
 from repro.orienteering.greedy import randomized_construct, solve_greedy
-from repro.orienteering.problem import OrienteeringInstance
+from repro.orienteering.problem import OrienteeringInstance, make_solution
 from repro.orienteering.solver import solve_orienteering
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
@@ -58,88 +58,57 @@ ENERGY = EnergyModel(capacity=3e4, hover_power=150.0, travel_power=100.0,
 
 
 class TestBitwiseEquivalence:
-    @given(seed=st.integers(0, 10_000),
-           n=st.integers(2, 16),
-           n_restarts=st.integers(1, 9),
-           rcl_size=st.integers(1, 5),
-           grasp_seed=st.integers(0, 1_000),
-           conflicts=st.booleans())
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_fast_matches_scalar_bitwise(self, seed, n, n_restarts,
-                                         rcl_size, grasp_seed, conflicts):
-        inst = make_instance(seed, n=n, conflicts=conflicts)
-        scalar = solve_grasp(inst, n_restarts=n_restarts,
-                             rcl_size=rcl_size, seed=grasp_seed)
-        fast = solve_grasp_fast(inst, n_restarts=n_restarts,
-                                rcl_size=rcl_size, seed=grasp_seed)
-        np.testing.assert_array_equal(scalar.tour, fast.tour)
-        assert scalar.award == fast.award          # bitwise, not approx
-        assert scalar.cost == fast.cost
-        assert scalar.stats == fast.stats
-
     @given(seed=st.integers(0, 5_000), n=st.integers(2, 14),
-           n_restarts=st.integers(1, 6))
+           n_restarts=st.integers(1, 6), grasp_seed=st.integers(0, 1_000))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_stacked_constructions_match_scalar_restarts(self, seed, n,
-                                                         n_restarts):
-        """Restart r of the stack equals the r-th scalar construction."""
+    def test_restarts_replay_their_tape_rows(self, seed, n, n_restarts,
+                                             grasp_seed):
+        """Restart 0 is the greedy; restart r replays tape row r - 1."""
         inst = make_instance(seed, n=n)
-        rng = np.random.default_rng(0)
-        from repro.orienteering._vector import draw_rng_tape
-        tape = draw_rng_tape(rng, n_restarts, inst.n_nodes)
-        stacked = stacked_constructions(inst, n_restarts, 3, tape)
-        assert len(stacked) == n_restarts
-        np.testing.assert_array_equal(stacked[0], solve_greedy(inst).tour)
-        for r in range(1, n_restarts):
-            ref = randomized_construct(inst, rcl_size=3, tape=tape[r - 1])
-            np.testing.assert_array_equal(stacked[r], ref)
+        tape = draw_rng_tape(np.random.default_rng(grasp_seed), n_restarts,
+                             inst.n_nodes)
+        tours = [solve_greedy(inst).tour] + [
+            randomized_construct(inst, rcl_size=3, tape=tape[r - 1])
+            for r in range(1, n_restarts)]
+        best = None
+        for tour in tours:
+            sol = make_solution(inst, tour, "construct")
+            if better_solution(sol, best):
+                best = sol
+        grasp = solve_grasp(inst, n_restarts=n_restarts, rcl_size=3,
+                            seed=grasp_seed, local_search=False)
+        np.testing.assert_array_equal(grasp.tour, best.tour)
+        assert grasp.stats["restarts"] == n_restarts
+        distinct = len({t.astype(np.int64).tobytes() for t in tours})
+        assert grasp.stats["constructions"] == distinct
 
     def test_solver_facade_dispatch(self):
         inst = make_instance(3, n=10)
-        scalar = solve_orienteering(inst, method="grasp", seed=1,
-                                    engine="scalar")
-        fast = solve_orienteering(inst, method="grasp", seed=1,
-                                  engine="fast")
-        np.testing.assert_array_equal(scalar.tour, fast.tour)
+        direct = solve_grasp(inst, seed=1)
+        facade = solve_orienteering(inst, method="grasp", seed=1)
+        np.testing.assert_array_equal(direct.tour, facade.tour)
+        assert direct.stats == facade.stats
         with pytest.raises(InvalidParameterError):
-            solve_orienteering(inst, method="grasp", engine="nope")
+            solve_orienteering(inst, method="nope")
 
 
 class TestAlgorithm1Engines:
-    @pytest.mark.parametrize("reduction", [None, "safe", "aggressive"])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_engines_agree_bitwise(self, seed, reduction):
-        net = make_network(seed)
-        tours = {
-            engine: plan_algorithm1(net, ENERGY, RADIO, 30.0,
-                                    n_restarts=4, seed=seed, engine=engine,
-                                    site_reduction=reduction)
-            for engine in ENGINES}
-        a, b = tours["scalar"], tours["fast"]
-        np.testing.assert_array_equal(a.points, b.points)
-        np.testing.assert_array_equal(a.sojourns, b.sojourns)
-        np.testing.assert_array_equal(a.collected, b.collected)
-        assert a.meta["perf"]["engine"] == "scalar"
-        assert b.meta["perf"]["engine"] == "fast"
-
     def test_safe_reduction_invariant_per_engine(self):
         """Reduction-aware tape: safe renumbering never changes the tour."""
         net = make_network(11)
-        for engine in ENGINES:
-            cold = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                                   seed=2, engine=engine)
-            red = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                                  seed=2, engine=engine,
-                                  site_reduction="safe")
-            np.testing.assert_array_equal(cold.points, red.points)
-            assert cold.collected_volume == red.collected_volume
+        cold = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
+                               seed=2)
+        red = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
+                              seed=2, site_reduction="safe")
+        np.testing.assert_array_equal(cold.points, red.points)
+        assert cold.collected_volume == red.collected_volume
 
     def test_meta_perf_grasp_stats_contract(self):
         net = make_network(5)
         tour = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=3,
-                               seed=0, engine="fast")
+                               seed=0)
+        assert tour.meta["perf"]["engine"] == "scalar"
         stats = tour.meta["perf"]["grasp"]
         assert set(stats) == set(GRASP_STAT_NAMES)
         assert list(stats) == sorted(stats)      # sorted-key emission
@@ -148,11 +117,11 @@ class TestAlgorithm1Engines:
         assert all(isinstance(v, int) and v >= 0 for v in stats.values())
 
     def test_check_engine_rejects_unknown(self):
-        with pytest.raises(InvalidParameterError):
-            check_engine("vectorised")
+        """Algorithm 1 has one engine; a stale ``engine=`` is named."""
         net = make_network(1)
-        with pytest.raises(InvalidParameterError):
-            plan_algorithm1(net, ENERGY, RADIO, 30.0, engine="nope")
+        with pytest.raises(InvalidParameterError, match="'engine'"):
+            plan_tour(net, ENERGY, RADIO, method="algorithm1", delta=30.0,
+                      engine="nope")
 
 
 class TestWarmStarts:
@@ -176,19 +145,16 @@ class TestWarmStarts:
             warm_tour_from_nodes(inst, [99])
         assert warm_tour_from_nodes(inst, np.empty(0, dtype=int)) is None
 
-    @given(seed=st.integers(0, 3_000), n=st.integers(2, 12),
-           engine=st.sampled_from(ENGINES))
+    @given(seed=st.integers(0, 3_000), n=st.integers(2, 12))
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_non_improving_warm_tour_leaves_result_unchanged(self, seed, n,
-                                                             engine):
+    def test_non_improving_warm_tour_leaves_result_unchanged(self, seed, n):
         """Strict-improvement acceptance: the winner's own tour as a warm
         start can never displace it, so the solution stays bitwise
         identical (only the warm-start counters move)."""
         inst = make_instance(seed, n=n)
-        solver = solve_grasp_fast if engine == "fast" else solve_grasp
-        cold = solver(inst, n_restarts=3, seed=0)
-        warm = solver(inst, n_restarts=3, seed=0, warm_tour=cold.tour)
+        cold = solve_grasp(inst, n_restarts=3, seed=0)
+        warm = solve_grasp(inst, n_restarts=3, seed=0, warm_tour=cold.tour)
         np.testing.assert_array_equal(cold.tour, warm.tour)
         assert cold.award == warm.award
         assert warm.stats["warm_starts"] == 1

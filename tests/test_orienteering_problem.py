@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry.distance import pairwise_distances
-from repro.orienteering.problem import OrienteeringInstance, make_solution
+from repro.orienteering.problem import (SYMMETRY_TILE, OrienteeringInstance,
+                                        make_solution)
 from repro.utils.errors import InvalidParameterError
 
 
@@ -53,6 +56,77 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             OrienteeringInstance(costs=costs, awards=[0, 1, 2], budget=10.0,
                                  conflict_groups=[np.array([1, 9])])
+
+
+class TestStreamedValidation:
+    """The tiled cost checks against their dense definition.
+
+    The checks stream ``(n, n)`` matrices tile by tile, so these tests use
+    n > 512 and put the single fault in the last, partial tile — which
+    the small-matrix tests above never reach.
+    """
+
+    N = 600
+    LAST_TILE = (N // SYMMETRY_TILE) * SYMMETRY_TILE
+
+    def _symmetric(self, seed, scale):
+        a = np.random.default_rng(seed).random((self.N, self.N)) * scale
+        return (a + a.T) / 2.0
+
+    def _accepts(self, costs):
+        try:
+            OrienteeringInstance(costs=costs, awards=np.zeros(self.N),
+                                 budget=1.0)
+        except InvalidParameterError as exc:
+            assert str(exc) == "costs must be symmetric"
+            return False
+        return True
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-6, 1.0, 1e3, 1e7]),
+           factor=st.sampled_from([0.5, 0.999, 1.001, 2.0]),
+           sign=st.sampled_from([1.0, -1.0]),
+           i=st.integers(LAST_TILE, N - 1), j=st.integers(0, N - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_symmetry_check_agrees_with_allclose(self, seed, scale, factor,
+                                                 sign, i, j):
+        costs = self._symmetric(seed, scale)
+        if i != j:
+            tol = 1e-9 + 1e-5 * costs[j, i]
+            costs[i, j] = max(costs[j, i] + sign * factor * tol, 0.0)
+        expected = bool(np.allclose(costs, costs.T, atol=1e-9))
+        assert self._accepts(costs) == expected
+        assert self._accepts(costs.T.copy()) == expected
+        if i != j and sign > 0:
+            assert expected == (factor < 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_rejects_non_finite_or_negative_costs(self, bad):
+        costs = self._symmetric(0, 1.0)
+        i, j = self.N - 1, self.LAST_TILE
+        costs[i, j] = costs[j, i] = bad
+        with pytest.raises(InvalidParameterError,
+                           match=r"^costs must be finite and >= 0$"):
+            OrienteeringInstance(costs=costs, awards=np.zeros(self.N),
+                                 budget=1.0)
+
+    def test_conflict_list_faults_keep_their_messages(self):
+        def build(lists):
+            OrienteeringInstance(costs=np.zeros((4, 4)), awards=np.zeros(4),
+                                 budget=1.0, conflict_neighbor_lists=lists)
+
+        build([[], [3, 2, 3], [1], [1]])             # duplicates are fine
+        with pytest.raises(InvalidParameterError,
+                           match=r"^conflict neighbors not symmetric: "
+                                 r"1 lists 2 but not vice versa$"):
+            build([[], [3, 2], [], [1]])
+        with pytest.raises(InvalidParameterError,
+                           match=r"^node 2 lists itself as a conflict "
+                                 r"neighbor$"):
+            build([[], [], [2], []])
+        with pytest.raises(InvalidParameterError,
+                           match=r"^conflict neighbor index out of range$"):
+            build([[], [4], [], []])
 
 
 class TestEvaluation:
