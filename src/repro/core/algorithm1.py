@@ -28,7 +28,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.auxgraph import AuxiliaryGraph, build_auxiliary_graph
+from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
+                                 overlap_conflicts)
 from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
@@ -42,13 +43,6 @@ from repro.orienteering.solver import solve_orienteering
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import SeedLike
-
-def _conflict_neighbors_from_overlap(overlap: np.ndarray) -> List[np.ndarray]:
-    """Per-node conflict lists (site ids shifted by +1; node 0 = depot)."""
-    lists = [np.empty(0, dtype=int)]  # depot conflicts with nothing
-    for row in overlap:
-        lists.append(np.flatnonzero(row) + 1)
-    return lists
 
 
 def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
@@ -148,15 +142,13 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         neighbors = None
         if overlap == "conflict" and sites.n_sites > 0:
             neighbors = (conflict_neighbors if conflict_neighbors is not None
-                         else _conflict_neighbors_from_overlap(
-                             sites.overlap_matrix()))
+                         else overlap_conflicts(sites))
 
-    instance = OrienteeringInstance(costs=graph.costs, awards=graph.awards,
+    # The graph's on-demand w2 (cached across a sweep's cells) is the
+    # instance's cost operator: no (m+1, m+1) matrix is ever built.
+    instance = OrienteeringInstance(costs=graph.w2, awards=graph.awards,
                                     budget=energy.capacity, depot=0,
                                     conflict_neighbor_lists=neighbors)
-    # The graph (cached across a sweep's cells) owns the transposed cost
-    # matrix; attach it so per-cell instances never re-transpose.
-    instance.attach_costs_t(graph.costs_t)
     # Reduction-aware seeding: size the GRASP RNG tape by the *original*
     # site count so restarts replay identically on reduced instances.
     tape_nodes = (sites.n_original + 1 if isinstance(sites, ReducedSites)

@@ -67,25 +67,6 @@ class HoveringSites:
                 f"site index {site} out of range [0, {self.n_sites})")
         return np.flatnonzero(self.cov_matrix[site])
 
-    def overlap_matrix(self) -> np.ndarray:
-        """Boolean ``(m, m)``: sites whose coverage sets intersect.
-
-        Used by Algorithm 1's no-overlap conflict groups.  The diagonal is
-        False (a site does not conflict with itself).
-
-        Coverage sets are tiny relative to ``m`` (a site covers only the
-        sensors within ``R0``), so the intersection test runs as a sparse
-        CSR gram product — the dense integer matmul it replaces has no
-        BLAS path and dominated paper-scale artifact construction.
-        """
-        from scipy import sparse
-
-        cov = sparse.csr_matrix(self.cov_matrix)
-        # repro: allow[hot-path-purity] -- sparse CSR product, nnz-bounded
-        inter = (cov @ cov.T).toarray() > 0
-        np.fill_diagonal(inter, False)
-        return inter
-
     def residual_awards(self, residual_volumes) -> np.ndarray:
         """Awards recomputed against residual sensor volumes (vectorised).
 

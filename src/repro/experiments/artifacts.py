@@ -37,7 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.auxgraph import AuxiliaryGraph, build_auxiliary_graph
+from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
+                                 overlap_conflicts)
 from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.reduce import (ReducedSites, SiteReduction, reduce_sites,
                                resolve_reduction)
@@ -193,9 +194,7 @@ class ArtifactCache:
         self._miss()
         if sites is None:
             sites = self.sites(network, radio, delta)
-        lists: List[np.ndarray] = [np.empty(0, dtype=int)]
-        for row in sites.overlap_matrix():
-            lists.append(np.flatnonzero(row) + 1)
+        lists = overlap_conflicts(sites)
         self._conflicts[key] = lists
         self._stored()
         return lists

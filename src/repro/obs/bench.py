@@ -179,6 +179,9 @@ _PLAN_CONFIG: Dict[str, Any] = {
 _SWEEP_CONFIG: Dict[str, Any] = {
     "n_nodes": 40, "n_instances": 2, "seed": 20200518, "delta": 20.0,
     "capacity_sweep": [3e4, 6e4], "k_values": [2]}
+#: GRASP seed of the ``plan.alg1`` case: an unseeded plan would draw a
+#: fresh RNG tape per run and make its ``grasp.ls_*`` counters vary.
+_ALG1_SEED = 1
 
 
 def _plan_workload(method: str, **kwargs: Any) -> Dict[str, Any]:
@@ -231,8 +234,9 @@ def _fig5_batch_workload() -> Dict[str, Any]:
 
 register_case(BenchCase(
     name="plan.alg1", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm1"},
-    fn=lambda: _plan_workload("algorithm1")))
+    config={**_PLAN_CONFIG, "method": "algorithm1",
+            "planner_seed": _ALG1_SEED},
+    fn=lambda: _plan_workload("algorithm1", seed=_ALG1_SEED)))
 register_case(BenchCase(
     name="plan.alg2_kernel", suites=("smoke",),
     config={**_PLAN_CONFIG, "method": "algorithm2"},

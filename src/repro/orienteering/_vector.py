@@ -1,9 +1,11 @@
 """Vectorised kernels shared by the orienteering heuristics.
 
 All heavy per-candidate work — insertion deltas, ratio scoring, conflict
-masking — is expressed as numpy operations over the instance's cost
-matrix, so the greedy constructor and the local-search passes cost
-O(n * |tour|) numpy work per step instead of O(n * |tour|) Python loops.
+masking — is expressed as numpy operations over rows of the instance's
+cost operator (:class:`~repro.orienteering.problem.CostOperator`), so the
+greedy constructor and the local-search passes cost O(n * |tour|) numpy
+work per step instead of O(n * |tour|) Python loops, and never need more
+of the cost matrix than the tour's own rows.
 
 Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
@@ -21,11 +23,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.orienteering.problem import OrienteeringInstance
+from repro.orienteering.problem import CostOperator, OrienteeringInstance
 
 
-def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray,
-                         costs_t: Optional[np.ndarray] = None
+def all_insertion_deltas(tour: np.ndarray, costs: CostOperator
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Cheapest insertion delta of *every* node into the closed *tour*.
 
@@ -33,34 +34,25 @@ def all_insertion_deltas(tour: np.ndarray, costs: np.ndarray,
     is the tour index before which node ``v`` would be inserted.  Entries
     for nodes already on the tour are meaningless (callers mask them).
 
-    *costs_t* (``instance.costs_t``) routes the gathers over contiguous
-    rows of the transposed matrix instead of strided columns of *costs*
-    — the same elements bit-for-bit, several times faster at paper
-    scale.  Both layouts accumulate in place on the first fancy-index
-    copy and tie-break ``argmin`` at the first minimal tour position.
+    The scan reads only the tour's ``k`` cost rows (column ``v`` of the
+    symmetric matrix is row ``v``), accumulates in place on the first
+    row gather and tie-breaks ``argmin`` at the first minimal tour
+    position.
     """
-    n = len(costs)
+    n = costs.n_nodes
     k = len(tour)
     if k == 0:
         return np.zeros(n), np.zeros(n, dtype=int)
     if k == 1:
-        return 2.0 * costs[tour[0]], np.ones(n, dtype=int)
+        return 2.0 * costs.rows(tour)[0], np.ones(n, dtype=int)
     nxt = np.roll(tour, -1)
-    edge = costs[tour, nxt]                        # (k,)
-    if costs_t is not None:
-        # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
-        cand = costs_t[tour]
-        cand += costs_t[nxt]
-        cand -= edge[:, None]
-        best = np.argmin(cand, axis=0)
-        deltas = cand[best, np.arange(n)]
-    else:
-        # cand[v, i] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
-        cand = costs[:, tour]
-        cand += costs[:, nxt]
-        cand -= edge[None, :]
-        best = np.argmin(cand, axis=1)
-        deltas = cand[np.arange(n), best]
+    edge = costs.pair(tour, nxt)                   # (k,)
+    # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
+    cand = costs.rows(tour)
+    cand += costs.rows(nxt)
+    cand -= edge[:, None]
+    best = np.argmin(cand, axis=0)
+    deltas = cand[best, np.arange(n)]
     positions = (best + 1) % k
     positions[positions == 0] = k
     return deltas, positions
@@ -151,7 +143,6 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     """
     n = instance.n_nodes
     costs = instance.costs
-    costs_t = instance.costs_t
     budget = instance.budget
     awards = instance.awards
     neigh = conflict_neighbors(instance)
@@ -177,7 +168,7 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     while True:
         if unavailable.all():
             break
-        deltas, positions = all_insertion_deltas(cur, costs, costs_t)
+        deltas, positions = all_insertion_deltas(cur, costs)
         feasible = ~unavailable & (cost + deltas <= budget + 1e-9)
         if not feasible.any():
             break
@@ -221,12 +212,12 @@ def swap_pass(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
     stays within budget; return the (possibly unchanged) tour.
     """
     n = instance.n_nodes
-    costs = instance.costs
-    costs_t = instance.costs_t
     k = len(tour)
     if k < 2:
         return tour
     cost = instance.tour_cost(tour)
+    # Row i is both c(tour_i, .) and, by symmetry, c(., tour_i).
+    tour_rows = instance.costs.rows(tour)
     awards = instance.awards
     neigh = conflict_neighbors(instance)
     counts = tour_conflict_counts(tour, neigh, n) if neigh is not None else None
@@ -237,12 +228,10 @@ def swap_pass(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
     best_gain, best_i, best_v, best_delta = 0.0, -1, -1, 0.0
     for i in range(1, k):
         u = int(tour[i])
-        prev_node = int(tour[i - 1])
-        next_node = int(tour[(i + 1) % k])
-        base = costs[prev_node, u] + costs[u, next_node]
-        # costs_t[next_node] is costs[:, next_node] element-for-element
-        # (contiguous row instead of a strided column).
-        new_cost_v = cost - base + costs[prev_node, :] + costs_t[next_node]
+        prev_row = tour_rows[i - 1]
+        next_row = tour_rows[(i + 1) % k]
+        base = prev_row[u] + next_row[u]
+        new_cost_v = cost - base + prev_row + next_row
         gain_v = awards - awards[u]
         ok = off & (gain_v > 1e-12) & (new_cost_v <= instance.budget + 1e-9)
         if counts is not None and ok.any():
@@ -279,12 +268,12 @@ def drop_worst(instance: OrienteeringInstance,
     k = len(tour)
     if k < 2:
         return tour, -1
-    costs = instance.costs
+    pair = instance.costs.pair
     awards = instance.awards
     prev_nodes = np.roll(tour, 1)
     next_nodes = np.roll(tour, -1)
-    saved = (costs[prev_nodes, tour] + costs[tour, next_nodes]
-             - costs[prev_nodes, next_nodes])
+    saved = (pair(prev_nodes, tour) + pair(tour, next_nodes)
+             - pair(prev_nodes, next_nodes))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(saved > 1e-12, awards[tour] / saved, np.inf)
     ratio[0] = np.inf  # protect the depot

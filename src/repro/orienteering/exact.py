@@ -33,7 +33,7 @@ def solve_exact(instance: OrienteeringInstance) -> OrienteeringSolution:
         raise InvalidParameterError(
             f"solve_exact limited to n <= {MAX_EXACT_NODES}, got n = {n}")
     depot = instance.depot
-    d = instance.costs
+    d = instance.costs.rows(np.arange(n))
     budget = instance.budget
 
     others = [v for v in range(n) if v != depot]
@@ -125,7 +125,7 @@ def solve_exact(instance: OrienteeringInstance) -> OrienteeringSolution:
 def _cheapest_closed_tour(instance: OrienteeringInstance, members) -> np.ndarray:
     """Exact cheapest closed tour through depot + *members* (small sets)."""
     depot = instance.depot
-    d = instance.costs
+    d = instance.costs.rows(np.arange(instance.n_nodes))
     m = len(members)
     full = 1 << m
     dp = np.full((full, m), np.inf)

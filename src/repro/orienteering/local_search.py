@@ -24,10 +24,18 @@ from repro.tsp.improve import two_opt
 
 
 def _shorten(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
-    """2-opt the tour, rotated back to depot-first."""
-    if len(tour) < 4:
+    """2-opt the tour, rotated back to depot-first.
+
+    Runs on the tour's ``k x k`` cost submatrix over local labels
+    ``0..k-1``: 2-opt reads costs only between tour nodes and moves
+    positions, so mapping the result back through *tour* gives the same
+    tour as 2-opt over the full matrix.
+    """
+    k = len(tour)
+    if k < 4:
         return tour
-    shortened = two_opt(tour, instance.costs)
+    local = two_opt(np.arange(k), instance.costs.rows(tour)[:, tour])
+    shortened = tour[local]
     start = int(np.flatnonzero(shortened == instance.depot)[0])
     return np.roll(shortened, -start)
 

@@ -41,10 +41,11 @@ def augment_with_dummy_depot(instance: OrienteeringInstance
     over unchanged (the dummy conflicts with nothing).
     """
     n = instance.n_nodes
+    dense = instance.costs.rows(np.arange(n))
     costs = np.zeros((n + 1, n + 1))
-    costs[:n, :n] = instance.costs
-    costs[n, :n] = instance.costs[instance.depot, :]
-    costs[:n, n] = instance.costs[:, instance.depot]
+    costs[:n, :n] = dense
+    costs[n, :n] = dense[instance.depot, :]
+    costs[:n, n] = dense[:, instance.depot]
     costs[n, n] = 0.0
     costs[instance.depot, n] = costs[n, instance.depot] = 0.0
     awards = np.concatenate([instance.awards, [0.0]])
@@ -80,7 +81,7 @@ def solve_path_exact(instance: OrienteeringInstance, source: int,
     if source == target:
         raise InvalidParameterError(
             "source and target must differ (use the closed-tour solver)")
-    d = instance.costs
+    d = instance.costs.rows(np.arange(n))
     budget = instance.budget
     inner = [v for v in range(n) if v not in (source, target)]
     m = len(inner)

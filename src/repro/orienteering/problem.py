@@ -1,10 +1,17 @@
 """Orienteering instance and solution dataclasses.
 
-An instance is a complete undirected graph given by a symmetric cost
-matrix, per-node awards, a depot index, and a budget.  A feasible solution
+An instance is a complete undirected graph given by symmetric edge
+costs, per-node awards, a depot index, and a budget.  A feasible solution
 is a closed tour (sequence of distinct node indices beginning at the depot)
 whose total edge cost is at most the budget; its value is the sum of the
 awards of the visited nodes.
+
+The costs are a *cost operator* (:class:`CostOperator`): every solver
+reads them only through ``rows``, ``pair`` and ``tour_cost``.  A plain
+``(n, n)`` matrix is wrapped in :class:`DenseCosts`; Algorithm 1 passes
+the auxiliary graph's on-demand Eq. 9 weights
+(:class:`repro.core.auxgraph.W2Costs`), which never materialise the
+matrix.
 
 Optional *conflict groups* mark sets of nodes of which at most one may be
 visited — used by Algorithm 1 to enforce non-overlapping hovering coverage
@@ -14,7 +21,8 @@ and by the partial-collection reduction tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import (Any, Dict, List, Optional, Protocol, Sequence,
+                    runtime_checkable)
 
 import numpy as np
 
@@ -29,20 +37,28 @@ from repro.utils.validation import check_non_negative
 SYMMETRY_TILE = 128
 
 
-def transpose_copy(matrix: np.ndarray, block: int = 512) -> np.ndarray:
-    """C-contiguous transpose copy, tiled to stay cache/TLB-friendly.
+@runtime_checkable
+class CostOperator(Protocol):
+    """Symmetric non-negative edge costs over nodes ``0..n_nodes-1``.
 
-    ``matrix.T.copy()`` walks one operand with a full-row stride, which
-    on paper-scale cost matrices (hundreds of MB) turns every element
-    into a cache+TLB miss; tiling keeps both operands inside a few pages
-    per block.  The result is element-for-element identical either way.
+    ``rows`` returns a fresh ``(len(idx), n_nodes)`` array (callers may
+    modify it in place); ``pair`` is elementwise over broadcast index
+    arrays; ``check`` raises :class:`InvalidParameterError` unless every
+    cost is finite, ``>= 0`` and symmetric.  Kernels read column ``v``
+    of the cost matrix as row ``v``, which symmetry makes the same
+    numbers.
     """
-    n, m = matrix.shape
-    out = np.empty((m, n), dtype=matrix.dtype)
-    for i in range(0, n, block):
-        for j in range(0, m, block):
-            out[j:j + block, i:i + block] = matrix[i:i + block, j:j + block].T
-    return out
+
+    @property
+    def n_nodes(self) -> int: ...
+
+    def check(self) -> None: ...
+
+    def rows(self, idx) -> np.ndarray: ...
+
+    def pair(self, i, j) -> Any: ...
+
+    def tour_cost(self, tour) -> float: ...
 
 
 def _check_costs(costs: np.ndarray) -> None:
@@ -50,12 +66,11 @@ def _check_costs(costs: np.ndarray) -> None:
 
     Streams the matrix without an ``(n, n)`` temporary: the sign and
     finiteness test is one ``min``/``max`` reduction (NaN propagates
-    through both), and symmetry is checked tile pair by tile pair, tiled
-    like :func:`transpose_copy`.  For finite ``a, b >= 0`` the two
-    directions of ``np.allclose(costs, costs.T, atol=1e-9)`` at an
-    element pair combine to exactly
-    ``|a - b| <= 1e-9 + 1e-5 * min(a, b)``, so this accepts precisely
-    the matrices ``allclose`` accepts.
+    through both), and symmetry is checked tile pair by tile pair.  For
+    finite ``a, b >= 0`` the two directions of
+    ``np.allclose(costs, costs.T, atol=1e-9)`` at an element pair combine
+    to exactly ``|a - b| <= 1e-9 + 1e-5 * min(a, b)``, so this accepts
+    precisely the matrices ``allclose`` accepts.
     """
     if costs.size and not (costs.min() >= 0.0 and costs.max() < np.inf):
         raise InvalidParameterError("costs must be finite and >= 0")
@@ -66,6 +81,39 @@ def _check_costs(costs: np.ndarray) -> None:
             b = costs[j:j + tile, i:i + tile].T
             if not (np.abs(a - b) <= 1e-9 + 1e-5 * np.minimum(a, b)).all():
                 raise InvalidParameterError("costs must be symmetric")
+
+
+class DenseCosts:
+    """:class:`CostOperator` over an explicit ``(n, n)`` matrix.
+
+    The generic toolkit's adapter (exact DP, tests, small hand-built
+    instances): :meth:`check` runs the streamed finite/sign/symmetry
+    scan of the whole matrix.
+    """
+
+    def __init__(self, matrix) -> None:
+        matrix = np.asarray(matrix, dtype=float)
+        n = matrix.shape[0]
+        if matrix.ndim != 2 or matrix.shape != (n, n):
+            raise InvalidParameterError(
+                f"costs must be square, got shape {matrix.shape}")
+        self.matrix = matrix
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.matrix)
+
+    def check(self) -> None:
+        _check_costs(self.matrix)
+
+    def rows(self, idx) -> np.ndarray:
+        return self.matrix[idx]
+
+    def pair(self, i, j) -> Any:
+        return self.matrix[i, j]
+
+    def tour_cost(self, tour) -> float:
+        return tour_length_matrix(tour, self.matrix)
 
 
 def _conflict_lists(raw: Sequence) -> List[np.ndarray]:
@@ -108,9 +156,11 @@ class OrienteeringInstance:
     Attributes
     ----------
     costs:
-        Symmetric non-negative ``(n, n)`` edge-cost matrix.  For Algorithm 1
-        these are the paper's ``w2`` energy weights, so "tour cost" is
-        exactly "tour energy".
+        Symmetric non-negative edge costs: a :class:`CostOperator`, or an
+        ``(n, n)`` matrix (wrapped in :class:`DenseCosts`).  For
+        Algorithm 1 these are the paper's ``w2`` energy weights, so "tour
+        cost" is exactly "tour energy".  Validated by ``costs.check()``
+        on every construction.
     awards:
         Length-``n`` non-negative node awards (``p(s_j)``; MB for Alg. 1).
     budget:
@@ -128,7 +178,7 @@ class OrienteeringInstance:
         Mutually exclusive with ``conflict_groups``.
     """
 
-    costs: np.ndarray
+    costs: Any
     awards: np.ndarray
     budget: float
     depot: int = 0
@@ -136,12 +186,10 @@ class OrienteeringInstance:
     conflict_neighbor_lists: Optional[List[np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        self.costs = np.asarray(self.costs, dtype=float)
-        n = self.costs.shape[0]
-        if self.costs.ndim != 2 or self.costs.shape != (n, n):
-            raise InvalidParameterError(
-                f"costs must be square, got shape {self.costs.shape}")
-        _check_costs(self.costs)
+        if not isinstance(self.costs, CostOperator):
+            self.costs = DenseCosts(self.costs)
+        self.costs.check()
+        n = self.costs.n_nodes
         self.awards = np.asarray(self.awards, dtype=float)
         if self.awards.shape != (n,):
             raise InvalidParameterError(
@@ -183,36 +231,7 @@ class OrienteeringInstance:
     @property
     def n_nodes(self) -> int:
         """Number of nodes including the depot."""
-        return self.costs.shape[0]
-
-    @property
-    def costs_t(self) -> np.ndarray:
-        """C-contiguous transpose of ``costs``, built lazily and cached.
-
-        ``costs_t[i, j]`` *is* ``costs[j, i]`` — a pure relabeling, no
-        arithmetic — so kernels may replace a strided column gather
-        ``costs[:, idx]`` with the contiguous row gather ``costs_t[idx]``
-        without changing a single output bit, whether or not the matrix
-        is exactly symmetric.
-        """
-        ct = getattr(self, "_costs_t", None)
-        if ct is None:
-            ct = transpose_copy(self.costs)
-            self._costs_t = ct
-        return ct
-
-    def attach_costs_t(self, costs_t: np.ndarray) -> None:
-        """Install a precomputed transpose for :attr:`costs_t`.
-
-        Lets builders that already hold a cached transpose of the same
-        cost matrix (e.g. the auxiliary graph shared across a capacity
-        sweep's cells) share it instead of re-transposing per instance.
-        """
-        if costs_t.shape != self.costs.shape:
-            raise InvalidParameterError(
-                f"costs_t shape {costs_t.shape} does not match costs "
-                f"shape {self.costs.shape}")
-        self._costs_t = costs_t
+        return self.costs.n_nodes
 
     @property
     def conflict_lists(self) -> Optional[List[np.ndarray]]:
@@ -225,7 +244,7 @@ class OrienteeringInstance:
 
     def tour_cost(self, tour) -> float:
         """Total edge cost of the closed *tour*."""
-        return tour_length_matrix(np.asarray(tour, dtype=int), self.costs)
+        return self.costs.tour_cost(np.asarray(tour, dtype=int))
 
     def tour_award(self, tour) -> float:
         """Total award of the visited nodes."""
@@ -310,5 +329,5 @@ def make_solution(instance: OrienteeringInstance, tour, method: str,
                                 method=method, stats=stats)
 
 
-__all__ = ["OrienteeringInstance", "OrienteeringSolution", "make_solution",
-           "transpose_copy", "SYMMETRY_TILE"]
+__all__ = ["CostOperator", "DenseCosts", "OrienteeringInstance",
+           "OrienteeringSolution", "make_solution", "SYMMETRY_TILE"]

@@ -7,25 +7,36 @@
   per call, and coverage rows read from the dense matrix.
 * :class:`LegacyPruneCache` — the baseline's prune loop as a full rescan
   of every removal ratio per round.
+* :func:`dense_w2` — Algorithm 1's auxiliary-graph weights (Eq. 9) as the
+  dense ``(m+1, m+1)`` matrix, built in place in the production
+  operator's operation order; :func:`dense_auxgraph` plans Algorithm 1
+  over it instead of the on-demand :class:`~repro.core.auxgraph.W2Costs`.
+* :func:`overlap_matrix` / :func:`dense_overlap_conflicts` — the conflict
+  lists read row by row off a dense ``(m, m)`` overlap matrix.
 
-:func:`dense_planners` and :func:`legacy_prune` install them into the
-planner modules for the duration of a ``with`` block, so a test plans the
-same instance both ways through the public planner functions
-(:func:`kernel_and_dense` and :func:`plan_on` do exactly that).  Both are
-plain context managers (not fixtures), so hypothesis tests can use them.
+:func:`dense_planners`, :func:`legacy_prune` and :func:`dense_auxgraph`
+install them into the planner modules for the duration of a ``with``
+block, so a test plans the same instance both ways through the public
+planner functions (:func:`kernel_and_dense` and :func:`plan_on` do
+exactly that).  All are plain context managers (not fixtures), so
+hypothesis tests can use them.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Iterator, Tuple
+from typing import Any, Iterator, List, Tuple
 from unittest import mock
 
 import numpy as np
+from scipy import sparse
 
-from repro.core import algorithm2, algorithm3, benchmark_alg
+from repro.core import algorithm1, algorithm2, algorithm3, benchmark_alg
+from repro.core.auxgraph import W2Costs
 from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.kernel import PlannerKernel, PruneCache
+from repro.geometry.distance import pairwise_distances
+from repro.orienteering.problem import OrienteeringInstance
 
 #: The ways a test can plan one Algorithm 2/3 cell (see :func:`plan_on`).
 IMPLEMENTATIONS = ("kernel", "dense", "batch")
@@ -119,6 +130,47 @@ class LegacyPruneCache(PruneCache):
 
     def remove(self, i: int) -> int:
         return self.tour.pop(i)
+
+
+def dense_w2(points: np.ndarray, w1: np.ndarray, rate: float) -> np.ndarray:
+    """Eq. 9 as the dense matrix: the pre-operator in-place build."""
+    dist = pairwise_distances(points)
+    dist *= rate
+    costs = w1[:, None] + w1[None, :]
+    costs *= 0.5
+    costs += dist
+    np.fill_diagonal(costs, 0.0)
+    return costs
+
+
+def _dense_instance(*, costs: Any, **kwargs: Any) -> OrienteeringInstance:
+    if isinstance(costs, W2Costs):
+        costs = dense_w2(costs.points, costs.w1, costs.rate)
+    return OrienteeringInstance(costs=costs, **kwargs)
+
+
+@contextmanager
+def dense_auxgraph() -> Iterator[None]:
+    """Plan Algorithm 1 over the dense :func:`dense_w2` matrix."""
+    with mock.patch.object(algorithm1, "OrienteeringInstance",
+                           _dense_instance):
+        yield
+
+
+def overlap_matrix(sites) -> np.ndarray:
+    """Boolean ``(m, m)``: sites whose coverage sets intersect (no diagonal)."""
+    cov = sparse.csr_matrix(sites.cov_matrix)
+    inter = (cov @ cov.T).toarray() > 0
+    np.fill_diagonal(inter, False)
+    return inter
+
+
+def dense_overlap_conflicts(sites) -> List[np.ndarray]:
+    """Per-node conflict lists from :func:`overlap_matrix` (depot first)."""
+    lists = [np.empty(0, dtype=int)]
+    for row in overlap_matrix(sites):
+        lists.append(np.flatnonzero(row) + 1)
+    return lists
 
 
 @contextmanager

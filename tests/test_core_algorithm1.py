@@ -1,5 +1,7 @@
 """Unit tests for repro.core.algorithm1 (orienteering reduction)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,10 @@ from repro.core.auxgraph import build_auxiliary_graph
 from repro.core.hovering import build_hovering_sites
 from repro.core.planner import plan_tour
 from repro.core.tour import validate_tour_feasibility
+from repro.experiments.config import reduced_settings
+from repro.experiments.instances import make_instances
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import dense_auxgraph
 
 
 class TestFeasibility:
@@ -128,16 +133,100 @@ class TestQuality:
 
 
 class TestPrebuiltGraphValidation:
-    """A supplied auxiliary graph is validated like any instance."""
+    """A supplied auxiliary graph's inputs are validated on every call."""
 
-    @pytest.mark.parametrize("fault", ["nan", "negative", "asymmetric"])
+    @pytest.mark.parametrize("fault", ["nan", "negative", "nan-point",
+                                       "inf-point", "nan-award"])
     def test_corrupt_graph_costs_rejected(self, small_net, radio, energy,
                                           fault):
         sites = build_hovering_sites(small_net, radio, 30.0)
         graph = build_auxiliary_graph(sites, energy)
-        value = {"nan": np.nan, "negative": -1.0,
-                 "asymmetric": graph.costs[1, 2] * 2.0 + 1.0}[fault]
-        graph.costs[1, 2] = value
-        with pytest.raises(InvalidParameterError, match="costs must be"):
+        if fault == "nan":
+            graph.hover_energies[2] = np.nan
+        elif fault == "negative":
+            graph.hover_energies[2] = -1.0
+        elif fault == "nan-point":
+            graph.points[1, 0] = np.nan
+        elif fault == "inf-point":
+            graph.points[2, 1] = np.inf
+        else:
+            graph.awards[3] = np.nan
+        with pytest.raises(InvalidParameterError, match="must be finite"):
             plan_tour(small_net, energy, radio, method="algorithm1",
                       delta=30.0, graph=graph, seed=0, n_restarts=2)
+
+
+def _same_plan(a, b):
+    for field in ("points", "sojourns", "collected"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    for key in ("orienteering_award", "orienteering_cost", "n_visited",
+                "orienteering_method"):
+        assert a.meta[key] == b.meta[key]
+    assert a.meta["perf"] == b.meta["perf"]
+
+
+class TestDenseOracle:
+    """Tours over the on-demand w2 equal tours over the dense matrix."""
+
+    @pytest.mark.parametrize("solver", ["grasp", "greedy", "auto"])
+    @pytest.mark.parametrize("net_name", ["small_net", "clustered_net"])
+    def test_solvers_match_dense_instance(self, request, radio, energy,
+                                          solver, net_name):
+        net = request.getfixturevalue(net_name)
+        kwargs = dict(delta=25.0, solver=solver, seed=5, n_restarts=4)
+        tour = plan_algorithm1(net, energy, radio, **kwargs)
+        with dense_auxgraph():
+            dense = plan_algorithm1(net, energy, radio, **kwargs)
+        _same_plan(tour, dense)
+
+    @pytest.mark.parametrize("solver", ["exact", "auto"])
+    def test_exact_dp_matches_dense_instance(self, generator, radio, energy,
+                                             solver):
+        net = generator.uniform(4, seed=2)
+        tour = plan_algorithm1(net, energy, radio, delta=50.0, solver=solver)
+        assert tour.meta["orienteering_method"] == "exact-dp"
+        with dense_auxgraph():
+            dense = plan_algorithm1(net, energy, radio, delta=50.0,
+                                    solver=solver)
+        _same_plan(tour, dense)
+
+    def test_warm_nodes_match_dense_instance(self, small_net, radio, energy):
+        kwargs = dict(delta=25.0, seed=1, n_restarts=2,
+                      warm_nodes=np.arange(1, 40, 3))
+        tour = plan_algorithm1(small_net, energy, radio, **kwargs)
+        assert tour.meta["perf"]["grasp"]["warm_starts"] == 1
+        with dense_auxgraph():
+            dense = plan_algorithm1(small_net, energy, radio, **kwargs)
+        _same_plan(tour, dense)
+
+    @pytest.mark.parametrize("overlap", ["conflict", "ignore"])
+    def test_safe_reduction_matches_dense_instance(self, clustered_net,
+                                                   radio, energy, overlap):
+        kwargs = dict(delta=20.0, seed=2, n_restarts=3,
+                      site_reduction="safe", overlap=overlap)
+        tour = plan_algorithm1(clustered_net, energy, radio, **kwargs)
+        with dense_auxgraph():
+            dense = plan_algorithm1(clustered_net, energy, radio, **kwargs)
+        _same_plan(tour, dense)
+
+
+class TestImplicitCostMemory:
+    def test_peak_far_below_dense_matrix(self):
+        # ~2100 candidate sites: the dense w2 matrix alone would take
+        # (m+1)^2 * 8 bytes, about 36 MB.
+        config = reduced_settings().scaled(n_nodes=80, seed=3)
+        net = make_instances(config)[0]
+        radio = config.radio_model()
+        sites = build_hovering_sites(net, radio, 15.0)
+        m = sites.n_sites
+        assert 1500 <= m <= 2500
+        dense_bytes = (m + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            tour = plan_algorithm1(net, config.energy_model(), radio, 15.0,
+                                   sites=sites, seed=0, n_restarts=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tour.n_hovers > 0
+        assert peak < dense_bytes / 4, (peak, dense_bytes)

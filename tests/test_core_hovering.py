@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.auxgraph import overlap_conflicts
 from repro.core.hovering import build_hovering_sites
 from repro.geometry.grid import GridPartition
 from repro.utils.errors import InvalidParameterError
@@ -70,20 +71,26 @@ class TestBuild:
 
 
 class TestOverlapMatrix:
+    """The site-overlap relation, read as Algorithm 1's conflict lists."""
+
     def test_symmetric_no_diagonal(self, sites):
-        ov = sites.overlap_matrix()
-        assert (ov == ov.T).all()
-        assert not ov.diagonal().any()
+        lists = overlap_conflicts(sites)
+        assert len(lists) == sites.n_sites + 1
+        assert len(lists[0]) == 0          # the depot conflicts with nothing
+        for node, neighbors in enumerate(lists):
+            assert node not in neighbors
+            for other in neighbors:
+                assert node in lists[other]
 
     def test_overlap_iff_shared_sensor(self, sites):
-        ov = sites.overlap_matrix()
+        lists = overlap_conflicts(sites)
         cov = sites.cov_matrix
         for i in range(min(sites.n_sites, 10)):
             for j in range(min(sites.n_sites, 10)):
                 if i == j:
                     continue
                 shared = (cov[i] & cov[j]).any()
-                assert ov[i, j] == shared
+                assert (j + 1 in lists[i + 1]) == shared
 
 
 class TestResidualHelpers:

@@ -58,6 +58,24 @@ class TestConfig:
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(k_values=(0,))
 
+    def test_zero_capacity_override_is_not_the_default(self):
+        # A swept capacity of 0 must reach EnergyModel (which rejects it),
+        # not silently fall back to the preset's default capacity.
+        with pytest.raises(InvalidParameterError, match="capacity"):
+            reduced_settings().energy_model(capacity=0.0)
+
+    @pytest.mark.parametrize("sweep", [(0.0, 3e4), (3e4, -1.0),
+                                       (float("nan"),)])
+    def test_rejects_non_positive_capacity_sweep(self, sweep):
+        with pytest.raises(InvalidParameterError, match="capacity_sweep"):
+            reduced_settings().scaled(capacity_sweep=sweep)
+
+    @pytest.mark.parametrize("sweep", [(0.0, 10.0), (10.0, -5.0),
+                                       (float("inf"),)])
+    def test_rejects_non_positive_delta_sweep(self, sweep):
+        with pytest.raises(InvalidParameterError, match="delta_sweep"):
+            reduced_settings().scaled(delta_sweep=sweep)
+
 
 class TestInstances:
     def test_count(self, tiny_config):

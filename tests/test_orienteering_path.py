@@ -31,9 +31,9 @@ class TestAugmentation:
         inst = make_instance(rng)
         aug, dummy = augment_with_dummy_depot(inst)
         assert dummy == inst.n_nodes
-        np.testing.assert_allclose(aug.costs[dummy, :dummy],
-                                   inst.costs[0, :])
-        assert aug.costs[0, dummy] == 0.0
+        np.testing.assert_allclose(aug.costs.matrix[dummy, :dummy],
+                                   inst.costs.matrix[0, :])
+        assert aug.costs.matrix[0, dummy] == 0.0
         assert aug.awards[dummy] == 0.0
 
     def test_augmented_is_valid_instance(self, rng):
@@ -58,7 +58,7 @@ class TestPathSolver:
     def test_path_within_budget(self, rng):
         inst = make_instance(rng)
         path, _ = solve_path_exact(inst, 0, 3)
-        cost = sum(inst.costs[a, b] for a, b in zip(path, path[1:]))
+        cost = sum(inst.costs.matrix[a, b] for a, b in zip(path, path[1:]))
         assert cost <= inst.budget + 1e-9
 
     def test_award_matches_path(self, rng):
@@ -79,7 +79,7 @@ class TestPathSolver:
     def test_direct_hop_when_budget_tight(self, rng):
         inst = make_instance(rng)
         tight = OrienteeringInstance(costs=inst.costs, awards=inst.awards,
-                                     budget=float(inst.costs[0, 3]) + 1e-6,
+                                     budget=float(inst.costs.matrix[0, 3]) + 1e-6,
                                      depot=0)
         path, _ = solve_path_exact(tight, 0, 3)
         np.testing.assert_array_equal(path, [0, 3])
@@ -120,7 +120,7 @@ class TestEquivalence:
         aug, dummy = augment_with_dummy_depot(inst)
         tour = np.array([0, 2, 4])
         path = tour_to_path(tour, dummy)
-        path_cost = sum(aug.costs[a, b] for a, b in zip(path, path[1:]))
+        path_cost = sum(aug.costs.matrix[a, b] for a, b in zip(path, path[1:]))
         assert path_cost == pytest.approx(inst.tour_cost(tour))
 
     def test_equivalence_with_conflicts(self, rng):

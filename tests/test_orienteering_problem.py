@@ -132,8 +132,8 @@ class TestStreamedValidation:
 class TestEvaluation:
     def test_tour_cost(self, instance):
         tour = [0, 3, 5]
-        expected = (instance.costs[0, 3] + instance.costs[3, 5]
-                    + instance.costs[5, 0])
+        expected = (instance.costs.matrix[0, 3] + instance.costs.matrix[3, 5]
+                    + instance.costs.matrix[5, 0])
         assert instance.tour_cost(tour) == pytest.approx(expected)
 
     def test_tour_award(self, instance):

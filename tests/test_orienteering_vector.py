@@ -32,7 +32,7 @@ class TestAllInsertionDeltas:
         for v in range(inst.n_nodes):
             if v in tour:
                 continue
-            ref_delta, ref_pos = insertion_delta(tour, inst.costs, v)
+            ref_delta, ref_pos = insertion_delta(tour, inst.costs.matrix, v)
             assert deltas[v] == pytest.approx(ref_delta)
             assert positions[v] == ref_pos
 
@@ -44,7 +44,7 @@ class TestAllInsertionDeltas:
     def test_singleton_tour(self, rng):
         inst = make_instance(rng)
         deltas, _ = all_insertion_deltas(np.array([0]), inst.costs)
-        np.testing.assert_allclose(deltas, 2.0 * inst.costs[0])
+        np.testing.assert_allclose(deltas, 2.0 * inst.costs.matrix[0])
 
     def test_positions_valid_range(self, rng):
         inst = make_instance(rng)

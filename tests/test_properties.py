@@ -140,8 +140,8 @@ class TestAuxGraphProperties:
                              travel_power=100.0, speed=10.0)
         sites = build_hovering_sites(net, radio, delta)
         graph = build_auxiliary_graph(sites, energy)
-        c = graph.costs
         n = graph.n_nodes
+        c = graph.w2.rows(np.arange(n))
         # Exhaustive triangle check (n is small under this strategy).
         for j in range(n):
             lhs = c                                  # c(i, k)
