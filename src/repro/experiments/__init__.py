@@ -5,11 +5,12 @@
 * :mod:`repro.experiments.instances` — seeded network-instance sets (the
   paper averages 15 instances per data point),
 * :mod:`repro.experiments.runner` — the generic sweep engine measuring
-  collected volume and wall-clock running time per algorithm,
-* :mod:`repro.experiments.parallel` — the process-pool sweep executor
-  behind ``run_sweep(..., jobs=N)`` (deterministic merge, trace shards),
-* :mod:`repro.experiments.artifacts` — the per-instance geometry cache
-  shared by both execution engines,
+  collected volume and wall-clock running time per algorithm: one work
+  unit planner and one executor, mapped in process or on a pool,
+* :mod:`repro.experiments.parallel` — the process-pool transport behind
+  ``run_sweep(..., jobs=N)`` (JSON codec, worker state, shard merge),
+* :mod:`repro.experiments.artifacts` — the per-process geometry cache
+  the work units share,
 * :mod:`repro.experiments.fig3` / ``fig4`` / ``fig5`` — one runner per
   paper figure,
 * :mod:`repro.experiments.tables` — CSV / markdown rendering,
@@ -19,7 +20,6 @@
 from repro.experiments.config import ExperimentConfig, paper_settings, reduced_settings
 from repro.experiments.instances import make_instances
 from repro.experiments.runner import AlgoSpec, SweepResult, run_sweep
-from repro.experiments.parallel import run_sweep_parallel
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
@@ -68,7 +68,6 @@ __all__ = [
     "AlgoSpec",
     "SweepResult",
     "run_sweep",
-    "run_sweep_parallel",
     "ArtifactCache",
     "run_fig3",
     "run_fig4",

@@ -20,9 +20,10 @@ warm payloads derived from the coarser cell's finished tour:
 With the reduction off or ``safe`` the candidate geometry is untouched,
 so a continuation cell's volume can never drop below its cold-start
 value — the warm tour competes through the same strict-improvement
-acceptance as every restart.  This module holds the pure helpers; the
-chain executors live next to their per-cell siblings in
-:mod:`repro.experiments.runner` and :mod:`repro.experiments.parallel`.
+acceptance as every restart.  This module holds the pure helpers; a
+chain is one of the three work-unit kinds of
+:mod:`repro.experiments.runner`, planned by its ``execute_unit`` in
+process or inside a pool worker.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def chainable_spec(config: ExperimentConfig, spec: Any,
     """True when *spec*'s cells form one δ-continuation chain.
 
     Chainable means: the method is Algorithm 1 (the only planner with a
-    warm-start entry point), every cell's kwargs are JSON data (the
-    parallel chain units ship them to workers), each cell's ``delta``
+    warm-start entry point), every cell's kwargs are JSON data (a pool
+    ships chain units to workers as JSON), each cell's ``delta``
     *is* the swept value (this is a δ sweep), and the caller did not
     already pass warm payloads of their own.
     """

@@ -1,61 +1,44 @@
-"""Process-pool sweep executor.
+"""Process-pool transport for ``run_sweep(..., jobs=N)``.
 
-Fans the (algorithm, parameter value) cells of one sweep out to ``jobs``
-worker processes and merges the per-cell :class:`~repro.experiments.runner.SweepRow`
-results back **deterministically**: rows come back in canonical cell
-order (parameter values outer, algorithms inner — identical to the
-sequential runner's loop nesting) no matter how many workers ran or in
-which order they finished.
+:func:`map_units` runs :func:`~repro.experiments.runner.execute_unit` —
+the same function the in-process path calls — over a sweep's work units
+on ``jobs`` worker processes and yields the results in unit order.  It
+adds transport only:
 
-Transport is data, not objects:
+* **the JSON codec** — the :class:`~repro.experiments.config.ExperimentConfig`
+  crosses as its :meth:`~repro.experiments.config.ExperimentConfig.as_dict`
+  JSON, the instance set once per worker via
+  :func:`repro.network.serialization.networks_to_json` (the JSON round
+  trip is bitwise-exact, property-tested, which is what makes worker
+  tours identical to in-process tours), each unit as its plain-data
+  JSON, and each unit's samples back the same way;
+* **per-worker state** — an
+  :class:`~repro.experiments.artifacts.ArtifactCache` (geometry is built
+  once per (instance, δ) *per worker*), and, when the parent traces or
+  keeps a ledger, a :class:`~repro.obs.tracer.Tracer` and a
+  :class:`~repro.obs.ledger.Ledger` streaming to JSONL shards;
+* **the merge** — worker metrics snapshots fold into the parent's
+  ambient registry, cache counters are summed, and the trace and ledger
+  shards merge into the parent's tracer and ledger after the sweep
+  (:mod:`repro.obs.shards`).
 
-* the :class:`~repro.experiments.config.ExperimentConfig` crosses as its
-  :meth:`~repro.experiments.config.ExperimentConfig.as_dict` JSON,
-* the instance set crosses once per worker via
-  :func:`repro.network.serialization.networks_to_json` — the JSON round
-  trip is bitwise-exact (property-tested), which is what makes worker
-  tours identical to in-process tours,
-* each work unit is a JSON object carrying the cell index, the planner
-  kwargs (``make_kwargs`` output), and the cell's
-  :class:`~repro.energy.model.EnergyModel` fields (``make_energy`` runs
-  in the parent; workers rebuild the model from its fields).
-
-Each worker keeps its own per-process
-:class:`~repro.experiments.artifacts.ArtifactCache`, so geometry is
-built once per (instance, δ) *per worker*, and — when tracing is active
-in the parent — its own :class:`~repro.obs.tracer.Tracer`, flushed to a
-JSONL shard after every cell and merged into the parent tracer at the
-end (:mod:`repro.obs.shards`).  Per-cell planning time is measured
-inside the worker around the planning call only — queue wait and
-transport never pollute the paper's Figs. 3(b)/4(b)/5(b) quantity.
+Futures are read in submission order, so the parent consumes results in
+unit order no matter which worker finishes first.  Planning time is
+measured inside the worker around the planning call only — queue wait
+and transport never pollute the paper's Figs. 3(b)/4(b)/5(b) quantity.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import shutil
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.energy.model import EnergyModel
 from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.continuation import chainable_spec
-from repro.experiments.runner import (
-    AlgoSpec,
-    SweepResult,
-    SweepRow,
-    _aggregate_samples,
-    _plan_chain_instance,
-    _plan_column_instance,
-    _run_cell,
-    batchable_column,
-    format_progress,
-    sweep_cells,
-)
-from repro.experiments.runner import _emit_sweep_records
+from repro.experiments.runner import Sample, Unit, execute_unit
 from repro.network.sensor_network import SensorNetwork
 from repro.network.serialization import networks_from_json, networks_to_json
 from repro.obs.ledger import Ledger, get_ledger, set_ledger
@@ -67,72 +50,27 @@ from repro.obs.shards import (
     merge_trace_shards,
     shard_path,
 )
-from repro.obs.tracer import Tracer, TracerLike, activated, span
+from repro.obs.tracer import Tracer, activated, get_tracer, span
 
 #: Worker-process state installed by :func:`_init_worker` (one per worker).
 _WORKER: Dict[str, Any] = {}
 
 
-def _energy_fields(energy: EnergyModel) -> Dict[str, Any]:
-    """The constructor fields an :class:`EnergyModel` rebuilds from."""
-    return {
-        "capacity": energy.capacity,
-        "hover_power": energy.hover_power,
-        "travel_power": energy.travel_power,
-        "speed": energy.speed,
-        "distance_based_travel": energy.distance_based_travel,
-    }
-
-
-def _encode_unit(index: int, param_name: str, value: float, spec: AlgoSpec,
-                 energy: EnergyModel, kwargs: Dict[str, Any],
-                 validate: bool) -> str:
-    """One cell as a JSON work unit; raises if kwargs are not data."""
-    unit = {
-        "cell": index,
-        "param_name": param_name,
-        "value": float(value),
-        "algorithm": spec.name,
-        "method": spec.method,
-        "kwargs": kwargs,
-        "energy": _energy_fields(energy),
-        "validate": validate,
-    }
+def _encode(unit: Unit) -> str:
+    """One work unit as JSON; raises if its planner kwargs are not data."""
     try:
         return json.dumps(unit)
     except TypeError as exc:
         raise TypeError(
             f"parallel sweeps ship planner kwargs to workers as JSON; "
-            f"make_kwargs returned non-serialisable options for cell "
-            f"{spec.name!r} at {param_name}={value:g}: {exc}") from exc
-
-
-def _encode_column_unit(s_idx: int, instance: int, param_name: str,
-                        values: Sequence[float], spec: AlgoSpec,
-                        energies: Sequence[EnergyModel],
-                        kwargs: Dict[str, Any], validate: bool) -> str:
-    """One (column, instance) pair as a JSON work unit.
-
-    ``batchable_column`` already vetted the kwargs as JSON data, so the
-    dump cannot fail on them.
-    """
-    return json.dumps({
-        "column": s_idx,
-        "instance": instance,
-        "param_name": param_name,
-        "values": [float(v) for v in values],
-        "algorithm": spec.name,
-        "method": spec.method,
-        "kwargs": kwargs,
-        "energies": [_energy_fields(e) for e in energies],
-        "validate": validate,
-    })
+            f"make_kwargs returned non-serialisable options for "
+            f"{unit['algorithm']!r} at "
+            f"{unit['param_name']}={unit['values'][0]:g}: {exc}") from exc
 
 
 def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
-                 tracing: bool, shard_dir: Optional[str],
-                 ledgering: bool = False, ledger_mem: bool = False,
-                 collect_metrics: bool = False) -> None:
+                 tracing: bool, shard_dir: str, ledgering: bool,
+                 ledger_mem: bool, collect_metrics: bool) -> None:
     """Per-worker setup: decode instances once, build cache/tracer/ledger.
 
     When the parent has an active run ledger (``ledgering``), the worker
@@ -149,350 +87,105 @@ def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
     _WORKER["tracer"] = Tracer() if tracing else None
     _WORKER["shard_dir"] = shard_dir
     _WORKER["collect_metrics"] = collect_metrics
-    if ledgering and shard_dir is not None:
+    if ledgering:
         set_ledger(Ledger(shard_path(shard_dir, os.getpid(), kind="ledger"),
                           track_memory=ledger_mem))
     else:
         set_ledger(None)        # never inherit a forked parent ledger
 
 
-def _plan_cell(unit_json: str) -> str:
-    """Worker entry: plan one cell, return its row (and stats) as JSON."""
-    unit = json.loads(unit_json)
-    spec = AlgoSpec(unit["algorithm"], unit["method"], unit["kwargs"])
-    energy = EnergyModel(**unit["energy"])
+def _run_unit(unit_json: str) -> str:
+    """Worker entry: :func:`execute_unit` on one unit, results as JSON.
+
+    Runs under the worker's tracer and a fresh metrics scope, stamps the
+    worker pid on the unit's span and appends the unit's spans to this
+    worker's trace shard (so a crashed worker still leaves the spans of
+    every unit it finished).  Returns the samples — JSON
+    ``[volume_gb, time_s, perf]`` triples, an exact float round trip —
+    with the worker's cache counters and metrics snapshot.
+    """
     cache: Optional[ArtifactCache] = _WORKER["cache"]
     tracer: Optional[Tracer] = _WORKER["tracer"]
-    registry = (MetricsRegistry() if _WORKER.get("collect_metrics")
-                else None)
+    registry = MetricsRegistry() if _WORKER["collect_metrics"] else None
     with activated(tracer), metrics_scope(registry):
-        with span("runner.cell", cell=unit["cell"],
-                  param=unit["param_name"], value=unit["value"],
-                  algorithm=spec.name, worker=os.getpid()):
-            row = _run_cell(_WORKER["instances"], spec, unit["param_name"],
-                            unit["value"], energy, _WORKER["radio"],
-                            kwargs=unit["kwargs"],
-                            validate=unit["validate"], cache=cache)
-    _flush_worker_shard(tracer)
-    return json.dumps({
-        "cell": unit["cell"],
-        "worker": os.getpid(),
-        "metrics": registry.snapshot() if registry is not None else None,
-        "row": {
-            "param_name": row.param_name,
-            "param_value": row.param_value,
-            "algorithm": row.algorithm,
-            "mean_volume_gb": row.mean_volume_gb,
-            "std_volume_gb": row.std_volume_gb,
-            "mean_time_s": row.mean_time_s,
-            "std_time_s": row.std_time_s,
-            "n_instances": row.n_instances,
-            "perf": row.perf,
-        },
-        "cache": cache.stats() if cache is not None else None,
-    })
-
-
-def _flush_worker_shard(tracer: Optional[Tracer]) -> None:
-    """Append this worker's trace records to its JSONL shard, if tracing."""
-    if tracer is not None and _WORKER["shard_dir"] is not None:
-        append_shard(tracer.records(),
-                     shard_path(_WORKER["shard_dir"], os.getpid()))
+        samples = execute_unit(json.loads(unit_json), _WORKER["instances"],
+                               _WORKER["radio"], cache)
+    pid = os.getpid()
+    if tracer is not None:
+        records = tracer.records()
+        for rec in records:
+            if rec["parent"] is None:
+                rec["attrs"]["worker"] = pid
+        append_shard(records, shard_path(_WORKER["shard_dir"], pid))
         tracer.clear()
-
-
-def _encode_chain_unit(s_idx: int, instance: int, param_name: str,
-                       values: Sequence[float], spec: AlgoSpec,
-                       energies: Sequence[EnergyModel],
-                       kwargs_by_value: Sequence[Dict[str, Any]],
-                       validate: bool) -> str:
-    """One δ-continuation (chain, instance) pair as a JSON work unit.
-
-    ``chainable_spec`` already vetted every cell's kwargs as JSON data.
-    The payload mirrors the column units — the parent merges both
-    through the same per-value sample buckets.
-    """
     return json.dumps({
-        "chain": s_idx,
-        "instance": instance,
-        "param_name": param_name,
-        "values": [float(v) for v in values],
-        "algorithm": spec.name,
-        "method": spec.method,
-        "kwargs_by_value": list(kwargs_by_value),
-        "energies": [_energy_fields(e) for e in energies],
-        "validate": validate,
-    })
-
-
-def _plan_chain(unit_json: str) -> str:
-    """Worker entry: plan one δ-continuation chain, return its samples.
-
-    The whole chain runs inside one worker — the warm payloads never
-    cross a process boundary mid-chain — through the same
-    :func:`~repro.experiments.runner._plan_chain_instance` the
-    sequential runner calls, so the samples are bitwise-identical to
-    the ``jobs=1`` chain.
-    """
-    unit = json.loads(unit_json)
-    spec = AlgoSpec(unit["algorithm"], unit["method"], {})
-    energies = [EnergyModel(**fields) for fields in unit["energies"]]
-    net = _WORKER["instances"][unit["instance"]]
-    cache: Optional[ArtifactCache] = _WORKER["cache"]
-    tracer: Optional[Tracer] = _WORKER["tracer"]
-    registry = (MetricsRegistry() if _WORKER.get("collect_metrics")
-                else None)
-    assert cache is not None   # run_sweep refuses continuation without it
-    with activated(tracer), metrics_scope(registry):
-        with span("runner.chain", chain=unit["chain"],
-                  instance=unit["instance"], param=unit["param_name"],
-                  algorithm=spec.name, width=len(energies),
-                  worker=os.getpid()):
-            samples = _plan_chain_instance(
-                net, spec, unit["values"], energies, _WORKER["radio"],
-                kwargs_by_value=unit["kwargs_by_value"],
-                validate=unit["validate"], cache=cache)
-    _flush_worker_shard(tracer)
-    return json.dumps({
-        "column": unit["chain"],
-        "instance": unit["instance"],
-        "worker": os.getpid(),
-        "metrics": registry.snapshot() if registry is not None else None,
+        "worker": pid,
         "samples": samples,
-        "cache": cache.stats(),
-    })
-
-
-def _plan_column(unit_json: str) -> str:
-    """Worker entry: plan one (column, instance) unit, return its samples.
-
-    The samples cross back as JSON ``[volume_gb, time_s, perf]`` triples
-    in parameter-value order; the parent aggregates them per cell in
-    instance order, so the float reductions are identical to the
-    sequential column executor (the JSON float round trip is exact).
-    """
-    unit = json.loads(unit_json)
-    spec = AlgoSpec(unit["algorithm"], unit["method"], unit["kwargs"])
-    energies = [EnergyModel(**fields) for fields in unit["energies"]]
-    net = _WORKER["instances"][unit["instance"]]
-    cache: Optional[ArtifactCache] = _WORKER["cache"]
-    tracer: Optional[Tracer] = _WORKER["tracer"]
-    registry = (MetricsRegistry() if _WORKER.get("collect_metrics")
-                else None)
-    with activated(tracer), metrics_scope(registry):
-        with span("runner.column", column=unit["column"],
-                  instance=unit["instance"], param=unit["param_name"],
-                  algorithm=spec.name, width=len(energies),
-                  worker=os.getpid()):
-            samples = _plan_column_instance(
-                net, spec, energies, _WORKER["radio"],
-                kwargs=unit["kwargs"], validate=unit["validate"],
-                cache=cache)
-    _flush_worker_shard(tracer)
-    return json.dumps({
-        "column": unit["column"],
-        "instance": unit["instance"],
-        "worker": os.getpid(),
         "metrics": registry.snapshot() if registry is not None else None,
-        "samples": samples,
         "cache": cache.stats() if cache is not None else None,
     })
 
 
-def run_sweep_parallel(
-        config: ExperimentConfig,
-        instances: Sequence[SensorNetwork],
-        algorithms: Sequence[AlgoSpec],
-        param_name: str,
-        param_values: Sequence[float],
-        *,
-        make_energy: Callable[[ExperimentConfig, float], EnergyModel],
-        make_kwargs: Callable[[ExperimentConfig, float, AlgoSpec], Dict[str, Any]],
-        validate: bool = True,
-        progress: Optional[Callable[[str], None]] = None,
-        trace: Optional[TracerLike] = None,
-        jobs: int = 2,
-        cache: bool = True,
-        batch_columns: bool = False,
-        delta_continuation: bool = False,
-        shard_dir: Optional[str] = None) -> SweepResult:
-    """Run one sweep on a process pool; same contract as ``run_sweep``.
+def map_units(units: Sequence[Unit],
+              instances: Sequence[SensorNetwork],
+              config: ExperimentConfig,
+              *,
+              jobs: int,
+              cache: bool,
+              meta: Dict[str, Any]
+              ) -> Iterator[Tuple[Unit, List[List[Sample]]]]:
+    """Yield ``(unit, execute_unit(unit))`` for every unit, in unit order,
+    computed on a pool of up to *jobs* worker processes.
 
-    Callers normally reach this through ``run_sweep(..., jobs=N)``.
-    With ``batch_columns=True`` each eligible algorithm ships one
-    (column, instance) unit per instance — the whole value column plans
-    as one stacked batch call inside the worker, and the parent
-    aggregates the returned samples per cell in instance order (batch
-    within a worker, processes across instances).  With
-    ``delta_continuation=True`` each chainable Algorithm 1 spec ships
-    one (chain, instance) unit per instance instead: the worker plans
-    that instance's whole δ column coarse→fine with warm starts (see
-    :mod:`repro.experiments.continuation`), so the chain's warm payloads
-    never cross a process boundary and the samples match the sequential
-    chains bitwise.  ``shard_dir`` names a directory to keep the
-    per-worker trace shards in (default: a temporary directory deleted
-    after the merge).
+    Every unit is encoded before any worker starts, so non-JSON planner
+    kwargs raise a descriptive :class:`TypeError` up front.  After the
+    last unit, the per-worker artifact-cache counters are summed into
+    ``meta["cache"]`` (same keys as
+    :meth:`~repro.experiments.artifacts.ArtifactCache.stats`), and the
+    trace and ledger shards are merged into the active tracer and ledger
+    (``meta["trace_records"]`` / ``meta["ledger_records"]`` count them).
     """
-    if jobs < 2:
-        raise ValueError(
-            f"run_sweep_parallel needs jobs >= 2, got {jobs} "
-            f"(use run_sweep for the in-process path)")
-    if delta_continuation and not cache:
-        raise ValueError(
-            "delta_continuation needs the artifact cache (cache=True): "
-            "warm payloads for the finer grids flow through it")
-
-    cells = sweep_cells(algorithms, param_values)
-    if not cells:
-        return SweepResult(config=config, rows=[], meta={"jobs": jobs})
-    n_specs = len(algorithms)
-    chain_specs = [
-        s_idx for s_idx, spec in enumerate(algorithms)
-        if delta_continuation and chainable_spec(config, spec, param_values,
-                                                 make_kwargs)]
-    column_specs = [
-        s_idx for s_idx, spec in enumerate(algorithms)
-        if s_idx not in chain_specs
-        and batch_columns and batchable_column(config, spec, param_values,
-                                               make_energy, make_kwargs)]
-    column_energies = {
-        s_idx: [make_energy(config, v) for v in param_values]
-        for s_idx in column_specs + chain_specs}
-    cell_units = [
-        _encode_unit(index, param_name, value, spec,
-                     make_energy(config, value),
-                     make_kwargs(config, value, spec), validate)
-        for index, value, spec in cells
-        if index % n_specs not in column_specs
-        and index % n_specs not in chain_specs
-    ]
-    column_units = [
-        _encode_column_unit(s_idx, instance, param_name, param_values,
-                            algorithms[s_idx], column_energies[s_idx],
-                            make_kwargs(config, param_values[0],
-                                        algorithms[s_idx]), validate)
-        for s_idx in column_specs
-        for instance in range(len(instances))
-    ]
-    chain_units = [
-        _encode_chain_unit(s_idx, instance, param_name, param_values,
-                           algorithms[s_idx], column_energies[s_idx],
-                           [make_kwargs(config, v, algorithms[s_idx])
-                            for v in param_values], validate)
-        for s_idx in chain_specs
-        for instance in range(len(instances))
-    ]
-
-    with activated(trace) as active:
-        tracing = bool(getattr(active, "enabled", False))
-        parent_ledger = get_ledger()
-        ledgering = parent_ledger is not None
-        ambient_metrics = get_metrics()
-        own_shard_dir = shard_dir is None
-        resolved_shard_dir: Optional[str] = None
-        if tracing or ledgering:
-            resolved_shard_dir = (tempfile.mkdtemp(prefix="repro-shards-")
-                                  if own_shard_dir else str(shard_dir))
-
-        results: Dict[int, SweepRow] = {}
-        worker_cache_stats: Dict[int, Dict[str, int]] = {}
-        column_samples: Dict[int, Dict[int, list]] = {
-            s_idx: {} for s_idx in column_specs + chain_specs}
-        next_to_report = 0
-        n_units = (len(cell_units) + len(column_units) + len(chain_units))
-        with span("parallel.sweep", cells=len(cells), jobs=jobs,
-                  columns=len(column_specs), chains=len(chain_specs)):
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, n_units),
+    payloads = [_encode(unit) for unit in units]
+    active = get_tracer()
+    parent_ledger = get_ledger()
+    ambient_metrics = get_metrics()
+    worker_cache_stats: Dict[int, Dict[str, int]] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-shards-") as shard_dir:
+        with span("parallel.sweep", jobs=jobs, units=len(units)), \
+                ProcessPoolExecutor(
+                    max_workers=min(jobs, len(units)),
                     initializer=_init_worker,
                     initargs=(json.dumps(config.as_dict()),
-                              networks_to_json(instances),
-                              cache, tracing, resolved_shard_dir,
-                              ledgering,
+                              networks_to_json(instances), cache,
+                              isinstance(active, Tracer), shard_dir,
+                              parent_ledger is not None,
                               bool(parent_ledger is not None
                                    and parent_ledger.track_memory),
                               ambient_metrics is not None)) as pool:
-                futures = [pool.submit(_plan_cell, unit)
-                           for unit in cell_units]
-                futures += [pool.submit(_plan_column, unit)
-                            for unit in column_units]
-                futures += [pool.submit(_plan_chain, unit)
-                            for unit in chain_units]
-                for future in as_completed(futures):
-                    payload = json.loads(future.result())
-                    if "cell" in payload:
-                        # Each row is computed whole inside one worker and
-                        # indexed by its cell, so completion order only
-                        # affects *when* a slot fills, never its value.
-                        # repro: allow[flow-determinism] -- order-insensitive
-                        results[payload["cell"]] = SweepRow(**payload["row"])
-                    else:
-                        s_idx = payload["column"]
-                        pending = column_samples[s_idx]
-                        pending[payload["instance"]] = payload["samples"]
-                        if len(pending) == len(instances):
-                            # Column complete: aggregate each cell over
-                            # its samples in instance order — identical
-                            # float reductions to the sequential path.
-                            for v_idx, value in enumerate(param_values):
-                                samples = [pending[i][v_idx]
-                                           for i in range(len(instances))]
-                                results[v_idx * n_specs + s_idx] = \
-                                    _aggregate_samples(  # repro: allow[flow-determinism] -- samples re-sorted into instance order above
-                                        param_name, value,
-                                        algorithms[s_idx], samples)
-                    if payload["cache"] is not None:
-                        worker_cache_stats[payload["worker"]] = \
-                            payload["cache"]
-                    if (ambient_metrics is not None
-                            and payload.get("metrics")):
-                        # Snapshot merging is commutative (counters and
-                        # bucket counts add), so folding in completion
-                        # order still yields the jobs-independent totals.
-                        ambient_metrics.merge_snapshot(payload["metrics"])
-                    # Report finished cells in canonical order only — the
-                    # contiguous prefix — so the progress stream is
-                    # deterministic no matter the completion order.
-                    while progress is not None and next_to_report in results:
-                        index, value, spec = cells[next_to_report]
-                        progress(format_progress(
-                            index, len(cells), param_name, value,
-                            results[index]))
-                        next_to_report += 1
-
-        rows = [results[index] for index in range(len(cells))]
-        meta: Dict[str, Any] = {"jobs": jobs,
-                                "batch_columns":
-                                    len(column_specs) * len(param_values),
-                                "continuation_chains":
-                                    len(chain_specs) * len(instances)}
-        if cache:
-            meta["cache"] = {
-                "hits": sum(s["hits"] for s in worker_cache_stats.values()),
-                "misses": sum(s["misses"]
-                              for s in worker_cache_stats.values()),
-            }
-        if resolved_shard_dir is not None:
-            if tracing:
-                merged = merge_trace_shards(resolved_shard_dir)
-                if isinstance(active, Tracer):
-                    active.ingest(merged)
-                meta["trace_records"] = len(merged)
-            if ledgering and parent_ledger is not None:
-                # Worker records (the facade's planner.call entries) come
-                # home in canonical cell order, then the parent emits the
-                # per-cell aggregates itself — same rebase discipline as
-                # the trace shards, minus the id remapping records don't
-                # need.
-                shard_records = merge_ledger_shards(resolved_shard_dir)
-                parent_ledger.extend(
-                    RunRecord.from_dict(rec) for rec in shard_records)
-                meta["ledger_records"] = len(shard_records)
-            if own_shard_dir:
-                shutil.rmtree(resolved_shard_dir, ignore_errors=True)
-        _emit_sweep_records(config, algorithms, param_name, param_values,
-                            rows, jobs=jobs, column_specs=column_specs)
-    return SweepResult(config=config, rows=rows, meta=meta)
+            futures = [pool.submit(_run_unit, payload)
+                       for payload in payloads]
+            for unit, future in zip(units, futures):
+                result = json.loads(future.result())
+                if result["cache"] is not None:
+                    worker_cache_stats[result["worker"]] = result["cache"]
+                if ambient_metrics is not None and result["metrics"]:
+                    ambient_metrics.merge_snapshot(result["metrics"])
+                yield unit, result["samples"]
+        if isinstance(active, Tracer):
+            merged = merge_trace_shards(shard_dir)
+            active.ingest(merged)
+            meta["trace_records"] = len(merged)
+        if parent_ledger is not None:
+            # Worker records (the facade's planner.call entries) come
+            # home in canonical order before the parent emits its
+            # per-cell aggregates, exactly as in process.
+            shard_records = merge_ledger_shards(shard_dir)
+            parent_ledger.extend(
+                RunRecord.from_dict(rec) for rec in shard_records)
+            meta["ledger_records"] = len(shard_records)
+    if cache:
+        meta["cache"] = {key: sum(s[key] for s in worker_cache_stats.values())
+                         for key in ArtifactCache().stats()}
 
 
-__all__ = ["run_sweep_parallel"]
+__all__ = ["map_units"]

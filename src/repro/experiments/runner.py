@@ -6,36 +6,39 @@ the paper's Figs. 3(b)/4(b)/5(b)), optionally cross-validates the tour
 against the execution simulator, and aggregates means/standard deviations
 across instances.
 
-Execution engines
------------------
-``jobs=1`` (default) plans every cell sequentially in-process; ``jobs=N``
-fans the cells out to a process pool (:mod:`repro.experiments.parallel`)
-and merges the per-cell rows back in deterministic cell order.  Both
-paths run the *same* per-cell function (:func:`_run_cell`), so every
-deterministic field of every :class:`SweepRow` — volumes, instance
-counts, the kernel work counters in ``perf`` — is bitwise-identical
-regardless of ``jobs``; only the measured wall-clock fields vary run to
-run.  See ``docs/experiments.md``.
+Work units
+----------
+:func:`plan_units` cuts the grid into plain-data *work units*, each
+covering one algorithm spec over a rectangle of the grid, in one of
+three kinds:
 
-``batch_columns=True`` additionally groups each algorithm's cells into
-*columns*: when a spec's kwargs are identical at every parameter value
-and only the energy model varies (Fig. 5's capacity sweep), all of its
-values are planned per instance in one stacked call
-(:mod:`repro.core.batch`) — batch within a process, processes across
-instances under ``jobs > 1``.  Batch plans are bitwise-identical to
-per-cell plans, so every deterministic row field except the perf
-engine/counters (``"batch"`` instead of ``"kernel"``) is unchanged;
-per-cell ``mean_time_s`` becomes the column wall-clock divided by the
-column width.  Ineligible specs (the benchmark, swept-δ kwargs,
-non-insertion TSP modes) silently keep the per-cell path.
+* ``cell`` — one parameter value x every instance (the default);
+* ``column`` (``batch_columns=True``) — every value x one instance,
+  planned in one stacked call (:mod:`repro.core.batch`).  Eligible when
+  a spec's kwargs are identical at every value and only the energy
+  capacity varies (Fig. 5's capacity sweep, :func:`batchable_column`).
+  Batch plans are bitwise-identical to per-cell plans, so every
+  deterministic row field except the perf engine/counters (``"batch"``
+  instead of ``"kernel"``) is unchanged; per-cell ``mean_time_s``
+  becomes the column wall-clock divided by the column width;
+* ``chain`` (``delta_continuation=True``, δ sweeps only) — every δ x one
+  instance of an Algorithm 1 spec, planned in descending δ order,
+  warm-starting every finer grid's reduction corridor and first GRASP
+  construction from the coarser grid's finished tour
+  (:mod:`repro.experiments.continuation`); warm tours are accepted only
+  on strict improvement.
 
-``delta_continuation=True`` (δ sweeps only) chains each Algorithm 1
-spec's cells per instance in descending δ order, warm-starting every
-finer grid's reduction corridor and first GRASP construction from the
-coarser grid's finished tour (:mod:`repro.experiments.continuation`);
-warm tours are accepted only on strict improvement.
+Ineligible specs silently keep the cell kind.  :func:`execute_unit`
+plans one unit of any kind.  ``run_sweep`` maps it over the units in
+canonical order — in process for ``jobs=1``, on a process pool
+(:mod:`repro.experiments.parallel`) for ``jobs=N`` — and merges the
+samples into rows in instance order.  The pool differs only in
+transport, so every deterministic field of every :class:`SweepRow` —
+volumes, instance counts, the kernel work counters in ``perf`` — is
+bitwise-identical regardless of ``jobs``; only the measured wall-clock
+fields vary run to run.  See ``docs/experiments.md``.
 
-Both paths also share the per-process
+Units planned in one process share its
 :class:`~repro.experiments.artifacts.ArtifactCache` (``cache=True``,
 default): δ-grid sites, conflict lists, and auxiliary graphs are built
 once per (instance, δ) and reused across cells, so e.g. a capacity sweep
@@ -48,8 +51,9 @@ geometry-included time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -74,8 +78,9 @@ from repro.obs.record import (
     sanitize_config,
 )
 from repro.obs.record import PERF_SECONDS_PREFIX  # re-export, shared def
-from repro.obs.tracer import TracerLike, activated, span
+from repro.obs.tracer import Tracer, TracerLike, activated, get_tracer, span
 from repro.sim.validate import cross_validate
+from repro.utils.errors import InvalidParameterError
 from repro.utils.timing import Timer
 
 #: MB per GB — figure axes in the paper are GB.
@@ -148,8 +153,11 @@ class SweepResult:
 
     config: ExperimentConfig
     rows: List[SweepRow]
-    #: Execution metadata (jobs, artifact-cache hit/miss counters, trace
-    #: shard count) — diagnostic only, never serialised into the CSVs.
+    #: Execution metadata — ``jobs``, the cells served from batch columns,
+    #: the continuation chain count and the artifact-cache counters, with
+    #: the same keys under any ``jobs``; a pool adds the counts of trace
+    #: and ledger records it merged home.  Diagnostic only, never
+    #: serialised into the CSVs.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def series(self, algorithm: str) -> List[SweepRow]:
@@ -184,9 +192,9 @@ def _fold_perf_ambient(perf: Optional[Dict[str, Any]]) -> None:
     A no-op unless a :class:`~repro.obs.metrics.metrics_scope` is active.
     Work counts become ``kernel.*`` counters (deterministic), the
     measured ``seconds.*`` phases become ``kernel.*`` timers — so a whole
-    sweep's kernel work accumulates in one registry regardless of the
-    execution engine (the parallel executor scopes a fresh registry per
-    worker cell and merges the snapshots back,
+    sweep's kernel work accumulates in one registry regardless of
+    ``jobs`` (a pool worker scopes a fresh registry per work unit and
+    the parent merges the snapshots back,
     :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).
     """
     registry = get_metrics()
@@ -205,10 +213,9 @@ def sweep_cells(algorithms: Sequence[AlgoSpec],
                 param_values: Sequence[float]) -> List[tuple]:
     """The sweep's cell list in canonical order: ``(index, value, spec)``.
 
-    Canonical order is the sequential runner's loop nesting — parameter
-    values outer, algorithms inner — and defines both the row order of
-    :class:`SweepResult` and the progress-callback order under every
-    execution engine.
+    Canonical order is parameter values outer, algorithms inner; it
+    defines the row order of :class:`SweepResult`, the order of the work
+    units (:func:`plan_units`) and the progress-callback order.
     """
     cells = []
     for value in param_values:
@@ -238,7 +245,7 @@ def _emit_sweep_records(config: ExperimentConfig,
     ``sweep.column`` per batched column); a no-op when no ledger is active.
 
     Called *after* every row exists — the parent emits these in canonical
-    cell order under every execution engine, and nothing here touches the
+    cell order under any ``jobs``, and nothing here touches the
     rows, so sweep outputs stay bitwise-identical with the ledger on or
     off.  Cell wall-clock is the aggregate planning time
     (``mean_time_s * n_instances``); the counters are the deterministic
@@ -310,6 +317,140 @@ def _with_site_reduction(make_kwargs: Callable[[ExperimentConfig, float,
     return wrapped
 
 
+#: One work unit: plain data, JSON-safe whenever the planner kwargs are
+#: (see :func:`plan_units`).
+Unit = Dict[str, Any]
+
+
+def plan_units(config: ExperimentConfig,
+               algorithms: Sequence[AlgoSpec],
+               param_name: str,
+               param_values: Sequence[float],
+               *,
+               n_instances: int,
+               make_energy: Callable[[ExperimentConfig, float], EnergyModel],
+               make_kwargs: Callable[[ExperimentConfig, float, AlgoSpec],
+                                     Dict[str, Any]],
+               validate: bool,
+               batch_columns: bool,
+               delta_continuation: bool) -> List[Unit]:
+    """Cut the sweep grid into work units, in canonical order.
+
+    Each spec is classified once: a ``chain`` when *delta_continuation*
+    is set and :func:`~repro.experiments.continuation.chainable_spec`
+    holds, else a ``column`` when *batch_columns* is set and
+    :func:`batchable_column` holds, else plain ``cell`` units.  A cell
+    unit covers one value x every instance; a column or chain unit every
+    value x one instance.  Units are ordered by their first cell index,
+    then instance, and each carries its canonical ``unit`` index, the
+    ``cells``, ``values`` and ``instances`` it covers, and per value the
+    energy-model fields and planner kwargs.
+    """
+    kinds = []
+    for spec in algorithms:
+        if delta_continuation and chainable_spec(config, spec, param_values,
+                                                 make_kwargs):
+            kinds.append("chain")
+        elif batch_columns and batchable_column(config, spec, param_values,
+                                                make_energy, make_kwargs):
+            kinds.append("column")
+        else:
+            kinds.append("cell")
+    cells = sweep_cells(algorithms, param_values)
+    n_specs = len(algorithms)
+    units: List[Unit] = []
+
+    def add(kind: str, s_idx: int, indices: List[int],
+            instances: List[int]) -> None:
+        spec = algorithms[s_idx]
+        values = [cells[index][1] for index in indices]
+        units.append({
+            "unit": len(units), "kind": kind, "spec": s_idx,
+            "algorithm": spec.name, "method": spec.method,
+            "param_name": param_name, "cells": indices,
+            "values": [float(v) for v in values], "instances": instances,
+            "energies": [asdict(make_energy(config, v)) for v in values],
+            "kwargs": [make_kwargs(config, v, spec) for v in values],
+            "validate": validate})
+
+    for index in range(len(cells)):
+        s_idx = index % n_specs
+        if kinds[s_idx] == "cell":
+            add("cell", s_idx, [index], list(range(n_instances)))
+        elif index < n_specs:           # the spec's first value
+            for i in range(n_instances):
+                add(kinds[s_idx], s_idx,
+                    list(range(s_idx, len(cells), n_specs)), [i])
+    return units
+
+
+def execute_unit(unit: Unit,
+                 instances: Sequence[SensorNetwork],
+                 radio: Any,
+                 cache: Optional[ArtifactCache]) -> List[List[Sample]]:
+    """Plan one work unit; returns samples per instance, then per value.
+
+    The one function every unit kind runs through under any ``jobs``:
+    ``run_sweep`` calls it inline for ``jobs=1`` and the pool calls it
+    inside a worker, so the timers wrap the same planning calls and the
+    samples are bitwise-identical either way.  Opens the unit's
+    ``runner.cell`` / ``runner.column`` / ``runner.chain`` span.
+    """
+    kind = unit["kind"]
+    spec = AlgoSpec(unit["algorithm"], unit["method"])
+    energies = [EnergyModel(**fields) for fields in unit["energies"]]
+    kwargs, validate = unit["kwargs"], unit["validate"]
+    nets = [instances[i] for i in unit["instances"]]
+    attrs: Dict[str, Any]
+    if kind == "cell":
+        attrs = {"cell": unit["cells"][0], "value": unit["values"][0]}
+    else:
+        attrs = {"instance": unit["instances"][0], "width": len(energies)}
+    with span(f"runner.{kind}", unit=unit["unit"], param=unit["param_name"],
+              algorithm=spec.name, **attrs):
+        if kind == "cell":
+            return [[_instance_sample(net, spec, energies[0], radio,
+                                      kwargs=kwargs[0], validate=validate,
+                                      cache=cache)]
+                    for net in nets]
+        if kind == "column":
+            return [_plan_column_instance(net, spec, energies, radio,
+                                          kwargs=kwargs[0],
+                                          validate=validate, cache=cache)
+                    for net in nets]
+        assert cache is not None    # run_sweep refuses chains without it
+        return [_plan_chain_instance(net, spec, unit["values"], energies,
+                                     radio, kwargs_by_value=kwargs,
+                                     validate=validate, cache=cache)
+                for net in nets]
+
+
+def _map_in_process(units: Sequence[Unit],
+                    instances: Sequence[SensorNetwork],
+                    radio: Any, cache: Any, meta: Dict[str, Any]
+                    ) -> Iterator[Tuple[Unit, List[List[Sample]]]]:
+    """Yield ``(unit, execute_unit(unit))`` for every unit, in unit order.
+
+    After the last unit, records in *meta* the artifact-cache counters
+    and, when tracing or keeping a ledger, how many span and ledger
+    records the units added — the counts a pool reports for its merge.
+    """
+    artifact_cache = resolve_cache(cache)
+    tracer, ledger = get_tracer(), get_ledger()
+    tracing = isinstance(tracer, Tracer)
+    # Ring-buffer drops count too: the tracer saw those spans.
+    spans0 = len(tracer) + tracer.dropped if tracing else 0
+    records0 = len(ledger) if ledger is not None else 0
+    for unit in units:
+        yield unit, execute_unit(unit, instances, radio, artifact_cache)
+    if artifact_cache is not None:
+        meta["cache"] = artifact_cache.stats()
+    if tracing:
+        meta["trace_records"] = len(tracer) + tracer.dropped - spans0
+    if ledger is not None:
+        meta["ledger_records"] = len(ledger) - records0
+
+
 def run_sweep(config: ExperimentConfig,
               instances: Sequence[SensorNetwork],
               algorithms: Sequence[AlgoSpec],
@@ -334,7 +475,8 @@ def run_sweep(config: ExperimentConfig,
         The campaign configuration.
     instances:
         The shared network instance set (see
-        :func:`repro.experiments.instances.make_instances`).
+        :func:`repro.experiments.instances.make_instances`); every row
+        is a mean over it, so it must not be empty.
     algorithms:
         Plotted algorithms.
     param_name, param_values:
@@ -350,14 +492,14 @@ def run_sweep(config: ExperimentConfig,
         relative to planning; catches planner regressions during sweeps).
     progress:
         Optional callback receiving one ``[k/total]``-prefixed status
-        line per cell, always in canonical cell order (the parallel
-        executor buffers out-of-order completions).
+        line per cell, always in canonical cell order (each line is sent
+        once every earlier cell is complete).
     trace:
         Optional :class:`repro.obs.Tracer` activated for the whole sweep;
-        every cell gets a ``runner.cell`` span wrapping its instance loop,
-        with the planner's own spans nested underneath.  Under
-        ``jobs > 1`` workers record spans into JSONL shards which are
-        merged into this tracer after the sweep
+        every work unit gets a ``runner.cell`` / ``runner.column`` /
+        ``runner.chain`` span with the planner's own spans nested
+        underneath.  Under ``jobs > 1`` workers record spans into JSONL
+        shards which are merged into this tracer after the sweep
         (:mod:`repro.obs.shards`).
     jobs:
         Worker process count; ``1`` runs in-process.
@@ -377,12 +519,11 @@ def run_sweep(config: ExperimentConfig,
         (``None``/``"off"``, ``"safe"``, ``"aggressive"``, a
         :class:`~repro.core.reduce.SiteReduction`, or its dict form).
         Implemented by wrapping *make_kwargs* with a JSON-safe
-        ``site_reduction`` planner kwarg, so it reaches every execution
-        engine — sequential, parallel workers, and batch columns — the
-        same way; benchmark specs and specs that already set their own
-        ``site_reduction`` are left alone.  Capacity-dependent stages
-        bound a batch column by its largest capacity (see
-        :mod:`repro.core.batch`).
+        ``site_reduction`` planner kwarg, so it reaches every unit kind
+        under any ``jobs`` the same way; benchmark specs and specs that
+        already set their own ``site_reduction`` are left alone.
+        Capacity-dependent stages bound a batch column by its largest
+        capacity (see :mod:`repro.core.batch`).
     delta_continuation:
         Plan each Algorithm 1 spec's δ column per instance in descending
         δ order (coarse grids first), warm-starting every finer cell's
@@ -396,6 +537,10 @@ def run_sweep(config: ExperimentConfig,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not len(instances):
+        raise InvalidParameterError(
+            "run_sweep needs at least one network instance: every row is "
+            "a mean over the instance set")
     if delta_continuation:
         if param_name != "delta":
             raise ValueError(
@@ -409,121 +554,52 @@ def run_sweep(config: ExperimentConfig,
     if reduction.enabled:
         make_kwargs = _with_site_reduction(make_kwargs,
                                            reduction.transport())
-    if jobs > 1:
-        from repro.experiments.parallel import run_sweep_parallel
-        return run_sweep_parallel(
-            config, instances, algorithms, param_name, param_values,
-            make_energy=make_energy, make_kwargs=make_kwargs,
-            validate=validate, progress=progress, trace=trace, jobs=jobs,
-            cache=bool(cache), batch_columns=batch_columns,
-            delta_continuation=delta_continuation)
-
-    radio = config.radio_model()
-    artifact_cache = resolve_cache(cache)
     cells = sweep_cells(algorithms, param_values)
-    rows: List[SweepRow] = []
-    column_rows: Dict[int, SweepRow] = {}
-    batch_specs: List[int] = []
-    chain_specs: List[int] = []
-    n_specs = len(algorithms)
-    with activated(trace):
-        if delta_continuation:
-            for s_idx, spec in enumerate(algorithms):
-                if not chainable_spec(config, spec, param_values,
-                                      make_kwargs):
-                    continue
-                chain_specs.append(s_idx)
-                energies = [make_energy(config, v) for v in param_values]
-                kwargs_by_value = [make_kwargs(config, v, spec)
-                                   for v in param_values]
-                samples_by_value: List[List[Sample]] = \
-                    [[] for _ in param_values]
-                with span("runner.chain", algorithm=spec.name,
-                          param=param_name, width=len(param_values)):
-                    for net in instances:
-                        samples = _plan_chain_instance(
-                            net, spec, param_values, energies, radio,
-                            kwargs_by_value=kwargs_by_value,
-                            validate=validate, cache=artifact_cache)
-                        for v_idx, sample in enumerate(samples):
-                            samples_by_value[v_idx].append(sample)
-                for v_idx, value in enumerate(param_values):
-                    column_rows[v_idx * n_specs + s_idx] = \
-                        _aggregate_samples(param_name, value, spec,
-                                           samples_by_value[v_idx])
-        if batch_columns:
-            for s_idx, spec in enumerate(algorithms):
-                if s_idx in chain_specs or not batchable_column(
-                        config, spec, param_values, make_energy,
-                        make_kwargs):
-                    continue
-                batch_specs.append(s_idx)
-                energies = [make_energy(config, v) for v in param_values]
-                kwargs = make_kwargs(config, param_values[0], spec)
-                samples_by_value = [[] for _ in param_values]
-                with span("runner.column", algorithm=spec.name,
-                          param=param_name, width=len(param_values)):
-                    for net in instances:
-                        samples = _plan_column_instance(
-                            net, spec, energies, radio, kwargs=kwargs,
-                            validate=validate, cache=artifact_cache)
-                        for v_idx, sample in enumerate(samples):
-                            samples_by_value[v_idx].append(sample)
-                for v_idx, value in enumerate(param_values):
-                    column_rows[v_idx * n_specs + s_idx] = \
-                        _aggregate_samples(param_name, value, spec,
-                                           samples_by_value[v_idx])
-        for index, value, spec in cells:
-            if index in column_rows:
-                row = column_rows[index]
-            else:
-                energy = make_energy(config, value)
-                kwargs = make_kwargs(config, value, spec)
-                with span("runner.cell", cell=index, param=param_name,
-                          value=float(value), algorithm=spec.name):
-                    row = _run_cell(instances, spec, param_name, value,
-                                    energy, radio, kwargs=kwargs,
-                                    validate=validate,
-                                    cache=artifact_cache)
-            rows.append(row)
-            if progress is not None:
-                progress(format_progress(index, len(cells), param_name,
-                                         value, row))
-        _emit_sweep_records(
-            config, algorithms, param_name, param_values, rows, jobs=1,
-            column_specs=batch_specs)
+    units = plan_units(config, algorithms, param_name, param_values,
+                       n_instances=len(instances), make_energy=make_energy,
+                       make_kwargs=make_kwargs, validate=validate,
+                       batch_columns=batch_columns,
+                       delta_continuation=delta_continuation)
+    column_specs = sorted({u["spec"] for u in units
+                           if u["kind"] == "column"})
     meta: Dict[str, Any] = {
-        "jobs": 1,
-        "batch_columns": len(batch_specs) * len(param_values),
-        "continuation_chains": len(chain_specs) * len(instances)}
-    if artifact_cache is not None:
-        meta["cache"] = artifact_cache.stats()
-    return SweepResult(config=config, rows=rows, meta=meta)
-
-
-def _run_cell(instances: Sequence[SensorNetwork],
-              spec: AlgoSpec,
-              param_name: str,
-              value: float,
-              energy: EnergyModel,
-              radio: Any,
-              *,
-              kwargs: Dict[str, Any],
-              validate: bool,
-              cache: Optional[ArtifactCache] = None) -> SweepRow:
-    """Plan every instance of one (algorithm, parameter value) cell.
-
-    This is the unit of work both execution engines share: the
-    sequential runner calls it inline, the parallel executor calls it
-    inside each worker — which is what keeps the timing semantics
-    identical (the :class:`Timer` wraps only the planning call, never
-    queueing or transport) and the deterministic row fields bitwise-equal
-    across ``jobs`` settings.
-    """
-    samples = [_instance_sample(net, spec, energy, radio, kwargs=kwargs,
-                                validate=validate, cache=cache)
-               for net in instances]
-    return _aggregate_samples(param_name, value, spec, samples)
+        "jobs": jobs,
+        "batch_columns": len(column_specs) * len(param_values),
+        "continuation_chains": sum(u["kind"] == "chain" for u in units)}
+    slots: List[List[Optional[Sample]]] = [[None] * len(instances)
+                                           for _ in cells]
+    rows: Dict[int, SweepRow] = {}
+    reported = 0
+    with activated(trace):
+        if jobs == 1 or not units:
+            results = _map_in_process(units, instances,
+                                      config.radio_model(), cache, meta)
+        else:
+            from repro.experiments.parallel import map_units
+            results = map_units(units, instances, config, jobs=jobs,
+                                cache=bool(cache), meta=meta)
+        # Results arrive in unit order; a cell's row is aggregated over
+        # its samples in instance order as soon as its last one lands,
+        # and progress covers the contiguous prefix of finished rows.
+        for unit, samples in results:
+            for i, by_value in zip(unit["instances"], samples):
+                for index, sample in zip(unit["cells"], by_value):
+                    slots[index][i] = sample
+            for index in unit["cells"]:
+                if None not in slots[index]:
+                    _, value, spec = cells[index]
+                    rows[index] = _aggregate_samples(param_name, value, spec,
+                                                     slots[index])
+            while reported in rows:
+                if progress is not None:
+                    progress(format_progress(reported, len(cells),
+                                             param_name, cells[reported][1],
+                                             rows[reported]))
+                reported += 1
+        ordered = [rows[index] for index in range(len(cells))]
+        _emit_sweep_records(config, algorithms, param_name, param_values,
+                            ordered, jobs=jobs, column_specs=column_specs)
+    return SweepResult(config=config, rows=ordered, meta=meta)
 
 
 #: One per-instance measurement: (volume_gb, planning_time_s, perf dict).
@@ -559,9 +635,9 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
                        samples: Sequence[Sample]) -> SweepRow:
     """Aggregate one cell's per-instance samples into its sweep row.
 
-    Shared verbatim by the per-cell, column, and parallel executors —
-    aggregation order is the instance order, so every executor produces
-    the identical float reductions.
+    ``run_sweep`` calls it for every cell with the samples in instance
+    order under any ``jobs`` and unit kind, so the float reductions are
+    identical.
     """
     volumes = [s[0] for s in samples]
     times = [s[1] for s in samples]
@@ -708,9 +784,9 @@ def _plan_chain_instance(net: SensorNetwork,
     *value* order; the timer wraps each cell's planning call exactly
     like the per-cell path, so ``mean_time_s`` keeps its semantics.
 
-    Both execution engines share this function verbatim — sequential
-    chains run it inline, parallel chains inside a worker — which is
-    what keeps continuation rows bitwise-identical across ``jobs``.
+    :func:`execute_unit` runs it for every chain unit — inline or inside
+    a pool worker — so the warm payloads never cross a process boundary
+    and continuation rows are bitwise-identical across ``jobs``.
     """
     samples: List[Optional[Sample]] = [None] * len(param_values)
     seed_points: Optional[List[List[float]]] = None
@@ -754,6 +830,7 @@ __all__ = ["AlgoSpec", "SweepRow", "SweepResult", "run_sweep", "MB_PER_GB",
            "PERF_SECONDS_PREFIX", "sweep_cells", "format_progress",
            "batchable_column", "_with_site_reduction",
            "_flatten_perf", "_fold_perf_ambient",
-           "_emit_sweep_records", "_run_cell", "_instance_sample",
+           "_emit_sweep_records", "plan_units", "execute_unit",
+           "_instance_sample",
            "_aggregate_samples", "_plan_column_instance",
            "_plan_chain_instance", "_population_std"]

@@ -7,10 +7,11 @@ worker appends its finished spans to a private JSONL *shard* file —
 the parent merges the shards into a single span-record list after the
 sweep completes.  The merge:
 
-* orders shards deterministically — by the smallest ``cell`` attribute
-  recorded in the shard (every ``runner.cell`` span carries its cell
-  index), falling back to the shard filename — so the merged trace does
-  not depend on worker pids or completion order;
+* orders shards deterministically — by the smallest ``unit`` attribute
+  recorded in the shard (every ``runner.cell`` / ``runner.column`` /
+  ``runner.chain`` span carries its canonical work-unit index), falling
+  back to the shard filename — so the merged trace does not depend on
+  worker pids or completion order;
 * re-identifies every span into one contiguous id space and remaps
   parent links shard-locally, so ids never collide across workers;
 * preserves each shard's internal record order (children before parents,
@@ -55,9 +56,9 @@ def shard_path(directory: PathLike, worker_id: Union[int, str],
 def append_shard(records: Iterable[Dict[str, Any]], path: PathLike) -> int:
     """Append span *records* to the shard at *path*; returns count written.
 
-    Workers call this once per completed cell (records are flushed from
-    the worker tracer afterwards), so a crashed worker still leaves the
-    spans of every cell it finished.
+    Workers call this once per completed work unit (records are flushed
+    from the worker tracer afterwards), so a crashed worker still leaves
+    the spans of every unit it finished.
     """
     n = 0
     with open(path, "a", encoding="utf-8") as fh:
@@ -71,11 +72,11 @@ def list_shards(directory: PathLike, kind: str = "trace") -> List[Path]:
 
 
 def _shard_sort_key(records: List[Dict[str, Any]], path: Path) -> tuple:
-    """Deterministic shard order: smallest recorded cell index, then name."""
-    cells = [rec["attrs"]["cell"] for rec in records
+    """Deterministic shard order: smallest recorded unit index, then name."""
+    units = [rec["attrs"]["unit"] for rec in records
              if isinstance(rec.get("attrs"), dict)
-             and isinstance(rec["attrs"].get("cell"), int)]
-    return (min(cells) if cells else -1, path.name)
+             and isinstance(rec["attrs"].get("unit"), int)]
+    return (min(units) if units else -1, path.name)
 
 
 def merge_trace_shards(
@@ -104,13 +105,13 @@ def merge_trace_shards(
     merged: List[Dict[str, Any]] = []
     next_id = 0
     for _path, records in loaded:
-        id_map: Dict[int, int] = {}
+        # Children are recorded before their parents, so map every id of
+        # the shard before remapping any parent link.
+        id_map = {rec["id"]: next_id + k for k, rec in enumerate(records)
+                  if isinstance(rec.get("id"), int)}
         for rec in records:
             copy = dict(rec)
-            old_id = rec.get("id")
             copy["id"] = next_id
-            if isinstance(old_id, int):
-                id_map[old_id] = next_id
             next_id += 1
             parent = rec.get("parent")
             if isinstance(parent, int):

@@ -236,16 +236,16 @@ class Tracer:
         attribute the parallel sweep executor stamps on shard spans.
         Returns the number of records ingested.
         """
-        id_map: Dict[int, int] = {}
+        # Children are recorded before their parents, so map every id
+        # before remapping any parent link.
+        id_map = {rec["id"]: self._next_id + k
+                  for k, rec in enumerate(records)
+                  if isinstance(rec.get("id"), int)}
         n = 0
         for rec in records:
-            new_id = self._next_id
-            self._next_id += 1
-            old_id = rec.get("id")
-            if isinstance(old_id, int):
-                id_map[old_id] = new_id
             copy = dict(rec)
-            copy["id"] = new_id
+            copy["id"] = self._next_id
+            self._next_id += 1
             parent = rec.get("parent")
             if isinstance(parent, int):
                 copy["parent"] = id_map.get(parent, None)

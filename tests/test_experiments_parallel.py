@@ -6,6 +6,8 @@ to the in-process ``jobs=1`` path, for every figure runner, any worker
 count, and cache on or off.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,12 +20,12 @@ from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
-from repro.experiments.parallel import _encode_unit, run_sweep_parallel
 from repro.experiments.runner import (
     AlgoSpec,
     SweepRow,
     batchable_column,
     format_progress,
+    plan_units,
     run_sweep,
     sweep_cells,
 )
@@ -138,6 +140,69 @@ class TestProgressParallel:
             assert row.algorithm in line
 
 
+#: The span every work unit opens, one name per unit kind.
+UNIT_SPANS = ("runner.cell", "runner.column", "runner.chain")
+
+
+def unit_spans(records):
+    """Unit spans as a sorted multiset: name plus attributes, minus the
+    ``worker`` pid a pool stamps on them."""
+    return sorted(
+        json.dumps([r["name"], {k: v for k, v in r["attrs"].items()
+                                if k != "worker"}], sort_keys=True)
+        for r in records if r["name"] in UNIT_SPANS)
+
+
+def span_nesting(records):
+    """``(span name, parent span name)`` pairs of every span the units
+    recorded, as a sorted multiset."""
+    by_id = {r["id"]: r for r in records}
+    return sorted(
+        (r["name"], by_id[r["parent"]]["name"]
+         if r["parent"] is not None else "")
+        for r in records if r["name"] != "parallel.sweep")
+
+
+class TestJobsParity:
+    """One executor runs every unit kind under any ``jobs``: the unit
+    spans, the meta keys and the progress order must not depend on it."""
+
+    @pytest.mark.parametrize("figure, mode, kind", [
+        ("fig5", {"batch_columns": True}, "runner.column"),
+        ("fig4", {"delta_continuation": True}, "runner.chain")])
+    def test_spans_meta_and_progress_match(self, tiny_config, figure, mode,
+                                           kind):
+        runner = {"fig4": run_fig4, "fig5": run_fig5}[figure]
+        runs = []
+        for jobs in (1, 2):
+            tracer, lines = Tracer(), []
+            with activated(tracer):
+                result = runner(tiny_config, jobs=jobs,
+                                progress=lines.append, **mode)
+            records = tracer.records()
+            runs.append((result, unit_spans(records), lines,
+                         span_nesting(records)))
+        (seq, seq_spans, seq_lines, seq_tree), \
+            (par, par_spans, par_lines, par_tree) = runs
+        assert det_rows(par) == det_rows(seq)
+        assert par_spans == seq_spans
+        # The shard merge keeps every parent link a worker recorded.
+        assert par_tree == seq_tree
+        assert ("planner.plan_tour", "runner.cell") in seq_tree
+        # One column/chain span per (spec, instance).
+        kind_attrs = [attrs for name, attrs in map(json.loads, seq_spans)
+                      if name == kind]
+        specs = {attrs["algorithm"] for attrs in kind_attrs}
+        assert specs
+        assert len(kind_attrs) == len(specs) * tiny_config.n_instances
+        assert set(par.meta) == set(seq.meta)
+        assert set(par.meta["cache"]) == set(seq.meta["cache"])
+        total = len(seq.rows)
+        for lines in (seq_lines, par_lines):
+            assert [line.split("]")[0] for line in lines] == \
+                [f"[{k + 1}/{total}" for k in range(total)]
+
+
 class TestTraceShardsIntegration:
     def test_worker_spans_merge_into_parent(self, tiny_config):
         tracer = Tracer()
@@ -181,15 +246,27 @@ class TestShardsUnit:
         merged = merge_trace_shards(tmp_path)
         assert [r["attrs"]["cell"] for r in merged] == [0, 1]
 
-    def test_merge_orders_shards_by_min_cell(self, tmp_path):
+    def test_merge_orders_shards_by_min_unit(self, tmp_path):
         # Worker pids give no ordering guarantee; the merge must sort by
-        # the smallest cell index each shard saw.
-        append_shard([self._rec(0, None, "runner.cell", cell=3)],
+        # the smallest work-unit index each shard saw.
+        append_shard([self._rec(0, None, "runner.cell", unit=3, cell=3)],
                      shard_path(tmp_path, 111))
-        append_shard([self._rec(0, None, "runner.cell", cell=0)],
+        append_shard([self._rec(0, None, "runner.cell", unit=0, cell=0)],
                      shard_path(tmp_path, 999))
         merged = merge_trace_shards(tmp_path)
         assert [r["attrs"]["cell"] for r in merged] == [0, 3]
+
+    def test_merge_orders_column_only_shards_by_unit(self, tmp_path):
+        # Column and chain spans carry no cell index; their shards must
+        # still merge in unit order, not by pid filename.
+        append_shard([self._rec(0, None, "runner.column", unit=1,
+                                instance=1)],
+                     shard_path(tmp_path, 111))
+        append_shard([self._rec(0, None, "runner.column", unit=0,
+                                instance=0)],
+                     shard_path(tmp_path, 999))
+        merged = merge_trace_shards(tmp_path)
+        assert [r["attrs"]["instance"] for r in merged] == [0, 1]
 
     def test_merge_rebases_ids_and_parents(self, tmp_path):
         append_shard([self._rec(0, None, "runner.cell", cell=0),
@@ -205,6 +282,22 @@ class TestShardsUnit:
             parent = next(r for r in merged if r["id"] == child["parent"])
             assert parent["name"] == "runner.cell"
 
+    def test_merge_links_children_recorded_before_parents(self, tmp_path):
+        # A tracer records a span when it closes, so a shard lists every
+        # child before its parent.
+        append_shard([self._rec(5, 6, "planner.plan_tour"),
+                      self._rec(6, None, "runner.cell", unit=0, cell=0)],
+                     shard_path(tmp_path, 1))
+        child, parent = merge_trace_shards(tmp_path)
+        assert child["parent"] == parent["id"]
+        tracer = Tracer()
+        with activated(tracer):
+            with tracer.span("parallel.sweep"):
+                pass
+        tracer.ingest([child, parent])
+        _, child, parent = tracer.records()
+        assert child["parent"] == parent["id"]
+
     def test_merge_accepts_explicit_paths(self, tmp_path):
         a = shard_path(tmp_path, 1)
         append_shard([self._rec(0, None, "runner.cell", cell=0)], a)
@@ -215,13 +308,33 @@ class TestShardsUnit:
 
 
 class TestWorkUnits:
-    def test_non_json_kwargs_rejected(self):
-        spec = AlgoSpec("Alg 2", "algorithm2", {})
-        energy = reduced_settings().energy_model()
+    def test_non_json_kwargs_rejected(self, tiny_config):
+        # Raised by the pool's JSON codec before any worker starts.
         with pytest.raises(TypeError, match="non-serialisable"):
-            _encode_unit(0, "capacity", 1.5e4, spec, energy,
-                         {"delta": 25.0, "rng": np.random.default_rng(0)},
-                         True)
+            run_sweep(tiny_config, make_instances(tiny_config),
+                      [AlgoSpec("Alg 2", "algorithm2", {})], "capacity",
+                      (1.5e4,),
+                      make_energy=lambda c, v: c.energy_model(capacity=v),
+                      make_kwargs=lambda c, v, s: {
+                          "delta": 25.0, "rng": np.random.default_rng(0)},
+                      jobs=2)
+
+    def test_units_in_canonical_order(self, tiny_config):
+        specs = [AlgoSpec("Bench", "benchmark", {}),
+                 AlgoSpec("Alg 2", "algorithm2", {})]
+        units = plan_units(
+            tiny_config, specs, "capacity", (1.5e4, 3e4), n_instances=2,
+            make_energy=lambda c, v: c.energy_model(capacity=v),
+            make_kwargs=lambda c, v, s: (
+                {} if s.method == "benchmark" else {"delta": 25.0}),
+            validate=True, batch_columns=True, delta_continuation=False)
+        assert [(u["unit"], u["kind"], u["cells"], u["instances"])
+                for u in units] == [
+            (0, "cell", [0], [0, 1]),
+            (1, "column", [1, 3], [0]),
+            (2, "column", [1, 3], [1]),
+            (3, "cell", [2], [0, 1])]
+        assert [e["capacity"] for e in units[1]["energies"]] == [1.5e4, 3e4]
 
 
 class TestEngineSelection:
@@ -231,18 +344,27 @@ class TestEngineSelection:
                       make_energy=lambda c, v: c.energy_model(),
                       make_kwargs=lambda c, v, s: {}, jobs=0)
 
-    def test_parallel_rejects_jobs_one(self, tiny_config):
-        with pytest.raises(ValueError, match="jobs >= 2"):
-            run_sweep_parallel(tiny_config, [], [], "capacity", (),
-                               make_energy=lambda c, v: c.energy_model(),
-                               make_kwargs=lambda c, v, s: {}, jobs=1)
-
     def test_parallel_empty_cells(self, tiny_config):
-        result = run_sweep_parallel(
-            tiny_config, [], [], "capacity", (),
-            make_energy=lambda c, v: c.energy_model(),
-            make_kwargs=lambda c, v, s: {}, jobs=2)
-        assert result.rows == []
+        instances = make_instances(tiny_config)
+        spec = AlgoSpec("Bench", "benchmark", {})
+        for algorithms, values in (([], (1.5e4,)), ([spec], ())):
+            for jobs in (1, 2):
+                result = run_sweep(
+                    tiny_config, instances, algorithms, "capacity", values,
+                    make_energy=lambda c, v: c.energy_model(),
+                    make_kwargs=lambda c, v, s: {}, jobs=jobs)
+                assert result.rows == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("figure, mode", [
+        ("fig3", {}),
+        ("fig5", {"batch_columns": True}),
+        ("fig4", {"delta_continuation": True})])
+    def test_empty_instance_list_rejected(self, tiny_config, jobs, figure,
+                                          mode):
+        runner = {"fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5}
+        with pytest.raises(InvalidParameterError, match="instance"):
+            runner[figure](tiny_config, [], jobs=jobs, **mode)
 
 
 class TestConfigTransport:
