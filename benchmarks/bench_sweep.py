@@ -28,7 +28,6 @@ import sys
 import time
 from typing import Any, Dict
 
-from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
 
@@ -44,24 +43,17 @@ def _run_mode(config, *, jobs: int, cache: bool,
               repeats: int) -> Dict[str, Any]:
     times = []
     result = None
-    metrics = None
     for _ in range(repeats):
-        # Own the cache at jobs=1 so its MetricsRegistry (hit/miss
-        # counters, artifact gauge) can be snapshotted; the process
-        # pool's per-worker caches only report merged stats() via meta.
-        owned = ArtifactCache() if cache and jobs == 1 else cache
         start = time.perf_counter()
-        result = run_fig3(config, n_restarts=1, jobs=jobs, cache=owned)
+        result = run_fig3(config, n_restarts=1, jobs=jobs, cache=cache)
         times.append(time.perf_counter() - start)
-        if isinstance(owned, ArtifactCache):
-            metrics = owned.metrics.snapshot()
     return {
         "jobs": jobs,
         "cache": cache,
         "wall_s": min(times),
         "wall_s_all": [round(t, 4) for t in times],
+        # Hit/miss/artifact counts, summed over workers under any jobs.
         "cache_stats": result.meta.get("cache"),
-        "cache_metrics": metrics,
         "rows": [row.deterministic_dict() for row in result.rows],
     }
 

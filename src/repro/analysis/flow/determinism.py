@@ -23,8 +23,8 @@ every concrete taint observed at a sink, with the full
 ``source -> hop -> ... -> sink`` trace rendered in the finding's hint.
 
 Known limits (by design): attribute *stores* drop taint, so the
-sanctioned wall-clock plumbing (``Timer``/``MetricsRegistry`` writing
-``meta["perf"]["seconds"]``, excluded from determinism comparisons)
+sanctioned wall-clock plumbing (the runner's ``Timer`` feeding
+``mean_time_s``/``std_time_s``, spans recording their own durations)
 never fires; ``dict`` iteration is insertion-ordered in supported
 Pythons and is not a source.
 """

@@ -12,9 +12,8 @@ are checkable from the call graph without running a planner:
    and silently swallowed (or rejected) by the other is exactly how a
    sweep config stops meaning the same thing per cell and per column.
 2. **perf key contract** — every ``perf()`` writer in a family must
-   publish the same ``meta["perf"]`` key set: ``engine``, ``seconds``,
-   and the family's registered work counters (read from the
-   ``metrics.counter(name)`` registration loops).  Downstream consumers
+   publish the same ``meta["perf"]`` key set: ``engine`` plus every work
+   counter any writer of the family publishes.  Downstream consumers
    (``SweepRow.deterministic_dict``, the claims harness, benchmark
    reports) index those keys blind.
 
@@ -41,8 +40,8 @@ DISPATCH_ONLY = frozenset({"tsp_mode"})
 #: The per-variant -> stacked structural parameter rename.
 _STRUCTURAL_RENAME = ("energy", "energies")
 
-#: perf keys every writer carries besides the registered counters.
-_BASE_PERF_KEYS = frozenset({"engine", "seconds"})
+#: perf keys every writer carries besides its work counters.
+_BASE_PERF_KEYS = frozenset({"engine"})
 
 
 def _family(info_or_mod) -> str:
@@ -91,43 +90,6 @@ class _PerfWriter:
         for key in node.keys:
             if isinstance(key, ast.Constant) and isinstance(key.value, str):
                 self.keys.add(key.value)
-
-
-def _registered_counters(graph: CallGraph) -> Dict[str, Set[str]]:
-    """Counter names registered per family via ``counter(name)`` loops.
-
-    Matches the pre-registration idiom::
-
-        for name in ("insertions", "drains", ...):
-            self.metrics.counter(name)
-
-    (an ``Expr`` statement — chained usage like ``counter("x").inc()``
-    is a write, not a registration, and is ignored).
-    """
-    out: Dict[str, Set[str]] = {}
-    for info in graph.repro_functions():
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.For) \
-                    or not isinstance(node.target, ast.Name) \
-                    or not isinstance(node.iter, (ast.Tuple, ast.List)):
-                continue
-            names = [e.value for e in node.iter.elts
-                     if isinstance(e, ast.Constant)
-                     and isinstance(e.value, str)]
-            if len(names) != len(node.iter.elts) or not names:
-                continue
-            registers = any(
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and isinstance(stmt.value.func, ast.Attribute)
-                and stmt.value.func.attr == "counter"
-                and any(isinstance(a, ast.Name)
-                        and a.id == node.target.id
-                        for a in stmt.value.args)
-                for stmt in node.body)
-            if registers:
-                out.setdefault(_family(info), set()).update(names)
-    return out
 
 
 class FlowParityRule:
@@ -195,17 +157,15 @@ class FlowParityRule:
             if info.name == "perf" and info.cls is not None:
                 writers.setdefault(_family(info), []).append(
                     _PerfWriter(info))
-        counters = _registered_counters(graph)
         for family in sorted(writers):
             fam_writers = writers[family]
             contract: Set[str] = set(_BASE_PERF_KEYS)
-            contract |= counters.get(family, set())
             for writer in fam_writers:
                 contract |= writer.keys
             for writer in sorted(fam_writers,
                                  key=lambda w: w.info.qname):
                 if writer.open:
-                    continue       # key set unbounded; counters cover it
+                    continue       # key set unbounded
                 missing = sorted(contract - writer.keys)
                 if missing:
                     yield Finding(
@@ -215,8 +175,8 @@ class FlowParityRule:
                                 f"omits key(s) {missing} from the "
                                 f"{family} meta['perf'] contract",
                         hint="every perf() writer must publish the "
-                             "same key set (engine, seconds, and the "
-                             "registered counters) so consumers can "
+                             "same key set (engine and the family's "
+                             "work counters) so consumers can "
                              "index blind; emit the key (0 if unused) "
                              "or add '# repro: allow[flow-parity]' "
                              "stating why the key cannot exist here")

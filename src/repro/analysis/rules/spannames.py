@@ -19,13 +19,12 @@ looks like a tracer (``tracer.span(...)``, ``trace.span(...)``,
 attributes (e.g. a regex match span) do not fit those shapes.
 
 The same namespace covers the run ledger: ``record_event("...")`` event
-names, ``RunRecord(event="...")`` literals, and metric names registered
-on the *ambient* registry (``get_metrics().counter("...")`` and friends)
-must all be dotted ``family.verb`` paths — the regression observatory
-aggregates by these strings exactly as the trace report aggregates by
-span name.  Kernel-local registries (``self.metrics.counter("drains")``)
-are exempt: their short names are namespaced later by the perf fold
-(``kernel.*``) and are pinned by the ``meta["perf"]`` contract.
+names and ``RunRecord(event="...")`` literals must be dotted
+``family.verb`` paths — the regression observatory aggregates by these
+strings exactly as the trace report aggregates by span name.  Work
+counter keys (``meta["perf"]``) are not naming sites: their short names
+are namespaced when the ledger folds them (``kernel.*``) and are pinned
+by the ``meta["perf"]`` contract.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ SPAN_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
 TRACER_RECEIVERS = frozenset({
     "obs", "trace", "tracer", "_trace", "_tracer", "_active",
 })
-
-
-#: Get-or-create methods of a :class:`~repro.obs.metrics.MetricsRegistry`.
-METRIC_METHODS = frozenset({"counter", "gauge", "histogram", "timer"})
 
 
 def _span_call_name(call: ast.Call) -> bool:
@@ -70,12 +65,9 @@ def _first_arg_literal(call: ast.Call) -> Optional[str]:
 def _named_literal(call: ast.Call) -> Optional[tuple]:
     """``(name, what)`` for any recognised naming site of *call*.
 
-    Covers ledger event emission (``record_event("...")``, direct
-    ``RunRecord(event="...")`` construction) and ambient-registry metric
-    registration (``get_metrics().counter("...")`` etc. — the receiver
-    must literally be a ``get_metrics()`` call, which is what exempts
-    kernel-local registries).  Returns ``None`` when *call* is none of
-    those or the name is not a literal.
+    Covers ledger event emission (``record_event("...")`` and direct
+    ``RunRecord(event="...")`` construction).  Returns ``None`` when
+    *call* is neither or the name is not a literal.
     """
     chain = iter_call_name(call)
     if chain and chain[-1] == "record_event":
@@ -86,15 +78,6 @@ def _named_literal(call: ast.Call) -> Optional[tuple]:
             if kw.arg == "event" and isinstance(kw.value, ast.Constant) \
                     and isinstance(kw.value.value, str):
                 return (kw.value.value, "ledger event")
-        return None
-    func = call.func
-    if isinstance(func, ast.Attribute) and func.attr in METRIC_METHODS \
-            and isinstance(func.value, ast.Call):
-        receiver = iter_call_name(func.value)
-        if receiver and receiver[-1] == "get_metrics":
-            name = _first_arg_literal(call)
-            if name is not None:
-                return (name, f"ambient {func.attr} metric")
     return None
 
 
@@ -102,8 +85,8 @@ class ObsSpanNamingRule:
     """Require ``<module>.<operation>`` dotted lowercase span names."""
 
     rule_id = "obs-span-naming"
-    description = ("span()/ledger-event/ambient-metric names must be dotted "
-                   "lowercase paths (<family>.<verb>, e.g. 'kernel.rescore')")
+    description = ("span()/ledger-event names must be dotted lowercase "
+                   "paths (<family>.<verb>, e.g. 'kernel.rescore')")
 
     def check(self, project: Project) -> Iterator[Finding]:
         for mod in project.repro_modules():
@@ -141,5 +124,4 @@ class ObsSpanNamingRule:
                          "stable")
 
 
-__all__ = ["ObsSpanNamingRule", "SPAN_NAME_RE", "TRACER_RECEIVERS",
-           "METRIC_METHODS"]
+__all__ = ["ObsSpanNamingRule", "SPAN_NAME_RE", "TRACER_RECEIVERS"]

@@ -5,7 +5,7 @@ instance planned at B parameter variants (Fig. 5's capacity sweep, the
 related work's denser capacity/rate grids).  PR 1 made a single plan
 O(overlap) per selection, but every cell of a column still pays the full
 Python interpreter overhead per greedy round — one round of numpy
-dispatches, span/timer bookkeeping, and loop control *per cell*.
+dispatches, span bookkeeping, and loop control *per cell*.
 
 :class:`BatchPlannerKernel` plans the whole column as a single numpy
 program.  The per-variant residual-award (Eq. 11) and residual-hover-time
@@ -49,10 +49,9 @@ seeded scenarios, column groupings, and ``jobs`` settings.
 
 The batch kernel keeps *grouping-invariant* per-variant counters
 (insertions, drains, tour flushes, deltas recomputed) for
-``CollectionTour.meta["perf"]`` — the union-rescore totals depend on the
-column composition, so they live only in the column-level
-:class:`~repro.obs.metrics.MetricsRegistry` (``rounds``,
-``union_sites_rescored``) alongside the ``kernel.batch.*`` spans.
+``CollectionTour.meta["perf"]``; union-rescore work depends on the
+column composition, so it is not counted.  Time per phase is measured
+only by the ``batch.round`` and ``kernel.batch.*`` spans.
 """
 
 from __future__ import annotations
@@ -75,7 +74,6 @@ from repro.energy.model import EnergyModel
 from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import cross_distances, pairwise_distances
 from repro.network.sensor_network import SensorNetwork
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import span
 from repro.radio.link import RadioModel
 from repro.tsp.improve import two_opt
@@ -217,15 +215,6 @@ class BatchPlannerKernel:
         # insertion flush, patched in step with each tour insert.
         self._tour_rows: List[List[int]] = [[] for _ in range(B)]
 
-        # Column-level metrics: round and union-rescore totals (these
-        # depend on the column composition and stay out of the
-        # per-variant perf snapshots) plus per-phase timers.
-        self.metrics = MetricsRegistry()
-        for name in ("rounds", "union_sites_rescored", "insertions",
-                     "drains", "tour_flushes", "deltas_recomputed"):
-            self.metrics.counter(name)
-        for name in ("rescore", "insertion", "partial"):
-            self.metrics.timer(name)
         # Grouping-invariant per-variant work counters (perf snapshots).
         self._insertions = np.zeros(B, dtype=np.int64)
         self._drains = np.zeros(B, dtype=np.int64)
@@ -237,7 +226,7 @@ class BatchPlannerKernel:
     # ------------------------------------------------------------------ #
     def residual_scores(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current ``(P', t')`` rows for every variant (cached views)."""
-        with self.metrics.time("rescore"), span("kernel.batch.rescore"):
+        with span("kernel.batch.rescore"):
             self._flush_residuals()
         return self._p_res, self._t_res
 
@@ -257,7 +246,6 @@ class BatchPlannerKernel:
         self._t_res[:, dirty] = _segment_reduce_rows(
             vals, starts, lengths, np.maximum) / self.bandwidth
         self._partial_dirty[:, dirty] = True
-        self.metrics.counter("union_sites_rescored").inc(len(dirty))
 
     def partial_scores(self, fractions: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,9 +259,9 @@ class BatchPlannerKernel:
             self._tau = np.zeros((self.B, self.m, len(fractions)))
             # repro: allow[hot-path-purity] -- (B, m, K) cache, not (m, n)
             self._p_partial = np.zeros((self.B, self.m, len(fractions)))
-        with self.metrics.time("rescore"), span("kernel.batch.rescore"):
+        with span("kernel.batch.rescore"):
             self._flush_residuals()
-        with self.metrics.time("partial"), span("kernel.batch.partial"):
+        with span("kernel.batch.partial"):
             self._flush_partial()
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
@@ -311,7 +299,6 @@ class BatchPlannerKernel:
         self.covered[row_ids, idxs] = True
         self._dirty_sensors[row_ids[changed], idxs[changed]] = True
         self._drains[rows] += 1
-        self.metrics.counter("drains").inc(len(rows))
 
     def drain_partial_many(self, rows: np.ndarray, sites_sel: np.ndarray,
                            durations: np.ndarray) -> None:
@@ -334,7 +321,6 @@ class BatchPlannerKernel:
             self._dirty_sensors[rows] |= tiny
         self.covered[row_ids, idxs] = True
         self._drains[rows] += 1
-        self.metrics.counter("drains").inc(len(rows))
 
     # ------------------------------------------------------------------ #
     # Batched cheapest-insertion delta cache
@@ -344,7 +330,7 @@ class BatchPlannerKernel:
         rows first (inactive variants keep their stale caches — they will
         never be read again).  Returns the internal ``(B, m)`` array; the
         drivers treat it as read-only."""
-        with self.metrics.time("insertion"), span("kernel.batch.insertion"):
+        with span("kernel.batch.insertion"):
             stale = np.flatnonzero(active & self._ins_stale)
             if len(stale):
                 self._flush_insertion_rows(stale)
@@ -424,7 +410,6 @@ class BatchPlannerKernel:
                 self._ins_edges[sub] = best
         self._ins_stale[rows] = False
         self._deltas_recomputed[rows] += self.m
-        self.metrics.counter("deltas_recomputed").inc(len(rows) * self.m)
 
     def insert_many(self, rows: np.ndarray, sites_sel: np.ndarray) -> None:
         """Insert each variant's selected site at its cached best position.
@@ -435,12 +420,11 @@ class BatchPlannerKernel:
         lower-edge-index tie-break, and destroyed-edge candidates are
         rescanned per variant (tours are ragged across variants).
         """
-        with self.metrics.time("insertion"), span("kernel.batch.insertion"):
+        with span("kernel.batch.insertion"):
             stale = np.flatnonzero(self._ins_stale[rows])
             if len(stale):
                 self._flush_insertion_rows(rows[stale])
             self._insertions[rows] += 1
-            self.metrics.counter("insertions").inc(len(rows))
             nodes = sites_sel + 1
             e_sel = self._ins_edges[rows, sites_sel]
             k_olds = np.array([len(self.tours[b]) for b in rows.tolist()])
@@ -519,7 +503,6 @@ class BatchPlannerKernel:
                                                np.arange(len(dead_idx))]
                 edges_sub[i, dead_idx] = best
                 self._deltas_recomputed[b] += len(dead_idx)
-                self.metrics.counter("deltas_recomputed").inc(len(dead_idx))
             self._ins_deltas[rows_g] = deltas_sub
             self._ins_edges[rows_g] = edges_sub
 
@@ -533,7 +516,6 @@ class BatchPlannerKernel:
         self._tour_rows[b] = []        # rebuilt by the next flush
         self._ins_stale[b] = True
         self._tour_flushes[b] += 1
-        self.metrics.counter("tour_flushes").inc()
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -543,23 +525,15 @@ class BatchPlannerKernel:
 
         Only grouping-invariant counters appear here — planning the same
         variant in a different column grouping (or alone) yields the
-        identical snapshot.  Union-rescore totals live on
-        :attr:`metrics`; the shared per-phase timers are exported under
-        ``seconds`` (excluded from determinism comparisons like every
-        measured wall-clock).
+        identical snapshot; the kernel's per-site ``sites_rescored`` has
+        no batch equivalent (the column rescores a union dirty set).
         """
-        # Batch publishes only the grouping-invariant counters (see the
-        # docstring); the per-site rescore counters have no batch
-        # equivalent by construction.
-        # repro: allow[flow-parity] -- grouping-invariant keys only
         return {
             "engine": "batch",
             "insertions": int(self._insertions[b]),
             "drains": int(self._drains[b]),
             "tour_flushes": int(self._tour_flushes[b]),
             "deltas_recomputed": int(self._deltas_recomputed[b]),
-            "seconds": {k: round(v, 6)
-                        for k, v in self.metrics.timer_seconds().items()},
         }
 
 
@@ -650,7 +624,6 @@ def plan_algorithm2_batch(network: SensorNetwork,
                     if not active.any():
                         return
                     iters[active] += 1
-                kern.metrics.counter("rounds").inc()
                 p_res, t_res = kern.residual_scores()       # Eqs. 11-12
                 eligible = (p_res > 0) & ~kern.in_tour[:, 1:]
                 active &= eligible.any(axis=1)
@@ -761,7 +734,6 @@ def plan_algorithm3_batch(network: SensorNetwork,
                 if not active.any():
                     return
                 iters[active] += 1
-                kern.metrics.counter("rounds").inc()
                 t_max, tau, p_partial = kern.partial_scores(fractions)
                 eligible_site = t_max > _VOLUME_TOL / bandwidth
                 active &= eligible_site.any(axis=1)

@@ -37,13 +37,13 @@ update breaks exact ties toward the lower edge index exactly like a fresh
 ``argmin`` would).  The full-recompute formulation lives on in the test
 suite as the equivalence oracle.
 
-The kernel also keeps lightweight perf counters (selections, sites
-rescored, deltas recomputed, wall-clock per phase) in a
-:class:`repro.obs.metrics.MetricsRegistry`; planners surface the snapshot
-as ``CollectionTour.meta["perf"]`` so figure runners and benches report
-the work actually done.  The rescore/partial/insertion phases also emit
-``kernel.*`` spans on the active :mod:`repro.obs` tracer — free when
-tracing is disabled, a flame chart when it is not.
+The kernel also counts its work (insertions, drains, sites rescored,
+deltas recomputed) in the plain-int :attr:`PlannerKernel.counters`;
+planners surface them as ``CollectionTour.meta["perf"]`` so figure
+runners and benches report the work actually done.  Time per phase is
+measured only by the ``kernel.rescore`` / ``kernel.partial`` /
+``kernel.insertion`` spans on the active :mod:`repro.obs` tracer — free
+when tracing is disabled, a flame chart when it is not.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import numpy as np
 from repro.core.hovering import HoveringSites
 from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import cross_distances
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import span
 from repro.utils.errors import InvalidParameterError
 
@@ -133,14 +132,11 @@ class PlannerKernel:
         self._ins_edges = np.zeros(self.m, dtype=np.int64)
         self._ins_stale = True
 
-        # Work counters + per-phase timers, pre-registered so the
-        # ``meta["perf"]`` snapshot always carries the full key set.
-        self.metrics = MetricsRegistry()
-        for name in ("insertions", "drains", "tour_flushes",
-                     "sites_rescored", "deltas_recomputed"):
-            self.metrics.counter(name)
-        for name in ("rescore", "insertion", "partial"):
-            self.metrics.timer(name)
+        # Work counters: the ``meta["perf"]`` snapshot always carries
+        # the full key set.
+        self.counters: Dict[str, int] = {
+            "insertions": 0, "drains": 0, "tour_flushes": 0,
+            "sites_rescored": 0, "deltas_recomputed": 0}
 
     # ------------------------------------------------------------------ #
     # Residual awards P' and hover times t'  (Eqs. 11-12)
@@ -151,7 +147,7 @@ class PlannerKernel:
         Cached arrays, refreshed only for candidates overlapping sensors
         drained since the last call.
         """
-        with self.metrics.time("rescore"), span("kernel.rescore"):
+        with span("kernel.rescore"):
             self._flush_residuals()
         return self._p_res, self._t_res
 
@@ -169,7 +165,7 @@ class PlannerKernel:
         self._t_res[dirty] = _segment_reduce(vals, starts, lengths,
                                              np.maximum) / self.bandwidth
         self._partial_dirty[dirty] = True
-        self.metrics.counter("sites_rescored").inc(len(dirty))
+        self.counters["sites_rescored"] += len(dirty)
 
     def partial_scores(self, fractions: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,9 +185,9 @@ class PlannerKernel:
             self._tau = np.zeros((self.m, len(fractions)))
             # repro: allow[hot-path-purity] -- (m, K) cache, not (m, n)
             self._p_partial = np.zeros((self.m, len(fractions)))
-        with self.metrics.time("rescore"), span("kernel.rescore"):
+        with span("kernel.rescore"):
             self._flush_residuals()
-        with self.metrics.time("partial"), span("kernel.partial"):
+        with span("kernel.partial"):
             self._flush_partial()
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
@@ -224,7 +220,7 @@ class PlannerKernel:
         self.rem[idx] = 0.0
         self.covered[idx] = True
         self._dirty_sensors[changed] = True
-        self.metrics.counter("drains").inc()
+        self.counters["drains"] += 1
 
     def drain_partial(self, site: int, duration: float) -> None:
         """OFDMA drain at *site* for *duration* seconds (PDCM).
@@ -245,7 +241,7 @@ class PlannerKernel:
             changed |= tiny
         self.covered[idx] = True
         self._dirty_sensors |= changed
-        self.metrics.counter("drains").inc()
+        self.counters["drains"] += 1
 
     # ------------------------------------------------------------------ #
     # Cheapest-insertion delta cache
@@ -257,7 +253,7 @@ class PlannerKernel:
         be inserted.  Returns copies — safe for policy layers to clamp or
         mask.  Served from the incrementally-maintained cache.
         """
-        with self.metrics.time("insertion"), span("kernel.insertion"):
+        with span("kernel.insertion"):
             if self._ins_stale:
                 self._flush_insertion()
         return self._ins_deltas.copy(), (self._ins_edges + 1).astype(int)
@@ -279,7 +275,7 @@ class PlannerKernel:
             self._ins_deltas = cand[np.arange(self.m), best]
             self._ins_edges = best.astype(np.int64)
         self._ins_stale = False
-        self.metrics.counter("deltas_recomputed").inc(self.m)
+        self.counters["deltas_recomputed"] += self.m
 
     def insert(self, site: int) -> int:
         """Insert candidate *site* at its cached best position.
@@ -298,7 +294,7 @@ class PlannerKernel:
         k_old = len(self.tour)
         e = int(self._ins_edges[site])
         pos = e + 1
-        self.metrics.counter("insertions").inc()
+        self.counters["insertions"] += 1
         if k_old == 1:
             self.tour.insert(1, node)
             self.in_tour[node] = True
@@ -309,7 +305,7 @@ class PlannerKernel:
         self.tour.insert(pos, node)
         self.in_tour[node] = True
 
-        with self.metrics.time("insertion"), span("kernel.insertion"):
+        with span("kernel.insertion"):
             deltas, edges = self._ins_deltas, self._ins_edges
             dead = edges == e
             edges[edges > e] += 1
@@ -337,7 +333,7 @@ class PlannerKernel:
                 best = np.argmin(cand, axis=1)
                 deltas[dead_idx] = cand[np.arange(len(dead_idx)), best]
                 edges[dead_idx] = best
-                self.metrics.counter("deltas_recomputed").inc(len(dead_idx))
+                self.counters["deltas_recomputed"] += len(dead_idx)
         return pos
 
     def set_tour(self, order) -> None:
@@ -353,26 +349,15 @@ class PlannerKernel:
         self.in_tour[:] = False
         self.in_tour[np.array(self.tour, dtype=int)] = True
         self._ins_stale = True
-        self.metrics.counter("tour_flushes").inc()
+        self.counters["tour_flushes"] += 1
 
     # ------------------------------------------------------------------ #
     # Diagnostics
     # ------------------------------------------------------------------ #
-    @property
-    def counters(self) -> Dict[str, int]:
-        """Integer work-counter snapshot (compat view of :attr:`metrics`)."""
-        return {k: int(v) for k, v in self.metrics.counter_values().items()}
-
-    @property
-    def timers(self) -> Dict[str, float]:
-        """Per-phase wall-clock snapshot (compat view of :attr:`metrics`)."""
-        return self.metrics.timer_seconds()
-
     def perf(self) -> Dict[str, object]:
-        """Perf-counter snapshot for ``CollectionTour.meta["perf"]``."""
+        """Work-counter snapshot for ``CollectionTour.meta["perf"]``."""
         snap: Dict[str, object] = {"engine": "kernel"}
         snap.update(self.counters)
-        snap["seconds"] = {k: round(v, 6) for k, v in self.timers.items()}
         return snap
 
 

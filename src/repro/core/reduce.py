@@ -249,9 +249,10 @@ def attach_reduction_meta(meta: Dict[str, Any],
     """Surface the pre-pass provenance when *sites* went through it.
 
     The stage drop counts land under ``meta["perf"]["reduce"]`` so the
-    runner's perf fold and the run ledger pick them up as
-    ``kernel.reduce.*`` work counters; ``meta`` is untouched for
-    unreduced sites, keeping the off-level output bitwise-compatible.
+    sweep rows' perf means (``reduce.*``) and the run ledger
+    (``kernel.reduce.*`` work counters) pick them up; ``meta`` is
+    untouched for unreduced sites, keeping the off-level output
+    bitwise-compatible.
     """
     if isinstance(sites, ReducedSites):
         meta["site_reduction"] = sites.meta_block()

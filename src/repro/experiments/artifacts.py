@@ -22,12 +22,10 @@ Keys use ``id(network)``; the cache pins a reference to every keyed
 network so an id can never be recycled while the cache lives.  Do not
 feed a cache networks you intend to mutate.
 
-Hit/miss/size accounting lives in a per-cache
-:class:`repro.obs.metrics.MetricsRegistry` (counters ``hits`` and
-``misses``, gauge ``artifacts``); the legacy ``cache.hits`` /
-``cache.misses`` attributes and the :meth:`ArtifactCache.stats` shape
-are served from it unchanged, and ``benchmarks/bench_sweep.py`` records
-the full :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` per mode.
+Every lookup counts as a hit or a miss (the int attributes
+``cache.hits`` / ``cache.misses``); :meth:`ArtifactCache.stats` adds the
+number of cached artifacts, and a sweep publishes it as
+``SweepResult.meta["cache"]``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from repro.core.reduce import (ReducedSites, SiteReduction, reduce_sites,
                                resolve_reduction)
 from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
-from repro.obs.metrics import MetricsRegistry
 from repro.radio.link import RadioModel
 
 #: Planner methods whose kwargs the cache knows how to augment.
@@ -73,29 +70,12 @@ class ArtifactCache:
         self._graphs: Dict[_GraphKey, AuxiliaryGraph] = {}
         self._conflicts: Dict[_SiteKey, List[np.ndarray]] = {}
         self._pins: Dict[int, SensorNetwork] = {}
-        self.metrics = MetricsRegistry()
+        #: Lookups served from the cache / that had to build the artifact.
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._sites) + len(self._graphs) + len(self._conflicts)
-
-    @property
-    def hits(self) -> int:
-        """Lookups served from the cache (counter ``hits``)."""
-        return int(self.metrics.counter("hits").value)
-
-    @property
-    def misses(self) -> int:
-        """Lookups that had to build the artifact (counter ``misses``)."""
-        return int(self.metrics.counter("misses").value)
-
-    def _hit(self) -> None:
-        self.metrics.counter("hits").inc()
-
-    def _miss(self) -> None:
-        self.metrics.counter("misses").inc()
-
-    def _stored(self) -> None:
-        self.metrics.gauge("artifacts").set(len(self))
 
     def _site_key(self, network: SensorNetwork, radio: RadioModel,
                   delta: float, options: str = "") -> _SiteKey:
@@ -136,12 +116,11 @@ class ArtifactCache:
         key = self._site_key(network, radio, delta)
         cached = self._sites.get(key)
         if cached is not None:
-            self._hit()
+            self.hits += 1
             return cached
-        self._miss()
+        self.misses += 1
         built = build_hovering_sites(network, radio, delta)
         self._sites[key] = built
-        self._stored()
         return built
 
     def reduced_sites(self, network: SensorNetwork, radio: RadioModel,
@@ -160,10 +139,10 @@ class ArtifactCache:
         key = self._site_key(network, radio, delta, token)
         cached = self._sites.get(key)
         if cached is not None:
-            self._hit()
+            self.hits += 1
             assert isinstance(cached, ReducedSites)
             return cached
-        self._miss()
+        self.misses += 1
         seed = (np.asarray(corridor_seed, dtype=float)
                 if corridor_seed is not None else None)
         # The id() lives only in the cache key; the HoveringSites value
@@ -173,7 +152,6 @@ class ArtifactCache:
         built = reduce_sites(self.sites(network, radio, delta), reduction,
                              energy=energy, corridor_seed=seed)
         self._sites[key] = built
-        self._stored()
         return built
 
     def conflict_neighbors(self, network: SensorNetwork, radio: RadioModel,
@@ -189,14 +167,13 @@ class ArtifactCache:
         key = self._site_key(network, radio, delta, options)
         cached = self._conflicts.get(key)
         if cached is not None:
-            self._hit()
+            self.hits += 1
             return cached
-        self._miss()
+        self.misses += 1
         if sites is None:
             sites = self.sites(network, radio, delta)
         lists = overlap_conflicts(sites)
         self._conflicts[key] = lists
-        self._stored()
         return lists
 
     def graph(self, network: SensorNetwork, radio: RadioModel, delta: float,
@@ -208,14 +185,13 @@ class ArtifactCache:
             float(energy.hover_power), float(energy.travel_cost_per_meter))
         cached = self._graphs.get(key)
         if cached is not None:
-            self._hit()
+            self.hits += 1
             return cached
-        self._miss()
+        self.misses += 1
         if sites is None:
             sites = self.sites(network, radio, delta)
         built = build_auxiliary_graph(sites, energy)
         self._graphs[key] = built
-        self._stored()
         return built
 
     def augment_kwargs(self, network: SensorNetwork, energy: EnergyModel,
@@ -271,20 +247,17 @@ class ArtifactCache:
                 "artifacts": len(self)}
 
 
-def resolve_cache(cache: Any) -> Optional[ArtifactCache]:
+def resolve_cache(cache: bool) -> Optional[ArtifactCache]:
     """Normalise a ``cache=`` argument: True → fresh cache, False → None.
 
-    ``run_sweep`` and the figure runners accept either a bool (own the
-    cache for the duration of the sweep) or an :class:`ArtifactCache`
-    instance (caller-owned, e.g. shared across figures at equal δ).
+    ``run_sweep`` and the figure runners own the cache for the duration
+    of the sweep; its counters come back as ``SweepResult.meta["cache"]``.
     """
     if cache is None or cache is False:
         return None
     if cache is True:
         return ArtifactCache()
-    if isinstance(cache, ArtifactCache):
-        return cache
-    raise TypeError(f"cache must be a bool or ArtifactCache, got {cache!r}")
+    raise TypeError(f"cache must be a bool, got {cache!r}")
 
 
 __all__ = ["ArtifactCache", "ARTIFACT_OPTIONS", "CACHEABLE_METHODS",

@@ -41,19 +41,17 @@ def run_fig3(config: ExperimentConfig,
              instances: Optional[Sequence[SensorNetwork]] = None,
              *, n_restarts: int = 3, validate: bool = True,
              progress=None, jobs: int = 1, cache: bool = True,
-             batch_columns: bool = False,
              site_reduction=None) -> SweepResult:
     """Run the Fig. 3 capacity sweep and return the aggregated rows.
 
     ``jobs``/``cache`` select the execution engine and the per-instance
     artifact cache (see :func:`repro.experiments.runner.run_sweep`); the
     aggregated volumes are bitwise-identical across all settings.
-    ``batch_columns`` is accepted for interface uniformity but is a
-    no-op here: Algorithm 1 and the benchmark have no stacked
-    formulation, so no Fig. 3 spec forms a batchable column.
-    ``site_reduction`` applies the candidate-site reduction pre-pass to
-    the Algorithm 1 cells (the benchmark has no δ-grid); GRASP seeding
-    is reduction-aware, so ``safe`` leaves the rows bitwise-identical.
+    There is no ``batch_columns`` option: Algorithm 1 and the benchmark
+    have no stacked formulation.  ``site_reduction`` applies the
+    candidate-site reduction pre-pass to the Algorithm 1 cells (the
+    benchmark has no δ-grid); GRASP seeding is reduction-aware, so
+    ``safe`` leaves the rows bitwise-identical.
     """
     if instances is None:
         instances = make_instances(config)
@@ -68,7 +66,6 @@ def run_fig3(config: ExperimentConfig,
         progress=progress,
         jobs=jobs,
         cache=cache,
-        batch_columns=batch_columns,
         site_reduction=site_reduction)
 
 

@@ -51,7 +51,6 @@ def run_fig4(config: ExperimentConfig,
              instances: Optional[Sequence[SensorNetwork]] = None,
              *, validate: bool = True, progress=None,
              jobs: int = 1, cache: bool = True,
-             batch_columns: bool = False,
              site_reduction=None,
              algorithm1: bool = False,
              delta_continuation: bool = False) -> SweepResult:
@@ -61,12 +60,11 @@ def run_fig4(config: ExperimentConfig,
     artifact cache (see :func:`repro.experiments.runner.run_sweep`).
     Each δ builds its own grid, so the cache pays off here across the
     Algorithm 2/3 cells that share a δ, not along the swept axis.
-    ``batch_columns`` is accepted for interface uniformity but is a
-    no-op here: the swept δ changes every cell's kwargs, so no spec
-    forms a batchable column (the runner detects this and keeps the
-    per-cell path).  ``site_reduction`` applies the candidate-site
-    reduction pre-pass to every Algorithm 2/3 cell — the dense-δ end of
-    this sweep is where it pays the most (see ``DESIGN.md``).
+    There is no ``batch_columns`` option: the swept δ changes every
+    cell's geometry, so no spec forms a batchable column.
+    ``site_reduction`` applies the candidate-site reduction pre-pass to
+    every Algorithm 2/3 cell — the dense-δ end of this sweep is where it
+    pays the most (see ``DESIGN.md``).
 
     ``algorithm1`` adds an Algorithm 1 series (see
     :func:`fig4_algorithms`); ``delta_continuation``
@@ -94,7 +92,6 @@ def run_fig4(config: ExperimentConfig,
         progress=progress,
         jobs=jobs,
         cache=cache,
-        batch_columns=batch_columns,
         site_reduction=site_reduction,
         delta_continuation=delta_continuation)
 

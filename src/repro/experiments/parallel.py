@@ -17,8 +17,7 @@ adds transport only:
   once per (instance, δ) *per worker*), and, when the parent traces or
   keeps a ledger, a :class:`~repro.obs.tracer.Tracer` and a
   :class:`~repro.obs.ledger.Ledger` streaming to JSONL shards;
-* **the merge** — worker metrics snapshots fold into the parent's
-  ambient registry, cache counters are summed, and the trace and ledger
+* **the merge** — cache counters are summed, and the trace and ledger
   shards merge into the parent's tracer and ledger after the sweep
   (:mod:`repro.obs.shards`).
 
@@ -42,7 +41,6 @@ from repro.experiments.runner import Sample, Unit, execute_unit
 from repro.network.sensor_network import SensorNetwork
 from repro.network.serialization import networks_from_json, networks_to_json
 from repro.obs.ledger import Ledger, get_ledger, set_ledger
-from repro.obs.metrics import MetricsRegistry, get_metrics, metrics_scope
 from repro.obs.record import RunRecord
 from repro.obs.shards import (
     append_shard,
@@ -70,15 +68,13 @@ def _encode(unit: Unit) -> str:
 
 def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
                  tracing: bool, shard_dir: str, ledgering: bool,
-                 ledger_mem: bool, collect_metrics: bool) -> None:
+                 ledger_mem: bool) -> None:
     """Per-worker setup: decode instances once, build cache/tracer/ledger.
 
     When the parent has an active run ledger (``ledgering``), the worker
     installs its own :class:`~repro.obs.ledger.Ledger` streaming to a
     ``ledger-shard-<pid>.jsonl`` file — the facade's ``planner.call``
-    records land there and are merged back by the parent.  When the
-    parent has an ambient metrics registry (``collect_metrics``), each
-    work unit scopes a fresh registry and ships its snapshot home.
+    records land there and are merged back by the parent.
     """
     config = ExperimentConfig.from_dict(json.loads(config_json))
     _WORKER["radio"] = config.radio_model()
@@ -86,7 +82,6 @@ def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
     _WORKER["cache"] = ArtifactCache() if cache_enabled else None
     _WORKER["tracer"] = Tracer() if tracing else None
     _WORKER["shard_dir"] = shard_dir
-    _WORKER["collect_metrics"] = collect_metrics
     if ledgering:
         set_ledger(Ledger(shard_path(shard_dir, os.getpid(), kind="ledger"),
                           track_memory=ledger_mem))
@@ -97,17 +92,15 @@ def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
 def _run_unit(unit_json: str) -> str:
     """Worker entry: :func:`execute_unit` on one unit, results as JSON.
 
-    Runs under the worker's tracer and a fresh metrics scope, stamps the
-    worker pid on the unit's span and appends the unit's spans to this
-    worker's trace shard (so a crashed worker still leaves the spans of
-    every unit it finished).  Returns the samples — JSON
-    ``[volume_gb, time_s, perf]`` triples, an exact float round trip —
-    with the worker's cache counters and metrics snapshot.
+    Runs under the worker's tracer, stamps the worker pid on the unit's
+    span and appends the unit's spans to this worker's trace shard (so a
+    crashed worker still leaves the spans of every unit it finished).
+    Returns the samples — JSON ``[volume_gb, time_s, perf]`` triples, an
+    exact float round trip — with the worker's cache counters.
     """
     cache: Optional[ArtifactCache] = _WORKER["cache"]
     tracer: Optional[Tracer] = _WORKER["tracer"]
-    registry = MetricsRegistry() if _WORKER["collect_metrics"] else None
-    with activated(tracer), metrics_scope(registry):
+    with activated(tracer):
         samples = execute_unit(json.loads(unit_json), _WORKER["instances"],
                                _WORKER["radio"], cache)
     pid = os.getpid()
@@ -121,7 +114,6 @@ def _run_unit(unit_json: str) -> str:
     return json.dumps({
         "worker": pid,
         "samples": samples,
-        "metrics": registry.snapshot() if registry is not None else None,
         "cache": cache.stats() if cache is not None else None,
     })
 
@@ -148,7 +140,6 @@ def map_units(units: Sequence[Unit],
     payloads = [_encode(unit) for unit in units]
     active = get_tracer()
     parent_ledger = get_ledger()
-    ambient_metrics = get_metrics()
     worker_cache_stats: Dict[int, Dict[str, int]] = {}
     with tempfile.TemporaryDirectory(prefix="repro-shards-") as shard_dir:
         with span("parallel.sweep", jobs=jobs, units=len(units)), \
@@ -160,16 +151,13 @@ def map_units(units: Sequence[Unit],
                               isinstance(active, Tracer), shard_dir,
                               parent_ledger is not None,
                               bool(parent_ledger is not None
-                                   and parent_ledger.track_memory),
-                              ambient_metrics is not None)) as pool:
+                                   and parent_ledger.track_memory))) as pool:
             futures = [pool.submit(_run_unit, payload)
                        for payload in payloads]
             for unit, future in zip(units, futures):
                 result = json.loads(future.result())
                 if result["cache"] is not None:
                     worker_cache_stats[result["worker"]] = result["cache"]
-                if ambient_metrics is not None and result["metrics"]:
-                    ambient_metrics.merge_snapshot(result["metrics"])
                 yield unit, result["samples"]
         if isinstance(active, Tracer):
             merged = merge_trace_shards(shard_dir)

@@ -70,14 +70,12 @@ from repro.experiments.continuation import (chainable_spec,
 from repro.experiments.config import ExperimentConfig
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.ledger import get_ledger, record_event
-from repro.obs.metrics import get_metrics
 from repro.obs.record import (
     config_hash,
     flatten_perf,
     perf_counter_metrics,
     sanitize_config,
 )
-from repro.obs.record import PERF_SECONDS_PREFIX  # re-export, shared def
 from repro.obs.tracer import Tracer, TracerLike, activated, get_tracer, span
 from repro.sim.validate import cross_validate
 from repro.utils.errors import InvalidParameterError
@@ -131,9 +129,9 @@ class SweepRow:
         """The run-to-run reproducible view of the row.
 
         Drops the measured wall-clock fields (``mean_time_s``,
-        ``std_time_s``) and the ``seconds.*`` perf means, keeping
-        everything the planners compute deterministically: volumes,
-        instance counts, engine name, and the kernel work counters.
+        ``std_time_s``), keeping everything the planners compute
+        deterministically: volumes, instance counts, engine name, and
+        the kernel work counters.
         Two sweeps of the same campaign — any ``jobs``, any worker
         completion order, cache on or off — must agree *bitwise* on this
         view; the parallel-equality tests and the CI job compare it.
@@ -141,9 +139,7 @@ class SweepRow:
         det = self.as_dict()
         del det["mean_time_s"], det["std_time_s"]
         if self.perf is not None:
-            det["perf"] = {
-                k: v for k, v in self.perf.items()
-                if not k.startswith(PERF_SECONDS_PREFIX)}
+            det["perf"] = dict(self.perf)
         return det
 
 
@@ -172,41 +168,6 @@ class SweepResult:
             if r.algorithm not in seen:
                 seen.append(r.algorithm)
         return seen
-
-
-def _flatten_perf(perf: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
-    """Flatten a (possibly nested) ``meta["perf"]`` dict into dotted keys.
-
-    ``{"sites_rescored": 3, "seconds": {"rescore": 0.1}}`` becomes
-    ``{"sites_rescored": 3.0, "seconds.rescore": 0.1}``.  Non-numeric
-    leaves (e.g. the ``"engine"`` string) are skipped — the caller keeps
-    those out of the per-instance averages.  (Thin alias over the shared
-    :func:`repro.obs.record.flatten_perf`.)
-    """
-    return flatten_perf(perf, prefix=prefix)
-
-
-def _fold_perf_ambient(perf: Optional[Dict[str, Any]]) -> None:
-    """Fold one tour's perf snapshot into the ambient metrics registry.
-
-    A no-op unless a :class:`~repro.obs.metrics.metrics_scope` is active.
-    Work counts become ``kernel.*`` counters (deterministic), the
-    measured ``seconds.*`` phases become ``kernel.*`` timers — so a whole
-    sweep's kernel work accumulates in one registry regardless of
-    ``jobs`` (a pool worker scopes a fresh registry per work unit and
-    the parent merges the snapshots back,
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).
-    """
-    registry = get_metrics()
-    if registry is None or not perf:
-        return
-    for key, value in flatten_perf(perf).items():
-        if key.startswith(PERF_SECONDS_PREFIX):
-            timer = registry.timer(
-                f"kernel.{key[len(PERF_SECONDS_PREFIX):]}")
-            timer.value += value
-        else:
-            registry.counter(f"kernel.{key}").inc(value)
 
 
 def sweep_cells(algorithms: Sequence[AlgoSpec],
@@ -427,7 +388,7 @@ def execute_unit(unit: Unit,
 
 def _map_in_process(units: Sequence[Unit],
                     instances: Sequence[SensorNetwork],
-                    radio: Any, cache: Any, meta: Dict[str, Any]
+                    radio: Any, cache: bool, meta: Dict[str, Any]
                     ) -> Iterator[Tuple[Unit, List[List[Sample]]]]:
     """Yield ``(unit, execute_unit(unit))`` for every unit, in unit order.
 
@@ -463,7 +424,7 @@ def run_sweep(config: ExperimentConfig,
               progress: Optional[Callable[[str], None]] = None,
               trace: Optional[TracerLike] = None,
               jobs: int = 1,
-              cache: Any = True,
+              cache: bool = True,
               batch_columns: bool = False,
               site_reduction: Any = None,
               delta_continuation: bool = False) -> SweepResult:
@@ -506,8 +467,9 @@ def run_sweep(config: ExperimentConfig,
     cache:
         ``True`` (default) — memoize per-(instance, δ) geometry across
         cells in an :class:`~repro.experiments.artifacts.ArtifactCache`
-        (one per process); ``False`` — rebuild per cell, paper-literal;
-        or a caller-owned cache instance (sequential path only).
+        (one per process; its hit/miss/artifact counts, summed over
+        workers, come back as ``meta["cache"]``); ``False`` — rebuild per
+        cell, paper-literal.
     batch_columns:
         Plan each eligible algorithm's whole value column per instance
         in one stacked call (see the module
@@ -626,7 +588,6 @@ def _instance_sample(net: SensorNetwork,
                          method=spec.method, **call_kwargs)
     if validate:
         cross_validate(tour, radio)
-    _fold_perf_ambient(tour.meta.get("perf"))
     return (tour.collected_volume / MB_PER_GB, t.elapsed,
             tour.meta.get("perf"))
 
@@ -646,7 +607,7 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
     for _, _, perf in samples:
         if perf:
             perf_engine = perf.get("engine", perf_engine)
-            for key, val in _flatten_perf(perf).items():
+            for key, val in flatten_perf(perf).items():
                 perf_acc.setdefault(key, []).append(val)
     perf_mean: Optional[Dict[str, Any]] = None
     if perf_acc:
@@ -760,7 +721,6 @@ def _plan_column_instance(net: SensorNetwork,
     for tour in tours:
         if validate:
             cross_validate(tour, radio)
-        _fold_perf_ambient(tour.meta.get("perf"))
         samples.append((tour.collected_volume / MB_PER_GB, share,
                         tour.meta.get("perf")))
     return samples
@@ -805,7 +765,6 @@ def _plan_chain_instance(net: SensorNetwork,
                              method=spec.method, **call_kwargs)
         if validate:
             cross_validate(tour, radio)
-        _fold_perf_ambient(tour.meta.get("perf"))
         samples[i] = (tour.collected_volume / MB_PER_GB, t.elapsed,
                       tour.meta.get("perf"))
         seed_points = tour_seed_points(tour) or seed_points
@@ -827,9 +786,8 @@ def _population_std(values: Sequence[float]) -> float:
 
 
 __all__ = ["AlgoSpec", "SweepRow", "SweepResult", "run_sweep", "MB_PER_GB",
-           "PERF_SECONDS_PREFIX", "sweep_cells", "format_progress",
+           "sweep_cells", "format_progress",
            "batchable_column", "_with_site_reduction",
-           "_flatten_perf", "_fold_perf_ambient",
            "_emit_sweep_records", "plan_units", "execute_unit",
            "_instance_sample",
            "_aggregate_samples", "_plan_column_instance",

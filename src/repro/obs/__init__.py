@@ -1,13 +1,14 @@
-"""repro.obs — structured tracing, metrics, profiling, and the run ledger.
+"""repro.obs — structured tracing, profiling, and the run ledger.
 
 The observability layer behind the paper's running-time evaluation
 (Figs. 3(b)/4(b)/5(b)): nestable wall-clock spans with near-zero disabled
-overhead (:mod:`repro.obs.tracer`), a counters/gauges/histograms registry
-that backs the planner kernel's ``meta["perf"]`` contract
-(:mod:`repro.obs.metrics`), JSONL + Chrome ``trace_event`` export
-(:mod:`repro.obs.export`), the per-span-name summary table behind
-``python -m repro.obs report`` (:mod:`repro.obs.report`), and the durable
-run ledger + regression observatory behind ``repro-bench``
+overhead (:mod:`repro.obs.tracer`), the one source of per-phase time
+(work counts are plain integers in each plan's ``meta["perf"]``), the
+shared nearest-rank quantile (:mod:`repro.obs.metrics`), JSONL + Chrome
+``trace_event`` export (:mod:`repro.obs.export`), the per-span-name
+summary table behind ``python -m repro.obs report``
+(:mod:`repro.obs.report`), and the durable run ledger + regression
+observatory behind ``repro-bench``
 (:mod:`repro.obs.ledger`, :mod:`repro.obs.record`,
 :mod:`repro.obs.regress`, :mod:`repro.obs.bench`).
 
@@ -29,17 +30,7 @@ from repro.obs.tracer import (
     activated,
     install_from_env,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    nearest_rank,
-    quantile_sorted,
-    get_metrics,
-    set_metrics,
-    metrics_scope,
-)
+from repro.obs.metrics import nearest_rank, quantile_sorted
 from repro.obs.export import (
     write_jsonl,
     read_jsonl,
@@ -83,10 +74,8 @@ __all__ = [
     # tracer
     "Tracer", "NullTracer", "Span", "NULL_TRACER", "NULL_SPAN",
     "get_tracer", "set_tracer", "span", "activated", "install_from_env",
-    # metrics
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    # quantiles
     "nearest_rank", "quantile_sorted",
-    "get_metrics", "set_metrics", "metrics_scope",
     # export
     "write_jsonl", "read_jsonl", "to_chrome_trace", "write_chrome_trace",
     # shards

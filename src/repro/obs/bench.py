@@ -162,11 +162,10 @@ def _tour_counters(tour: Any) -> Dict[str, float]:
 
 def _rows_counters(rows: Any) -> Dict[str, float]:
     """Summed kernel work counters over a sweep's aggregated rows."""
-    from repro.obs.record import PERF_SECONDS_PREFIX
     acc: Dict[str, float] = {}
     for row in rows:
         for key, value in (row.perf or {}).items():
-            if key == "engine" or key.startswith(PERF_SECONDS_PREFIX):
+            if key == "engine":
                 continue
             name = f"kernel.{key}"
             acc[name] = acc.get(name, 0.0) + float(value)

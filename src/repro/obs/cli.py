@@ -16,7 +16,8 @@ Subcommands
     one ledger record per case run to ``--out``.
 ``compare``
     Diff two ledger JSONL files case-by-case (:mod:`repro.obs.regress`);
-    ``--gate`` exits non-zero on any regression, which is how CI gates.
+    ``--gate`` exits non-zero on any regression, or when the baseline has
+    cases and none of them matched, which is how CI gates.
 
 The ``repro-bench`` console script (:func:`bench_main`) exposes the last
 two as ``repro-bench run`` / ``repro-bench compare``.
@@ -95,7 +96,8 @@ def _add_compare_parser(sub, name: str) -> argparse.ArgumentParser:
     comp.add_argument("old", help="baseline ledger JSONL")
     comp.add_argument("new", help="candidate ledger JSONL")
     comp.add_argument("--gate", action="store_true",
-                      help="exit 1 when any case regresses (CI mode)")
+                      help="exit 1 when any case regresses or no baseline "
+                           "case matched (CI mode)")
     comp.add_argument("--time-ratio", type=float, default=None,
                       help="max allowed NEW/OLD wall p50 ratio")
     comp.add_argument("--mem-ratio", type=float, default=None,
@@ -199,6 +201,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(json.dumps(report.as_dict(), indent=2))
     else:
         print(report.render())
+    if args.gate and report.compared_nothing:
+        print(f"error: none of the baseline's cases matched {args.new!r} "
+              "(empty ledger, or every config hash changed)",
+              file=sys.stderr)
+        return 1
     if args.gate and not report.passed:
         return 1
     return 0

@@ -26,8 +26,10 @@ A :class:`RunRecord` is the ledger's unit of accounting — every
     measured wall-clock seconds (**nondeterministic** — excluded from
     :meth:`RunRecord.deterministic_dict`);
 ``metrics``
-    a full :meth:`repro.obs.metrics.MetricsRegistry.snapshot` (work
-    counters deterministic, ``timers_s`` wall-clock);
+    ``{"counters": {name: value}}`` — the deterministic work counters
+    (records written before the counters-only ``meta["perf"]`` may also
+    carry wall-clock ``timers_s`` / ``histograms`` sections, which the
+    deterministic view drops);
 ``spans``
     optional per-span-family stats ``{name: {count, total_s, p95_s}}``
     summarised from a tracer, when one was active;
@@ -59,13 +61,13 @@ from typing import Any, Dict, Optional
 #: Schema version stamped into every record.
 RECORD_VERSION = 1
 
-#: Metrics-snapshot sections that carry wall-clock (dropped from the
-#: deterministic view alongside ``wall_s``).
+#: Metrics sections of older ledgers that carry wall-clock (dropped from
+#: the deterministic view alongside ``wall_s``).
 _NONDETERMINISTIC_METRICS = ("timers_s", "histograms")
 
-#: Key prefix of measured wall-clock in a tour's ``meta["perf"]``
-#: snapshot (``repro.experiments.runner`` re-exports this as
-#: ``PERF_SECONDS_PREFIX``; excluded from determinism comparisons).
+#: Key prefix of the per-phase wall-clock that ``meta["perf"]`` carried
+#: before phase time moved to spans; no planner writes it any more, but
+#: readers of older perf snapshots (``benchmarks/e2e``) still filter it.
 PERF_SECONDS_PREFIX = "seconds."
 
 
@@ -107,8 +109,8 @@ def sanitize_config(payload: Dict[str, Any]) -> Dict[str, Any]:
 def flatten_perf(perf: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
     """Flatten a (possibly nested) ``meta["perf"]`` dict into dotted keys.
 
-    ``{"sites_rescored": 3, "seconds": {"rescore": 0.1}}`` becomes
-    ``{"sites_rescored": 3.0, "seconds.rescore": 0.1}``.  Non-numeric
+    ``{"sites_rescored": 3, "grasp": {"restarts": 2}}`` becomes
+    ``{"sites_rescored": 3.0, "grasp.restarts": 2.0}``.  Non-numeric
     leaves (e.g. the ``"engine"`` string) and booleans are skipped.  The
     one flattening shared by the sweep runner's perf aggregation, the
     planner facade's ledger emission, and the bench adapters.
@@ -127,24 +129,14 @@ def flatten_perf(perf: Dict[str, Any], prefix: str = "") -> Dict[str, float]:
 
 def perf_counter_metrics(perf: Dict[str, Any],
                          namespace: str = "kernel.") -> Dict[str, float]:
-    """The deterministic work counters of one perf snapshot, namespaced.
+    """The work counters of one perf snapshot, flattened and namespaced.
 
-    Drops the measured ``seconds.*`` entries — what remains is
-    hardware-independent (insertions, rescores, ...), the ledger metrics
+    ``meta["perf"]`` holds counts only, so every entry is
+    hardware-independent (insertions, rescores, ...) — the ledger metrics
     a cross-host regression gate can trust.
     """
     return {f"{namespace}{key}": value
-            for key, value in flatten_perf(perf).items()
-            if not key.startswith(PERF_SECONDS_PREFIX)}
-
-
-def perf_timer_metrics(perf: Dict[str, Any],
-                       namespace: str = "kernel.") -> Dict[str, float]:
-    """The measured per-phase seconds of one perf snapshot, namespaced
-    as timers (nondeterministic; excluded from deterministic views)."""
-    return {f"{namespace}{key[len(PERF_SECONDS_PREFIX):]}": value
-            for key, value in flatten_perf(perf).items()
-            if key.startswith(PERF_SECONDS_PREFIX)}
+            for key, value in flatten_perf(perf).items()}
 
 
 def environment_fingerprint() -> Dict[str, Any]:
@@ -219,8 +211,9 @@ class RunRecord:
     def deterministic_dict(self) -> Dict[str, Any]:
         """The run-to-run reproducible view of the record.
 
-        Drops measured wall-clock (``wall_s``, ``ts``, metric timers and
-        histograms, span stats), memory, and the host fingerprint —
+        Drops measured wall-clock (``wall_s``, ``ts``, the timer and
+        histogram sections of older records, span stats), memory, and the
+        host fingerprint —
         keeping the identity fields and the deterministic work counters,
         the same discipline as ``SweepRow.deterministic_dict``.
         """
@@ -234,5 +227,4 @@ class RunRecord:
 
 __all__ = ["RunRecord", "RECORD_VERSION", "canonical_json", "config_hash",
            "sanitize_config", "environment_fingerprint", "flatten_perf",
-           "perf_counter_metrics", "perf_timer_metrics",
-           "PERF_SECONDS_PREFIX"]
+           "perf_counter_metrics", "PERF_SECONDS_PREFIX"]

@@ -159,10 +159,23 @@ class CompareReport:
         """True when no matched case regressed (new/removed never fail)."""
         return not self.regressions
 
+    @property
+    def compared_nothing(self) -> bool:
+        """True when the baseline has cases but NEW matched none of them.
+
+        An empty candidate ledger, or one whose every case changed its
+        config hash, would otherwise pass the gate vacuously; ``--gate``
+        refuses it.  Partial drift (some cases matched) stays
+        informational.
+        """
+        statuses = {d.status for d in self.deltas}
+        return "removed" in statuses and not statuses & {"ok", "regressed"}
+
     def as_dict(self) -> Dict[str, Any]:
         """JSON report: thresholds, verdict, per-case deltas."""
         return {"passed": self.passed,
                 "regressions": len(self.regressions),
+                "compared_nothing": self.compared_nothing,
                 "thresholds": self.thresholds.as_dict(),
                 "cases": [d.as_dict() for d in self.deltas]}
 
@@ -182,8 +195,12 @@ class CompareReport:
             lines.append(head)
             for reason in d.reasons:
                 lines.append(f"            - {reason}")
-        verdict = ("PASS" if self.passed
-                   else f"FAIL ({len(self.regressions)} regression(s))")
+        if not self.passed:
+            verdict = f"FAIL ({len(self.regressions)} regression(s))"
+        elif self.compared_nothing:
+            verdict = "FAIL (no baseline case matched)"
+        else:
+            verdict = "PASS"
         lines.append(f"gate: {verdict}")
         return "\n".join(lines)
 
@@ -223,9 +240,10 @@ def compare(old_records: Iterable[RunRecord],
     """Diff two ledgers case-by-case under *thresholds*.
 
     Cases present only in NEW are ``"new"``, only in OLD ``"removed"`` —
-    both informational, never gate failures (a changed ``config_hash``
+    both informational, never regressions (a changed ``config_hash``
     shows up as one of each, flagging the config drift instead of
-    comparing incomparable runs).
+    comparing incomparable runs).  Only when *no* baseline case matched
+    does the gate fail (:attr:`CompareReport.compared_nothing`).
     """
     t = thresholds if thresholds is not None else Thresholds()
     old_stats = aggregate(old_records)

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
 from repro.orienteering._vector import draw_rng_tape, greedy_fill
 from repro.orienteering.greedy import randomized_construct, solve_greedy
 from repro.orienteering.local_search import improve_solution
@@ -59,10 +58,7 @@ def polish_constructions(instance: OrienteeringInstance,
     replacing the winner only on strict improvement.  Work counters land
     on ``solution.stats``.
     """
-    metrics = MetricsRegistry()
-    for name in GRASP_STAT_NAMES:
-        metrics.counter(name)
-
+    counts = dict.fromkeys(GRASP_STAT_NAMES, 0)
     polished: Dict[bytes, OrienteeringSolution] = {}
 
     def evaluate(tour: np.ndarray) -> OrienteeringSolution:
@@ -71,14 +67,14 @@ def polish_constructions(instance: OrienteeringInstance,
         if cached is not None:
             # Local search is a pure function of the tour, so replaying
             # it on an identical construction is pure waste.
-            metrics.counter("constructions_deduped").inc()
+            counts["constructions_deduped"] += 1
             return cached
-        metrics.counter("constructions").inc()
+        counts["constructions"] += 1
         if local_search:
             sol = improve_solution(instance, tour)
             ls = sol.stats or {}
-            metrics.counter("ls_rounds").inc(ls.get("rounds", 0))
-            metrics.counter("ls_moves").inc(ls.get("moves", 0))
+            counts["ls_rounds"] += ls.get("rounds", 0)
+            counts["ls_moves"] += ls.get("moves", 0)
         else:
             sol = make_solution(instance, tour, "construct")
         polished[key] = sol
@@ -86,21 +82,20 @@ def polish_constructions(instance: OrienteeringInstance,
 
     best: Optional[OrienteeringSolution] = None
     for tour in constructions:
-        metrics.counter("restarts").inc()
+        counts["restarts"] += 1
         sol = evaluate(tour)
         if better_solution(sol, best):
             best = sol
     if warm_tour is not None and len(warm_tour):
-        metrics.counter("warm_starts").inc()
+        counts["warm_starts"] += 1
         warm = evaluate(np.asarray(warm_tour, dtype=int))
         if better_solution(warm, best):
-            metrics.counter("warm_improved").inc()
+            counts["warm_improved"] += 1
             best = warm
     assert best is not None
     # Sorted keys: the parallel executor canonicalises records through
     # sorted-key JSON, so emit the same order here for bitwise ledgers.
-    values = metrics.counter_values()
-    stats = {name: int(values[name]) for name in sorted(values)}
+    stats = {name: int(counts[name]) for name in sorted(counts)}
     return OrienteeringSolution(tour=best.tour, award=best.award,
                                 cost=best.cost, method="grasp", stats=stats)
 

@@ -62,7 +62,7 @@ class DenseKernel(PlannerKernel):
     def residual_scores(self) -> Tuple[np.ndarray, np.ndarray]:
         self._p_res = self.sites.residual_awards(self.rem)
         self._t_res = self.sites.residual_hover_times(self.rem)
-        self.metrics.counter("sites_rescored").inc(self.m)
+        self.counters["sites_rescored"] += self.m
         return self._p_res, self._t_res
 
     def partial_scores(self, fractions
@@ -77,7 +77,7 @@ class DenseKernel(PlannerKernel):
             p_partial[:, k] = np.minimum(
                 R, (self.bandwidth * tau[:, k])[:, None]).sum(axis=1)
         self._t_res = t_max
-        self.metrics.counter("sites_rescored").inc(self.m)
+        self.counters["sites_rescored"] += self.m
         return t_max, tau, p_partial
 
     def insertion_state(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,7 +91,7 @@ class DenseKernel(PlannerKernel):
         self.tour.insert(pos, site + 1)
         self.in_tour[site + 1] = True
         self._ins_stale = True
-        self.metrics.counter("insertions").inc()
+        self.counters["insertions"] += 1
         return pos
 
     def perf(self):

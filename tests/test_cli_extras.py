@@ -1,5 +1,6 @@
 """Tests for the CLI's --svg / --claims / report paths and __main__."""
 
+import json
 import subprocess
 import sys
 
@@ -79,3 +80,21 @@ class TestSeedOverride:
               "--instances", "1", "--quiet", "--seed", "3"])
         out2 = capsys.readouterr().out
         assert volume_panel(out1) == volume_panel(out2)
+
+
+class TestBatchColumnsFlag:
+    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
+    def test_rejected_outside_fig5(self, capsys, figure):
+        rc = main([figure, "--nodes", "15", "--instances", "1", "--quiet",
+                   "--batch-columns"])
+        assert rc == 2
+        assert "--batch-columns stacks the fig5" in capsys.readouterr().err
+
+    def test_all_batches_fig5(self, capsys, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        rc = main(["all", "--nodes", "15", "--instances", "1", "--quiet",
+                   "--batch-columns", "--trace", str(trace)])
+        assert rc == 0
+        names = [json.loads(line)["name"]
+                 for line in trace.read_text().splitlines()]
+        assert "runner.column" in names

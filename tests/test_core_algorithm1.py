@@ -12,6 +12,7 @@ from repro.core.planner import plan_tour
 from repro.core.tour import validate_tour_feasibility
 from repro.experiments.config import reduced_settings
 from repro.experiments.instances import make_instances
+from repro.orienteering.grasp import GRASP_STAT_NAMES
 from repro.utils.errors import InvalidParameterError
 from tests.oracles import dense_auxgraph
 
@@ -54,6 +55,18 @@ class TestFeasibility:
         tour = plan_algorithm1(small_net, roomy_energy, radio, delta=30.0,
                                overlap="ignore", seed=0, n_restarts=2)
         assert tour.collected_volume == pytest.approx(small_net.total_volume)
+
+
+class TestPerfShape:
+    def test_meta_perf_counts_only(self, small_net, radio, energy):
+        # Engine plus GRASP's work counters; no wall-clock key.
+        tour = plan_algorithm1(small_net, energy, radio, delta=30.0,
+                               solver="grasp", seed=0, n_restarts=2)
+        perf = tour.meta["perf"]
+        assert set(perf) == {"engine", "grasp"}
+        assert perf["engine"] == "scalar"
+        assert set(perf["grasp"]) == set(GRASP_STAT_NAMES)
+        assert all(type(v) is int for v in perf["grasp"].values())
 
 
 class TestOverlapModes:

@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
-from repro.core.batch import (
-    BatchPlannerKernel,
-    plan_algorithm2_batch,
-    plan_algorithm3_batch,
-)
-from repro.core.hovering import build_hovering_sites
+from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.energy.model import EnergyModel
 from repro.experiments.config import reduced_settings
 from repro.experiments.runner import AlgoSpec, batchable_column
@@ -130,11 +125,7 @@ class TestGroupingInvariance:
             (alone,) = plan_algorithm2_batch(small_net, [energy], radio,
                                              delta=25.0)
             assert_same_tour(grouped, alone)
-            pg = {k: v for k, v in grouped.meta["perf"].items()
-                  if k != "seconds"}
-            pa = {k: v for k, v in alone.meta["perf"].items()
-                  if k != "seconds"}
-            assert pg == pa
+            assert grouped.meta["perf"] == alone.meta["perf"]
 
     def test_split_column_halves(self, small_net, radio):
         energies = _energies()
@@ -190,17 +181,13 @@ class TestDiagnostics:
         (tour,) = plan_algorithm2_batch(small_net, _energies((5e4,)),
                                         radio, delta=25.0)
         perf = tour.meta["perf"]
+        # Counts only: phase time lives in the kernel.batch.* spans.
+        counters = {"insertions", "drains", "tour_flushes",
+                    "deltas_recomputed"}
+        assert set(perf) == {"engine"} | counters
         assert perf["engine"] == "batch"
-        for key in ("insertions", "drains", "tour_flushes",
-                    "deltas_recomputed"):
-            assert isinstance(perf[key], int)
-        assert set(perf["seconds"]) == {"rescore", "insertion", "partial"}
-
-    def test_column_metrics_counters(self, small_net, radio, energy):
-        sites = build_hovering_sites(small_net, radio, 25.0)
-        kern = BatchPlannerKernel(sites, _energies((2e4, 5e4)), radio)
-        names = set(kern.metrics.counter_values())
-        assert {"rounds", "union_sites_rescored"} <= names
+        for key in counters:
+            assert type(perf[key]) is int
 
 
 class _Nets:

@@ -8,8 +8,9 @@ from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
-from repro.experiments.runner import AlgoSpec, _flatten_perf, run_sweep
+from repro.experiments.runner import AlgoSpec, run_sweep
 from repro.experiments.tables import rows_to_csv, rows_to_markdown
+from repro.obs.record import flatten_perf
 from repro.utils.errors import InvalidParameterError
 
 
@@ -169,40 +170,43 @@ class TestRunner:
         assert row.std_volume_gb == 0.0
         assert row.std_time_s == 0.0
 
-    def test_perf_aggregation_includes_nested_timers(self, tiny_config):
-        # The kernel's perf dict nests {"seconds": {...}}; the runner must
-        # flatten it into dotted keys instead of silently dropping it.
+    def test_perf_aggregation_flattens_nested_counters(self, tiny_config):
+        # A reduced plan's perf dict nests {"reduce": {...}}; the runner
+        # must flatten it into dotted keys instead of silently dropping
+        # it.  perf holds counts only: phase time lives in spans.
         instances = make_instances(tiny_config)
         result = run_sweep(
             tiny_config, instances,
             [AlgoSpec("Alg2", "algorithm2", {"delta": 40.0})],
             param_name="capacity", param_values=(1.5e4,),
             make_energy=lambda cfg, v: cfg.energy_model(capacity=v),
-            make_kwargs=lambda cfg, v, s: dict(s.kwargs))
+            make_kwargs=lambda cfg, v, s: dict(s.kwargs),
+            site_reduction="safe")
         perf = result.rows[0].perf
         assert perf is not None
         assert perf["engine"] == "kernel"
         assert perf["sites_rescored"] > 0
-        for key in ("seconds.rescore", "seconds.insertion",
-                    "seconds.partial"):
-            assert key in perf and perf[key] >= 0.0
+        reduce_keys = [k for k in perf if k.startswith("reduce.")]
+        assert reduce_keys
+        assert all(perf[k] >= 0.0 for k in reduce_keys)
+        assert not any(k.startswith("seconds") for k in perf)
 
 
 class TestFlattenPerf:
     def test_nested_dicts_become_dotted_keys(self):
-        flat = _flatten_perf({
+        flat = flatten_perf({
             "sites_rescored": 3,
-            "seconds": {"rescore": 0.25, "deep": {"leaf": 1}},
+            "grasp": {"restarts": 2, "deep": {"leaf": 1}},
         })
-        assert flat == {"sites_rescored": 3.0, "seconds.rescore": 0.25,
-                        "seconds.deep.leaf": 1.0}
+        assert flat == {"sites_rescored": 3.0, "grasp.restarts": 2.0,
+                        "grasp.deep.leaf": 1.0}
 
     def test_non_numeric_leaves_skipped(self):
-        assert _flatten_perf({"engine": "kernel", "polished": True,
-                              "n": 2}) == {"n": 2.0}
+        assert flatten_perf({"engine": "kernel", "polished": True,
+                             "n": 2}) == {"n": 2.0}
 
     def test_empty(self):
-        assert _flatten_perf({}) == {}
+        assert flatten_perf({}) == {}
 
 
 class TestFigureRunners:

@@ -6,6 +6,7 @@ to the in-process ``jobs=1`` path, for every figure runner, any worker
 count, and cache on or off.
 """
 
+import inspect
 import json
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.core.hovering import build_hovering_sites
 from repro.experiments.artifacts import ArtifactCache, resolve_cache
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig4 import fig4_algorithms, run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
 from repro.experiments.runner import (
@@ -99,14 +100,15 @@ class TestParallelEquality:
 
 class TestDeterministicDict:
     def test_excludes_wall_clock(self):
+        # perf holds counts only, so it is kept whole (as a copy).
         row = SweepRow("capacity", 1.0, "A", 2.0, 0.1, 3.0, 0.2, 4,
-                       perf={"engine": "kernel", "sites_rescored": 7.0,
-                             "seconds.rescore": 0.5})
+                       perf={"engine": "kernel", "sites_rescored": 7.0})
         det = row.deterministic_dict()
         assert "mean_time_s" not in det
         assert "std_time_s" not in det
         assert det["mean_volume_gb"] == 2.0
         assert det["perf"] == {"engine": "kernel", "sites_rescored": 7.0}
+        assert det["perf"] is not row.perf
 
     def test_no_perf(self):
         row = SweepRow("capacity", 1.0, "A", 2.0, 0.1, 3.0, 0.2, 4)
@@ -465,10 +467,11 @@ class TestArtifactCache:
         assert resolve_cache(None) is None
         fresh = resolve_cache(True)
         assert isinstance(fresh, ArtifactCache)
-        owned = ArtifactCache()
-        assert resolve_cache(owned) is owned
-        with pytest.raises(TypeError):
-            resolve_cache("yes")
+        # Only bools: the sweep owns its cache, and its counters come
+        # back as meta["cache"] under any jobs.
+        for bad in ("yes", ArtifactCache()):
+            with pytest.raises(TypeError, match="must be a bool"):
+                resolve_cache(bad)
 
 
 def det_rows_sans_perf(result):
@@ -518,11 +521,28 @@ class TestBatchColumns:
         assert par.meta["batch_columns"] == fig5_batch.meta["batch_columns"]
 
     def test_fig4_batch_columns_is_noop(self, tiny_config):
-        # The swept δ changes every cell's kwargs, so nothing batches.
-        plain = run_fig4(tiny_config, jobs=1)
-        batch = run_fig4(tiny_config, jobs=1, batch_columns=True)
+        # A δ sweep (Fig. 4's axis) changes every cell's kwargs, so
+        # nothing batches; run_fig4 itself has no batch_columns option.
+        instances = make_instances(tiny_config)
+
+        def make_kwargs(cfg, value, spec):
+            kwargs = dict(spec.kwargs)
+            if spec.method != "benchmark":
+                kwargs["delta"] = value
+            return kwargs
+
+        def sweep(**options):
+            return run_sweep(
+                tiny_config, instances, fig4_algorithms(tiny_config),
+                param_name="delta", param_values=tiny_config.delta_sweep,
+                make_energy=lambda cfg, value: cfg.energy_model(),
+                make_kwargs=make_kwargs, **options)
+
+        plain = sweep()
+        batch = sweep(batch_columns=True)
         assert det_rows(batch) == det_rows(plain)
         assert batch.meta["batch_columns"] == 0
+        assert "batch_columns" not in inspect.signature(run_fig4).parameters
 
     def test_cache_off_matches(self, tiny_config, fig5_batch):
         uncached = run_fig5(tiny_config, jobs=1, batch_columns=True,
@@ -618,25 +638,21 @@ class TestAlgorithm1PrebuiltInputs:
 
 
 # --------------------------------------------------------------------- #
-# Run-ledger integration (PR 8): shard merging, sequential/parallel
-# emission, and the jobs-independence of ambient worker metrics.
+# Run-ledger integration: shard merging and sequential/parallel
+# emission.
 # --------------------------------------------------------------------- #
 
 from repro.obs.ledger import Ledger, get_ledger, ledger_active, set_ledger  # noqa: E402
-from repro.obs.metrics import MetricsRegistry, get_metrics, metrics_scope  # noqa: E402
 from repro.obs.record import RunRecord  # noqa: E402
 from repro.obs.shards import merge_ledger_shards  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
 def ambient_obs_off():
-    """Ledger and ambient metrics start and end disabled in every test."""
+    """The ledger starts and ends disabled in every test."""
     prev_ledger = set_ledger(None)
-    prev_metrics = get_metrics()
     yield
     set_ledger(prev_ledger)
-    from repro.obs.metrics import set_metrics
-    set_metrics(prev_metrics)
 
 
 def ledger_events(ledger):
@@ -773,45 +789,3 @@ class TestParallelLedger:
         result = run_fig3(tiny_config, n_restarts=1, jobs=2)
         assert "ledger_records" not in result.meta
         assert get_ledger() is None
-
-
-class TestJobsIndependentMetrics:
-    """Satellite (a): worker MetricsRegistry snapshots merge into the
-    parent, so ambient counter totals are identical for jobs=1 vs 2."""
-
-    def _counters(self, tiny_config, jobs):
-        registry = MetricsRegistry()
-        with metrics_scope(registry):
-            run_fig3(tiny_config, n_restarts=1, jobs=jobs)
-        return registry.counter_values()
-
-    def test_counters_equal_jobs1_vs_jobs2(self, tiny_config):
-        seq = self._counters(tiny_config, 1)
-        par = self._counters(tiny_config, 2)
-        assert seq == par
-        assert any(name.startswith("kernel.") for name in seq)
-        # GRASP work counters may legitimately read 0 (no dedup hits, no
-        # warm starts in a cold sweep); restart counts never do.
-        assert all(value >= 0 for value in seq.values())
-        assert seq.get("kernel.grasp.restarts", 0) > 0
-
-    def test_fig5_kernel_counters_equal_and_timed(self, tiny_config):
-        # Fig. 5 runs the kernel planners, so the fold also carries the
-        # full insertion/rescore counters and their phase timers.
-        def run(jobs):
-            registry = MetricsRegistry()
-            with metrics_scope(registry):
-                run_fig5(tiny_config, jobs=jobs)
-            return registry
-        seq, par = run(1), run(2)
-        assert seq.counter_values() == par.counter_values()
-        assert seq.counter_values()["kernel.insertions"] > 0
-        # Timers are wall-clock (nondeterministic) — present, positive,
-        # but never part of the equality contract above.
-        timers = par.timer_seconds()
-        assert any(name.startswith("kernel.") for name in timers)
-        assert all(v >= 0.0 for v in timers.values())
-
-    def test_no_scope_accumulates_nothing(self, tiny_config):
-        run_fig3(tiny_config, n_restarts=1, jobs=1)
-        assert get_metrics() is None

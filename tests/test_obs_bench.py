@@ -141,10 +141,11 @@ def write_ledger(path, records):
     return path
 
 
-def fake_records(wall_s=1.0, ops=100.0):
+def fake_records(wall_s=1.0, ops=100.0, label="test.gate",
+                 config_hash="feed"):
     from repro.obs.record import RunRecord
-    return [RunRecord(event="bench.case", label="test.gate",
-                      config_hash="feed", wall_s=wall_s,
+    return [RunRecord(event="bench.case", label=label,
+                      config_hash=config_hash, wall_s=wall_s,
                       metrics={"counters": {"kernel.ops": ops}})]
 
 
@@ -185,7 +186,32 @@ class TestCompareCli:
                      "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["passed"] is True
+        assert data["compared_nothing"] is False
         assert data["cases"][0]["label"] == "test.gate"
+
+    @pytest.mark.parametrize("candidate", ["empty", "rehashed"])
+    def test_gate_fails_when_no_baseline_case_matched(self, tmp_path,
+                                                      capsys, candidate):
+        # An empty run, or one whose every config hash drifted, lists
+        # each baseline case as removed; the gate must not pass that.
+        old = write_ledger(tmp_path / "old.jsonl",
+                           fake_records() + fake_records(label="other"))
+        new = write_ledger(tmp_path / "new.jsonl",
+                           [] if candidate == "empty"
+                           else fake_records(config_hash="beef"))
+        assert main(["compare", str(old), str(new)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(old), str(new), "--gate"]) == 1
+        captured = capsys.readouterr()
+        assert "gate: FAIL (no baseline case matched)" in captured.out
+        assert "none of the baseline's cases matched" in captured.err
+
+    def test_gate_passes_on_superset_of_baseline(self, tmp_path, capsys):
+        old = write_ledger(tmp_path / "old.jsonl", fake_records())
+        new = write_ledger(tmp_path / "new.jsonl",
+                           fake_records() + fake_records(label="added"))
+        assert main(["compare", str(old), str(new), "--gate"]) == 0
+        assert "gate: PASS" in capsys.readouterr().out
 
 
 class TestBenchCli:

@@ -36,9 +36,7 @@ def test_traced_plan_bitwise_identical(method, small_net, energy, radio):
                        delta=40.0, trace=tracer, **kwargs)
     assert tours_identical(plain, traced)
     assert len(tracer.records()) > 0
-    # meta (minus timing-carrying perf seconds) matches too.
-    for meta in (plain.meta, traced.meta):
-        meta.get("perf", {}).pop("seconds", None)
+    # meta matches too: perf holds counts only, no wall-clock.
     assert plain.meta == traced.meta
 
 
@@ -129,3 +127,26 @@ def test_run_sweep_trace_records_cells(tiny_net, radio):
     plans = [r for r in tracer.records()
              if r["name"] == "planner.plan_tour"]
     assert plans and all(p["parent"] in cell_ids for p in plans)
+
+
+def test_batch_column_spans_carry_phase_time():
+    # meta["perf"] holds counts only, so a batch column's per-phase time
+    # must be in its spans: every round and every kernel.batch.* phase.
+    from repro.experiments.config import reduced_settings
+    from repro.experiments.fig5 import run_fig5
+
+    config = reduced_settings().scaled(
+        n_nodes=22, n_instances=1, capacity_sweep=(1.5e4, 3e4),
+        delta=25.0, k_values=(2,), seed=11)
+    tracer = Tracer()
+    with activated(tracer):
+        result = run_fig5(config, batch_columns=True)
+    assert result.meta["batch_columns"] > 0
+    records = tracer.records()
+    names = {r["name"] for r in records}
+    assert {"runner.column", "batch.round", "kernel.batch.rescore",
+            "kernel.batch.insertion", "kernel.batch.partial"} <= names
+    assert all(r["dur_s"] >= 0.0 for r in records
+               if r["name"].startswith("kernel.batch."))
+    for row in result.rows:
+        assert not any(k.startswith("seconds") for k in row.perf)

@@ -38,7 +38,6 @@ from repro.obs.record import (
     environment_fingerprint,
     flatten_perf,
     perf_counter_metrics,
-    perf_timer_metrics,
     sanitize_config,
 )
 
@@ -130,20 +129,17 @@ class TestConfigHashing:
 
 class TestPerfFlattening:
     PERF = {"engine": "kernel", "insertions": 12, "drains": 3,
-            "cache_hit": True, "seconds": {"rescore": 0.5, "partial": 0.1}}
+            "cache_hit": True, "reduce": {"zero_award": 5, "sites_out": 40}}
 
     def test_flatten_dots_nested_and_skips_non_numeric(self):
         assert flatten_perf(self.PERF) == {
             "insertions": 12.0, "drains": 3.0,
-            "seconds.rescore": 0.5, "seconds.partial": 0.1}
+            "reduce.zero_award": 5.0, "reduce.sites_out": 40.0}
 
-    def test_counter_metrics_drop_seconds_and_namespace(self):
+    def test_counter_metrics_namespace_every_count(self):
         assert perf_counter_metrics(self.PERF) == {
-            "kernel.insertions": 12.0, "kernel.drains": 3.0}
-
-    def test_timer_metrics_keep_only_seconds(self):
-        assert perf_timer_metrics(self.PERF) == {
-            "kernel.rescore": 0.5, "kernel.partial": 0.1}
+            "kernel.insertions": 12.0, "kernel.drains": 3.0,
+            "kernel.reduce.zero_award": 5.0, "kernel.reduce.sites_out": 40.0}
 
     def test_empty_perf(self):
         assert flatten_perf({}) == {}

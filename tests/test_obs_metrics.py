@@ -1,234 +1,29 @@
-"""Unit tests for repro.obs.metrics: counters, gauges, histograms, timers."""
+"""The kernel's metrics contract: work counts in meta["perf"], time in spans."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-class TestCounter:
-    def test_starts_at_zero_and_accumulates(self):
-        c = Counter("work")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-
-    def test_negative_increment_rejected(self):
-        c = Counter("work")
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.inc(-1.0)
-        assert c.value == 0.0
-
-
-class TestGauge:
-    def test_last_write_wins(self):
-        g = Gauge("depth")
-        g.set(3)
-        g.set(1.5)
-        assert g.value == 1.5
-
-
-class TestHistogram:
-    def test_observe_buckets_and_overflow(self):
-        h = Histogram("lat", bounds=(1.0, 10.0, 100.0))
-        for v in (0.5, 1.0, 5.0, 50.0, 1000.0):
-            h.observe(v)
-        # bisect_left puts a value equal to a bound into that bound's bucket.
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-        assert h.total == pytest.approx(1056.5)
-        assert h.mean == pytest.approx(1056.5 / 5)
-
-    def test_quantile_bucket_resolution(self):
-        h = Histogram("lat", bounds=(1.0, 10.0, 100.0))
-        for _ in range(90):
-            h.observe(0.5)
-        for _ in range(10):
-            h.observe(50.0)
-        assert h.quantile(0.5) == 1.0
-        assert h.quantile(0.95) == 100.0
-        assert h.quantile(1.0) == 100.0
-
-    def test_quantile_empty_and_bounds_checks(self):
-        h = Histogram("lat")
-        assert h.quantile(0.99) == 0.0
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("bad", bounds=())
-        with pytest.raises(ValueError):
-            Histogram("bad", bounds=(1.0, 1.0))
-
-    def test_as_dict_schema(self):
-        h = Histogram("lat", bounds=(1.0, 2.0))
-        h.observe(1.5)
-        assert h.as_dict() == {"bounds": [1.0, 2.0], "counts": [0, 1, 0],
-                               "sum": 1.5, "count": 1}
-
-    def test_default_buckets_cover_planner_scales(self):
-        assert DEFAULT_BUCKETS[0] <= 1e-5 and DEFAULT_BUCKETS[-1] >= 60.0
-
-
-class TestMetricsRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        m = MetricsRegistry()
-        assert m.counter("a") is m.counter("a")
-        assert m.gauge("g") is m.gauge("g")
-        assert m.histogram("h") is m.histogram("h")
-        assert m.timer("t") is m.timer("t")
-
-    def test_timer_and_counter_namespaces_disjoint(self):
-        m = MetricsRegistry()
-        m.counter("rescore").inc(5)
-        with m.time("rescore"):
-            pass
-        assert m.counter_values()["rescore"] == 5.0
-        assert m.timer_seconds()["rescore"] < 1.0
-
-    def test_time_accumulates_across_blocks(self):
-        m = MetricsRegistry()
-        with m.time("phase"):
-            pass
-        first = m.timer_seconds()["phase"]
-        with m.time("phase"):
-            sum(range(1000))
-        assert m.timer_seconds()["phase"] > first
-
-    def test_counter_values_preserves_registration_order(self):
-        m = MetricsRegistry()
-        for name in ("b", "a", "c"):
-            m.counter(name)
-        assert list(m.counter_values()) == ["b", "a", "c"]
-
-    def test_snapshot_schema(self):
-        m = MetricsRegistry()
-        m.counter("work").inc(2)
-        m.gauge("depth").set(7)
-        m.histogram("lat", bounds=(1.0,)).observe(0.5)
-        with m.time("phase"):
-            pass
-        snap = m.snapshot()
-        assert snap["counters"] == {"work": 2.0}
-        assert snap["gauges"] == {"depth": 7.0}
-        assert snap["timers_s"]["phase"] >= 0.0
-        assert snap["histograms"]["lat"]["count"] == 1
-
-
-class TestMerge:
-    """Registry merging: the transport that makes worker metrics
-    jobs-independent (counters add, order never matters)."""
-
-    @staticmethod
-    def _worker(ops, seconds):
-        m = MetricsRegistry()
-        m.counter("kernel.insertions").inc(ops)
-        m.timer("kernel.rescore").value += seconds
-        m.gauge("cache.artifacts").set(ops)
-        m.histogram("lat", bounds=(1.0, 10.0)).observe(ops)
-        return m
-
-    def test_counters_and_timers_add(self):
-        parent = self._worker(2, 0.5).merge(self._worker(3, 0.25))
-        assert parent.counter_values()["kernel.insertions"] == 5.0
-        assert parent.timer_seconds()["kernel.rescore"] == 0.75
-
-    def test_gauges_add_as_partitions(self):
-        parent = self._worker(2, 0.0).merge(self._worker(3, 0.0))
-        assert parent.snapshot()["gauges"]["cache.artifacts"] == 5.0
-
-    def test_histograms_add_bucketwise(self):
-        parent = self._worker(0.5, 0.0).merge(self._worker(50.0, 0.0))
-        hist = parent.snapshot()["histograms"]["lat"]
-        assert hist["counts"] == [1, 0, 1]
-        assert hist["count"] == 2
-        assert hist["sum"] == pytest.approx(50.5)
-
-    def test_histogram_bounds_mismatch_rejected(self):
-        a = MetricsRegistry()
-        a.histogram("lat", bounds=(1.0, 10.0)).observe(0.5)
-        b = MetricsRegistry()
-        b.histogram("lat", bounds=(1.0, 99.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            a.merge(b)
-
-    def test_merge_snapshot_equals_merge(self):
-        direct = self._worker(2, 0.5).merge(self._worker(3, 0.25))
-        import json
-        shipped = json.loads(json.dumps(self._worker(3, 0.25).snapshot()))
-        via_snapshot = self._worker(2, 0.5).merge_snapshot(shipped)
-        assert direct.snapshot() == via_snapshot.snapshot()
-
-    def test_merge_is_commutative(self):
-        ab = self._worker(2, 0.5).merge(self._worker(3, 0.25))
-        ba = self._worker(3, 0.25).merge(self._worker(2, 0.5))
-        assert ab.snapshot() == ba.snapshot()
-
-    def test_merge_into_empty_registry(self):
-        parent = MetricsRegistry()
-        parent.merge(self._worker(4, 0.1))
-        assert parent.counter_values()["kernel.insertions"] == 4.0
-
-    def test_merge_returns_self(self):
-        parent = MetricsRegistry()
-        assert parent.merge(MetricsRegistry()) is parent
-
-
-class TestAmbientRegistry:
-    """The active-instance pattern (mirrors the tracer's)."""
-
-    def test_off_by_default(self):
-        from repro.obs.metrics import get_metrics
-        assert get_metrics() is None
-
-    def test_scope_installs_and_restores(self):
-        from repro.obs.metrics import get_metrics, metrics_scope
-        reg = MetricsRegistry()
-        with metrics_scope(reg) as active:
-            assert active is reg
-            assert get_metrics() is reg
-        assert get_metrics() is None
-
-    def test_scope_none_keeps_current(self):
-        from repro.obs.metrics import get_metrics, metrics_scope
-        outer = MetricsRegistry()
-        with metrics_scope(outer):
-            with metrics_scope(None) as active:
-                assert active is outer
-                assert get_metrics() is outer
-            assert get_metrics() is outer
+from repro.obs.tracer import Tracer
 
 
 class TestKernelBackCompat:
-    """The kernel's meta["perf"] contract must survive the registry swap."""
+    """The kernel's meta["perf"] contract must survive the registry removal."""
 
     def test_kernel_perf_shape(self, small_net, energy, radio):
-        from repro.core.algorithm2 import plan_algorithm2
+        from repro.core.planner import plan_tour
 
-        tour = plan_algorithm2(small_net, energy, radio, delta=40.0)
+        tracer = Tracer()
+        tour = plan_tour(small_net, energy, radio, method="algorithm2",
+                         delta=40.0, trace=tracer)
         perf = tour.meta["perf"]
         assert perf["engine"] == "kernel"
         for key in ("insertions", "drains", "tour_flushes",
                     "sites_rescored", "deltas_recomputed"):
-            assert isinstance(perf[key], int), key
-        assert set(perf["seconds"]) == {"rescore", "insertion", "partial"}
-
-    def test_kernel_counters_and_timers_properties(self, small_net, energy,
-                                                   radio):
-        from repro.core.hovering import build_hovering_sites
-        from repro.core.kernel import PlannerKernel
-
-        sites = build_hovering_sites(small_net, radio, 40.0)
-        kern = PlannerKernel(sites, energy, radio)
-        kern.residual_scores()
-        assert kern.counters["sites_rescored"] > 0
-        assert set(kern.timers) == {"rescore", "insertion", "partial"}
-        assert kern.timers["rescore"] > 0.0
+            assert type(perf[key]) is int, key
+        # Per-phase time is no longer a perf["seconds"] dict: it is the
+        # duration of the kernel's phase spans.
+        assert "seconds" not in perf
+        phases = [r for r in tracer.records()
+                  if r["name"] in ("kernel.rescore", "kernel.insertion")]
+        assert {r["name"] for r in phases} == {"kernel.rescore",
+                                               "kernel.insertion"}
+        assert all(r["dur_s"] >= 0.0 for r in phases)

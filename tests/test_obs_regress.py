@@ -2,12 +2,13 @@
 
 The load-bearing contracts pinned here:
 
-* the shared nearest-rank quantile (one definition for histograms, the
-  trace report, and ledger aggregation) and its edge cases;
+* the shared nearest-rank quantile (one definition for the trace
+  report and ledger aggregation) and its edge cases;
 * :func:`aggregate` is **order-insensitive**, so a compare verdict can
   never depend on worker-shard merge order (property-tested);
 * the gate fails on slowdowns/counter growth past the thresholds, never
-  on improvements, and never on new/removed cases.
+  on improvements, and never on partial new/removed drift — but a
+  comparison in which no baseline case matched fails it.
 """
 
 from __future__ import annotations
@@ -158,6 +159,21 @@ class TestCompareGate:
         report = compare([rec(config_hash="aaaa")], [rec(config_hash="bbbb")])
         assert report.passed
         assert sorted(d.status for d in report.deltas) == ["new", "removed"]
+
+    def test_no_baseline_case_matched_is_flagged(self):
+        # Nothing compared: every baseline case removed (empty candidate
+        # or a full config drift).  The CLI gate refuses this.
+        for new in ([], [rec(config_hash="bbbb")]):
+            report = compare([rec(), rec(label="other")], new)
+            assert report.compared_nothing
+            assert "gate: FAIL (no baseline case matched)" in report.render()
+
+    def test_partial_drift_and_empty_baseline_compare_something(self):
+        old = [rec(), rec(label="old_only")]
+        assert not compare(old, [rec(), rec(label="new_only")]
+                           ).compared_nothing
+        assert not compare([], [rec()]).compared_nothing
+        assert not compare([], []).compared_nothing
 
     def test_custom_thresholds(self):
         tight = Thresholds(time_ratio=1.1)
