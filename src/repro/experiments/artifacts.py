@@ -7,7 +7,9 @@ and the energy *rates* — never on the swept battery capacity:
 * the δ-grid hovering sites (coverage matrix, awards, hover times),
 * Algorithm 1's conflict-neighbor lists (coverage-overlap groups),
 * Algorithm 1's auxiliary graph ``G_s`` (edge weights use η_h and the
-  J/m travel rate; the capacity only enters as the orienteering budget).
+  J/m travel rate; the capacity only enters as the orienteering budget),
+* the baseline's unpruned Christofides tour, which depends on the
+  instance alone (sensor positions and depot).
 
 :class:`ArtifactCache` memoizes exactly those artifacts so a capacity
 sweep builds each instance's geometry once instead of once per cell.
@@ -37,11 +39,13 @@ import numpy as np
 
 from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
                                  overlap_conflicts)
+from repro.core.benchmark_alg import baseline_tour
 from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.reduce import (ReducedSites, SiteReduction, reduce_sites,
                                resolve_reduction)
 from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
+from repro.obs.tracer import span
 from repro.radio.link import RadioModel
 
 #: Planner methods whose kwargs the cache knows how to augment.
@@ -69,21 +73,27 @@ class ArtifactCache:
         self._sites: Dict[_SiteKey, HoveringSites] = {}
         self._graphs: Dict[_GraphKey, AuxiliaryGraph] = {}
         self._conflicts: Dict[_SiteKey, List[np.ndarray]] = {}
+        self._tours: Dict[int, np.ndarray] = {}
         self._pins: Dict[int, SensorNetwork] = {}
         #: Lookups served from the cache / that had to build the artifact.
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._sites) + len(self._graphs) + len(self._conflicts)
+        return (len(self._sites) + len(self._graphs) + len(self._conflicts)
+                + len(self._tours))
+
+    def _pin(self, network: SensorNetwork) -> int:
+        """The instance part of every cache key: ``id(network)``."""
+        self._pins[id(network)] = network
+        return id(network)
 
     def _site_key(self, network: SensorNetwork, radio: RadioModel,
                   delta: float, options: str = "") -> _SiteKey:
-        self._pins[id(network)] = network
         # _pins keeps the network alive, so id() is stable for the cache
         # lifetime and the key never leaves this process.
         # repro: allow[flow-determinism] -- process-local cache key
-        return (id(network), float(delta), float(radio.bandwidth),
+        return (self._pin(network), float(delta), float(radio.bandwidth),
                 float(radio.coverage_radius), options)
 
     @staticmethod
@@ -194,16 +204,37 @@ class ArtifactCache:
         self._graphs[key] = built
         return built
 
+    def baseline_tour(self, network: SensorNetwork) -> np.ndarray:
+        """The memoized, read-only unpruned baseline tour of an instance.
+
+        Keyed on the instance alone: capacity, δ, the radio and the
+        energy rates never enter :func:`~repro.core.benchmark_alg.
+        baseline_tour`.  Built under an ``artifacts.baseline_tour`` span.
+        """
+        key = self._pin(network)
+        cached = self._tours.get(key)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        self.misses += 1
+        with span("artifacts.baseline_tour", n_nodes=network.n_nodes):
+            built = baseline_tour(network)
+        built.flags.writeable = False
+        self._tours[key] = built
+        return built
+
     def augment_kwargs(self, network: SensorNetwork, energy: EnergyModel,
                        radio: RadioModel, method: str,
                        kwargs: Dict[str, Any]) -> Dict[str, Any]:
         """Planner kwargs for one cell with cached geometry injected.
 
-        Methods outside :data:`CACHEABLE_METHODS` (the benchmark hovers
-        directly over sensors — no δ-grid) and cells without a ``delta``
-        kwarg pass through unchanged.  The injected objects are the same
-        values the planner would otherwise build internally, so the tour
-        is unchanged bitwise.
+        The benchmark gets its memoized unpruned ``tour`` (a ``tour`` the
+        caller passed is kept); it hovers directly over sensors, so it
+        takes no δ-grid geometry.  Other methods outside
+        :data:`CACHEABLE_METHODS` and cells without a ``delta`` kwarg pass
+        through unchanged.  The injected objects are the same values the
+        planner would otherwise build internally, so the tour is
+        unchanged bitwise.
 
         Options listed in :data:`ARTIFACT_OPTIONS` (currently
         ``site_reduction``) are honoured: the injected sites/graph/
@@ -214,6 +245,10 @@ class ArtifactCache:
         their largest-capacity variant (see
         :func:`repro.experiments.runner.run_sweep`).
         """
+        if method == "benchmark":
+            if "tour" in kwargs:
+                return kwargs
+            return {**kwargs, "tour": self.baseline_tour(network)}
         if method not in CACHEABLE_METHODS or "delta" not in kwargs:
             return kwargs
         delta = float(kwargs["delta"])

@@ -41,11 +41,12 @@ fields vary run to run.  See ``docs/experiments.md``.
 Units planned in one process share its
 :class:`~repro.experiments.artifacts.ArtifactCache` (``cache=True``,
 default): δ-grid sites, conflict lists, and auxiliary graphs are built
-once per (instance, δ) and reused across cells, so e.g. a capacity sweep
-pays for its geometry once.  Cache lookups happen *outside* the per-cell
-timer — with the cache on, ``mean_time_s`` is pure planning time over
-prebuilt geometry; run ``cache=False`` to measure the paper-literal
-geometry-included time.
+once per (instance, δ), and the baseline's unpruned tour once per
+instance, and reused across cells, so e.g. a capacity sweep pays for its
+geometry once.  Cache lookups happen *outside* the per-cell timer — with
+the cache on, ``mean_time_s`` is pure planning time over prebuilt
+geometry (for the baseline, its prune loop); run ``cache=False`` to
+measure the paper-literal geometry-included time.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ machinery a careful reproduction wants on top:
   set precisely to enable this): mean difference, its CI, a sign-test
   p-value, and a verdict string.
 
-Only scipy.stats is used (already a dependency).
+Only scipy.stats is used (already a dependency).  It is imported inside
+the functions that call it: importing it costs more than the rest of the
+package together, and the figure runners never need it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.experiments.runner import SweepRow
 from repro.utils.errors import InvalidParameterError
@@ -43,6 +44,7 @@ def mean_confidence_interval(samples: Sequence[float],
     mean = float(x.mean())
     if x.size == 1:
         return mean, mean, mean
+    from scipy import stats
     sem = float(x.std(ddof=1) / np.sqrt(x.size))
     half = float(stats.t.ppf(0.5 + confidence / 2.0, df=x.size - 1) * sem)
     return mean, mean - half, mean + half
@@ -66,6 +68,7 @@ def row_confidence_interval(row: SweepRow, *, metric: str = "volume",
     n = row.n_instances
     if n <= 1:
         return mean, mean, mean
+    from scipy import stats
     sample_std = std * np.sqrt(n / (n - 1))
     sem = sample_std / np.sqrt(n)
     half = float(stats.t.ppf(0.5 + confidence / 2.0, df=n - 1) * sem)
@@ -139,6 +142,7 @@ def paired_comparison(a: Sequence[float], b: Sequence[float], *,
     if n_eff == 0:
         p = 1.0
     else:
+        from scipy import stats
         p = float(stats.binomtest(min(wins, losses), n_eff, 0.5).pvalue)
     return PairedComparison(mean_diff=mean, ci=(lo, hi), wins=wins,
                             losses=losses, ties=ties, p_sign=p)

@@ -19,6 +19,9 @@ from repro.geometry.region import Region
 from repro.utils.errors import InvalidParameterError
 from repro.utils.validation import check_points_array, check_positive
 
+#: Most squares a :class:`GridPartition` may hold (the δ floor).
+MAX_SQUARES = 10**7
+
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -36,7 +39,12 @@ class GridPartition:
     region:
         The rectangle being partitioned.
     delta:
-        Square edge length in metres (> 0).
+        Square edge length in metres (> 0).  δ has a floor: the grid may
+        hold at most :data:`MAX_SQUARES` squares (``nrows * ncols``), the
+        160 MB of ``float64`` centres :meth:`centers` then builds.  On
+        the paper's 1 km square that is δ ≈ 0.32 m; a finer δ raises
+        :class:`~repro.utils.errors.InvalidParameterError` rather than
+        running out of memory.
     """
 
     region: Region
@@ -51,6 +59,11 @@ class GridPartition:
                 raise InvalidParameterError(
                     f"delta={self.delta} is more than 10x the region extent; "
                     "this is almost certainly a unit error")
+        if self.num_squares > MAX_SQUARES:
+            raise InvalidParameterError(
+                f"delta={self.delta} splits the region into "
+                f"{self.num_squares} squares, more than the "
+                f"{MAX_SQUARES} a grid may hold; use a coarser delta")
 
     @property
     def ncols(self) -> int:
@@ -123,4 +136,4 @@ class GridPartition:
         return centers[dist <= radius]
 
 
-__all__ = ["GridPartition"]
+__all__ = ["GridPartition", "MAX_SQUARES"]

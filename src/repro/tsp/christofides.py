@@ -3,12 +3,17 @@
 This is the tour subroutine the paper specifies for Algorithm 2/3's
 ``TSP(S_j)`` evaluations and for the benchmark baseline's initial tour.
 
-Pipeline (implemented from scratch on top of networkx's blossom matching):
+Pipeline (implemented from scratch on numpy and scipy):
 
 1. minimum spanning tree of the complete graph,
-2. minimum-weight perfect matching on the odd-degree MST vertices,
+2. minimum-weight perfect matching on the odd-degree MST vertices
+   (:func:`repro.tsp.matching.min_weight_perfect_matching`),
 3. union multigraph is Eulerian; take an Euler circuit,
 4. shortcut repeated vertices (valid by the triangle inequality).
+
+Steps 2 and 3 reproduce networkx's ``min_weight_matching`` and
+``eulerian_circuit`` choice for choice, so the tour is bitwise the one
+the networkx-based construction (``tests/oracles.py``) returns.
 
 The distance matrix must be (approximately) metric for the 1.5 guarantee;
 the function itself works on any symmetric non-negative matrix.
@@ -16,14 +21,14 @@ the function itself works on any symmetric non-negative matrix.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.obs.tracer import span
 from repro.tsp.length import validate_tour
+from repro.tsp.matching import min_weight_perfect_matching
 from repro.utils.errors import InvalidParameterError
 
 
@@ -38,6 +43,55 @@ def _check_matrix(dist: np.ndarray) -> np.ndarray:
     if not np.allclose(d, d.T, rtol=1e-9, atol=1e-9):
         raise InvalidParameterError("dist must be symmetric")
     return d
+
+
+def _euler_first_visits(k: int, edges: List[Tuple[int, int]],
+                        start: int) -> List[int]:
+    """Vertices of an Euler circuit from *start*, first visits only.
+
+    Hierholzer's algorithm in the exact order ``networkx.eulerian_circuit``
+    walks a multigraph built by adding *edges* in order: that function
+    walks a *copy*, in which each vertex lists its smaller neighbours
+    first, ascending, then its larger ones in edge order; every step takes
+    the first remaining neighbour.  Shortcutting the circuit to first
+    visits (step 4) gives the tour.
+    """
+    mult: Dict[Tuple[int, int], int] = {}
+    firsts: List[List[int]] = [[] for _ in range(k)]  # first-edge order
+    for a, b in edges:
+        key = (min(a, b), max(a, b))
+        if key not in mult:
+            firsts[a].append(b)
+            firsts[b].append(a)
+        mult[key] = mult.get(key, 0) + 1
+    adj = [{x: mult[(min(u, x), max(u, x))]
+            for x in sorted(x for x in nbrs if x < u)
+            + [x for x in nbrs if x > u]}
+           for u, nbrs in enumerate(firsts)]
+    stack = [start]
+    popped: List[int] = []
+    while stack:
+        u = stack[-1]
+        out = adj[u]
+        if not out:
+            popped.append(stack.pop())
+            continue
+        v = next(iter(out))
+        stack.append(v)
+        if out[v] == 1:
+            del out[v], adj[v][u]
+        else:
+            out[v] -= 1
+            adj[v][u] -= 1
+    # The circuit's edges run between consecutive pops; its vertex
+    # sequence is every pop but the last (the start again).
+    visited = [False] * k
+    order = []
+    for u in popped[:-1]:
+        if not visited[u]:
+            visited[u] = True
+            order.append(u)
+    return order
 
 
 def christofides_tour(dist: np.ndarray, start: int = 0,
@@ -96,37 +150,19 @@ def christofides_tour(dist: np.ndarray, start: int = 0,
         # Handshake lemma: the number of odd-degree vertices is even.
         assert len(odd) % 2 == 0, "odd-degree vertex count must be even"
 
-        # 2. Min-weight perfect matching on the odd vertices (blossom
-        #    algorithm via networkx; min_weight over the complete graph
-        #    on `odd`).
-        g_odd = nx.Graph()
-        g_odd.add_nodes_from(range(len(odd)))
-        for a in range(len(odd)):
-            for b in range(a + 1, len(odd)):
-                g_odd.add_edge(a, b, weight=float(sub[odd[a], odd[b]]))
-        matching = nx.min_weight_matching(g_odd)
+        # 2. Min-weight perfect matching on the odd vertices.
+        mate = min_weight_perfect_matching(sub[np.ix_(odd, odd)])
 
-        # 3. Multigraph = MST + matching edges; it is connected with
-        #    all-even degrees, hence Eulerian.
-        multi = nx.MultiGraph()
-        multi.add_nodes_from(range(k))
+        # 3./4. Multigraph = MST + matching edges; it is connected with
+        #    all-even degrees, hence Eulerian: walk it and shortcut.
         ii, jj = np.nonzero(mst)
-        for a, b in zip(ii, jj):
-            multi.add_edge(int(a), int(b))
-        for a, b in matching:
-            multi.add_edge(int(odd[a]), int(odd[b]))
+        pairs = np.flatnonzero(mate > np.arange(len(odd)))
+        edges = list(zip(ii.tolist(), jj.tolist()))
+        edges += zip(odd[pairs].tolist(), odd[mate[pairs]].tolist())
         start_local = int(np.flatnonzero(pool == start)[0])
-        circuit = nx.eulerian_circuit(multi, source=start_local)
-
-        # 4. Shortcut: keep the first occurrence of each vertex.
-        seen = np.zeros(k, dtype=bool)
-        order = []
-        for a, _b in circuit:
-            if not seen[a]:
-                seen[a] = True
-                order.append(a)
+        order = _euler_first_visits(k, edges, start_local)
         # The Euler circuit visits every vertex (connected multigraph).
-        assert seen.all(), "Euler circuit missed a vertex"
+        assert len(order) == k, "Euler circuit missed a vertex"
 
         tour = pool[np.asarray(order, dtype=int)]
         return validate_tour(tour, n)

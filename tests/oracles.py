@@ -13,6 +13,10 @@
   over it instead of the on-demand :class:`~repro.core.auxgraph.W2Costs`.
 * :func:`overlap_matrix` / :func:`dense_overlap_conflicts` — the conflict
   lists read row by row off a dense ``(m, m)`` overlap matrix.
+* :func:`networkx_matching` / :func:`networkx_christofides` — the
+  Christofides tour with networkx's blossom matching and Euler circuit,
+  as the package built it before both moved in-house
+  (:mod:`repro.tsp.matching`).  networkx is a test-only dependency.
 
 :func:`dense_planners`, :func:`legacy_prune` and :func:`dense_auxgraph`
 install them into the planner modules for the duration of a ``with``
@@ -25,11 +29,12 @@ hypothesis tests can use them.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Iterator, List, Tuple
+from typing import Any, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.core import algorithm1, algorithm2, algorithm3, benchmark_alg
 from repro.core.auxgraph import W2Costs
@@ -37,6 +42,7 @@ from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.kernel import PlannerKernel, PruneCache
 from repro.geometry.distance import pairwise_distances
 from repro.orienteering.problem import OrienteeringInstance
+from repro.tsp.length import validate_tour
 
 #: The ways a test can plan one Algorithm 2/3 cell (see :func:`plan_on`).
 IMPLEMENTATIONS = ("kernel", "dense", "batch")
@@ -210,3 +216,65 @@ def plan_on(implementation: str, planner, network, energy, radio,
         return stacked(network, [energy], radio, delta, **kwargs)[0]
     with dense_planners() if implementation == "dense" else nullcontext():
         return planner(network, energy, radio, delta, **kwargs)
+
+
+def _networkx():
+    import networkx as nx  # test-only dependency
+    return nx
+
+
+def networkx_matching(cost: np.ndarray) -> np.ndarray:
+    """``mate`` of ``networkx.min_weight_matching`` on the complete graph
+    whose edge ``(a, b)``, ``a < b``, weighs ``cost[a, b]``."""
+    nx = _networkx()
+    k = cost.shape[0]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(k))
+    for a in range(k):
+        for b in range(a + 1, k):
+            graph.add_edge(a, b, weight=float(cost[a, b]))
+    mate = np.full(k, -1, dtype=np.intp)
+    for a, b in nx.min_weight_matching(graph):
+        mate[a], mate[b] = b, a
+    return mate
+
+
+def networkx_christofides(dist: np.ndarray, start: int = 0,
+                          nodes: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`repro.tsp.christofides.christofides_tour` with networkx's
+    matching and Euler circuit (inputs assumed valid)."""
+    nx = _networkx()
+    d = np.asarray(dist, dtype=float)
+    n = d.shape[0]
+    pool = np.arange(n) if nodes is None else np.asarray(nodes, dtype=int)
+    k = len(pool)
+    if k <= 2:
+        rest = pool[pool != start]
+        return np.concatenate([[start], rest]).astype(int)
+    sub = d[np.ix_(pool, pool)]
+    shift = max(1.0, float(sub.max()))
+    shifted = sub + shift
+    np.fill_diagonal(shifted, 0.0)
+    mst = minimum_spanning_tree(shifted).toarray()
+    degree = ((mst + mst.T) > 0).sum(axis=1)
+    odd = np.flatnonzero(degree % 2 == 1)
+    g_odd = nx.Graph()
+    g_odd.add_nodes_from(range(len(odd)))
+    for a in range(len(odd)):
+        for b in range(a + 1, len(odd)):
+            g_odd.add_edge(a, b, weight=float(sub[odd[a], odd[b]]))
+    matching = nx.min_weight_matching(g_odd)
+    multi = nx.MultiGraph()
+    multi.add_nodes_from(range(k))
+    for a, b in zip(*np.nonzero(mst)):
+        multi.add_edge(int(a), int(b))
+    for a, b in matching:
+        multi.add_edge(int(odd[a]), int(odd[b]))
+    start_local = int(np.flatnonzero(pool == start)[0])
+    seen = np.zeros(k, dtype=bool)
+    order = []
+    for a, _b in nx.eulerian_circuit(multi, source=start_local):
+        if not seen[a]:
+            seen[a] = True
+            order.append(a)
+    return validate_tour(pool[np.asarray(order, dtype=int)], n)

@@ -67,6 +67,15 @@ class TestStrayKwargs:
             assert "'engine'" in str(exc.value)
 
 
+class TestDeltaFloor:
+    @pytest.mark.parametrize("method", ["algorithm1", "algorithm2",
+                                        "algorithm3"])
+    def test_tiny_delta_raises_instead_of_exhausting_memory(
+            self, small_net, energy, radio, method):
+        with pytest.raises(InvalidParameterError, match="coarser delta"):
+            plan_tour(small_net, energy, radio, method=method, delta=1e-3)
+
+
 class TestEnginePassthrough:
     @pytest.mark.parametrize("method", ["algorithm2", "algorithm3",
                                         "benchmark"])

@@ -8,14 +8,18 @@ count, and cache on or off.
 
 import inspect
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.algorithm1 import plan_algorithm1
 from repro.core.auxgraph import build_auxiliary_graph
+from repro.core.benchmark_alg import baseline_tour
 from repro.core.hovering import build_hovering_sites
-from repro.experiments.artifacts import ArtifactCache, resolve_cache
+from repro.experiments.artifacts import (CACHEABLE_METHODS, ArtifactCache,
+                                        resolve_cache)
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import fig4_algorithms, run_fig4
@@ -157,12 +161,32 @@ def unit_spans(records):
 
 def span_nesting(records):
     """``(span name, parent span name)`` pairs of every span the units
-    recorded, as a sorted multiset."""
+    recorded: a sorted multiset of those outside any ``artifacts.*``
+    subtree, and a Counter of those inside one.
+
+    Artifact builds run once per process and instance, so how many a
+    sweep records depends on how units spread over the workers.
+    """
     by_id = {r["id"]: r for r in records}
-    return sorted(
-        (r["name"], by_id[r["parent"]]["name"]
-         if r["parent"] is not None else "")
-        for r in records if r["name"] != "parallel.sweep")
+
+    def in_artifacts(r):
+        while r is not None:
+            if r["name"].startswith("artifacts."):
+                return True
+            r = by_id.get(r["parent"])
+        return False
+
+    outside, inside = [], Counter()
+    for r in records:
+        if r["name"] == "parallel.sweep":
+            continue
+        pair = (r["name"], by_id[r["parent"]]["name"]
+                if r["parent"] is not None else "")
+        if in_artifacts(r):
+            inside[pair] += 1
+        else:
+            outside.append(pair)
+    return sorted(outside), inside
 
 
 class TestJobsParity:
@@ -189,8 +213,17 @@ class TestJobsParity:
         assert det_rows(par) == det_rows(seq)
         assert par_spans == seq_spans
         # The shard merge keeps every parent link a worker recorded.
+        (seq_tree, seq_built), (par_tree, par_built) = seq_tree, par_tree
         assert par_tree == seq_tree
         assert ("planner.plan_tour", "runner.cell") in seq_tree
+        # Every process builds an instance's artifacts at most once.
+        n = tiny_config.n_instances
+        assert set(par_built) == set(seq_built)
+        assert ("artifacts.baseline_tour", "runner.cell") in seq_built
+        for pair, count in seq_built.items():
+            assert count == n, pair
+        for pair, count in par_built.items():
+            assert count % n == 0 and n <= count <= 2 * n, pair
         # One column/chain span per (spec, instance).
         kind_attrs = [attrs for name, attrs in map(json.loads, seq_spans)
                       if name == kind]
@@ -428,13 +461,25 @@ class TestArtifactCache:
         assert len(lists) == sites.n_sites + 1
         assert lists[0].size == 0
 
-    def test_augment_passthrough_benchmark(self, cache_setup):
+    def test_augment_benchmark_injects_tour(self, cache_setup):
         net, radio, energy = cache_setup
         cache = ArtifactCache()
-        kwargs = {"prune": True}
+        out = cache.augment_kwargs(net, energy, radio, "benchmark", {})
+        np.testing.assert_array_equal(out["tour"], baseline_tour(net))
+        assert not out["tour"].flags.writeable
+        assert (cache.hits, cache.misses, len(cache)) == (0, 1, 1)
+        # Keyed on the instance alone: another capacity is a hit on the
+        # same object.
+        again = cache.augment_kwargs(net, replace(energy, capacity=1.0),
+                                     radio, "benchmark", {})
+        assert again["tour"] is out["tour"]
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+        # A tour the caller passed is kept.
+        kwargs = {"tour": np.arange(net.n_nodes + 1)}
         assert cache.augment_kwargs(net, energy, radio, "benchmark",
                                     kwargs) is kwargs
-        assert len(cache) == 0
+        assert CACHEABLE_METHODS == ("algorithm1", "algorithm2",
+                                     "algorithm3")
 
     def test_augment_passthrough_without_delta(self, cache_setup):
         net, radio, energy = cache_setup

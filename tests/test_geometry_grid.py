@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.grid import GridPartition
+from repro.geometry.grid import MAX_SQUARES, GridPartition
 from repro.geometry.region import Region
 from repro.utils.errors import InvalidParameterError
 
@@ -29,6 +29,18 @@ class TestConstruction:
     def test_rejects_absurd_delta(self):
         with pytest.raises(InvalidParameterError):
             GridPartition(Region.square(100.0), delta=5000.0)
+
+    def test_rejects_delta_below_the_floor(self):
+        # 400000 x 400000 centres would be a 1.16 TiB meshgrid.
+        with pytest.raises(InvalidParameterError, match="squares"):
+            GridPartition(Region.square(400.0), 1e-3)
+
+    def test_floor_is_the_square_count(self):
+        width = MAX_SQUARES // 1000
+        assert GridPartition(Region(0, width, 0, 1000), 1.0).num_squares \
+            == MAX_SQUARES
+        with pytest.raises(InvalidParameterError):
+            GridPartition(Region(0, width + 1, 0, 1000), 1.0)
 
     def test_single_square_region(self):
         g = GridPartition(Region.square(100.0), delta=100.0)

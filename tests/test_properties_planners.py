@@ -15,12 +15,15 @@ from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.benchmark_alg import plan_benchmark
 from repro.core.bounds import collection_upper_bound
+from repro.core.planner import PLANNERS as METHODS, plan_tour
 from repro.core.tour import validate_tour_feasibility
 from repro.energy.model import EnergyModel
+from repro.experiments.artifacts import ArtifactCache
 from repro.geometry.region import Region
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.sim.validate import cross_validate
+from repro.utils.errors import InvalidParameterError
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=60.0, altitude=0.0)
 
@@ -102,3 +105,63 @@ class TestPlannerInvariants:
         # Hover time is enough to explain the per-sensor uploads.
         assert tour.collected_volume <= \
             RADIO.bandwidth * tour.hover_time * net.n_nodes + 1e-6
+
+
+@st.composite
+def degenerate_problems(draw):
+    """``(network, energy)`` at the corners of the input space: 0, 1 or a
+    few sensors; co-located, on the depot, or out of reach in the far
+    corner; a centre or corner depot; zero volumes; a battery from
+    1e-9 J up."""
+    n = draw(st.sampled_from([0, 1, 2, 5]))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    region = Region.square(400.0)
+    corner = draw(st.booleans())
+    depot = np.zeros(2) if corner else region.center
+    layout = draw(st.sampled_from(["uniform", "colocated", "on_depot",
+                                   "far"]))
+    positions = region.sample_uniform(n, rng)
+    if layout == "colocated":
+        positions[:] = positions[:1]
+    elif layout == "on_depot":
+        positions[:(n + 1) // 2] = depot
+    elif layout == "far":
+        positions = 400.0 - rng.uniform(0.0, 5.0, (n, 2))
+    volumes = (np.zeros(n) if draw(st.booleans())
+               else rng.uniform(10.0, 800.0, n))
+    capacity = draw(st.sampled_from([1e-9, 2e3, 2e4, 2e5]))
+    net = SensorNetwork(positions=positions, volumes=volumes, depot=depot,
+                        region=region)
+    energy = EnergyModel(capacity=capacity, hover_power=150.0,
+                         travel_power=100.0, speed=10.0)
+    return net, energy
+
+
+#: Per-method options of the degenerate-input probe.
+PROBE_KWARGS = {"algorithm1": {"n_restarts": 2, "seed": 0},
+                "algorithm3": {"K": 3}}
+
+
+class TestDegenerateInputs:
+    """Every planner, called directly or with the sweep's cached
+    artifacts, returns a valid (possibly empty) tour or raises
+    :class:`InvalidParameterError` — never anything else."""
+
+    @given(problem=degenerate_problems())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_valid_tour_or_invalid_parameter(self, problem):
+        net, energy = problem
+        for method in METHODS:
+            kwargs = {"delta": 40.0, **PROBE_KWARGS.get(method, {})}
+            for cached in (False, True):
+                try:
+                    call = (ArtifactCache().augment_kwargs(
+                        net, energy, RADIO, method, kwargs)
+                        if cached else kwargs)
+                    tour = plan_tour(net, energy, RADIO, method=method,
+                                     **call)
+                except InvalidParameterError:
+                    continue
+                assert validate_tour_feasibility(tour, radio=RADIO).feasible
+                assert cross_validate(tour, RADIO).ok

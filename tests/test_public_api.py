@@ -6,6 +6,10 @@ user bug report.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,3 +76,20 @@ def test_docstrings_on_public_planners():
                  "cross_validate", "validate_tour_feasibility"):
         obj = getattr(repro, name)
         assert obj.__doc__ and len(obj.__doc__) > 40, name
+
+
+def test_figure_runners_skip_heavy_imports():
+    """Importing the figure runners loads neither ``scipy.stats`` (a lazy
+    import of ``repro.experiments.stats``) nor networkx (a test-only
+    dependency) — every benchmark child and pool worker pays this import.
+    A fresh interpreter, because this test process imports both."""
+    code = ("import sys\n"
+            "import repro.experiments.fig3, repro.experiments.fig4\n"
+            "import repro.experiments.fig5, repro.experiments.instances\n"
+            "print(sorted({'scipy.stats', 'networkx'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

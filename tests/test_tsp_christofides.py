@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.distance import pairwise_distances
 from repro.tsp.christofides import christofides_tour
 from repro.tsp.exact import held_karp
 from repro.tsp.length import tour_length_matrix, validate_tour
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import networkx_christofides
 
 
 class TestBasics:
@@ -92,3 +94,39 @@ class TestApproximationGuarantee:
         tour = christofides_tour(dist)
         validate_tour(tour, 5)
         assert len(tour) == 5
+
+
+@st.composite
+def tour_problems(draw):
+    """``(dist, start, nodes)``: n = 1-60 points, optionally snapped onto a
+    coarse grid (co-located points) and with some points on point 0 (the
+    depot of the baseline), toured from a random start over all nodes or
+    a random subset."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(0, 500, (n, 2))
+    if draw(st.booleans()):
+        pts = np.round(pts / 100.0) * 100.0
+    on_depot = draw(st.integers(0, n - 1))
+    pts[rng.choice(np.arange(1, n), size=on_depot, replace=False)] = pts[0]
+    nodes = None
+    pool = np.arange(n)
+    if draw(st.booleans()):
+        size = draw(st.integers(1, n))
+        pool = np.sort(rng.choice(n, size=size, replace=False))
+        nodes = pool
+    start = int(pool[draw(st.integers(0, len(pool) - 1))])
+    return pairwise_distances(pts), start, nodes
+
+
+class TestMatchesNetworkx:
+    """The in-house matching and Euler walk give networkx's tour."""
+
+    @given(problem=tour_problems())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_bitwise_equal_tours(self, problem):
+        dist, start, nodes = problem
+        np.testing.assert_array_equal(
+            christofides_tour(dist, start=start, nodes=nodes),
+            networkx_christofides(dist, start=start, nodes=nodes))
