@@ -30,7 +30,8 @@ import numpy as np
 
 from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
                                  overlap_conflicts)
-from repro.core.hovering import HoveringSites, build_hovering_sites
+from repro.core.hovering import (HoveringSites, build_hovering_sites,
+                                 check_prebuilt_sites)
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
@@ -129,6 +130,8 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
             sites = graph.sites
         if sites is None:
             sites = build_hovering_sites(network, radio, delta)
+        else:
+            check_prebuilt_sites(sites, network, radio, delta)
         if reduction.enabled and not isinstance(sites, ReducedSites):
             if graph is not None or conflict_neighbors is not None:
                 raise InvalidParameterError(

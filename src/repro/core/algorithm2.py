@@ -33,7 +33,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.core.hovering import HoveringSites, build_hovering_sites
+from repro.core.hovering import (HoveringSites, build_hovering_sites,
+                                 check_prebuilt_sites)
 from repro.core.kernel import PlannerKernel
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
@@ -150,6 +151,8 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
+    else:
+        check_prebuilt_sites(sites, network, radio, delta)
     if reduction.enabled and not isinstance(sites, ReducedSites):
         sites = reduce_sites(sites, reduction, energy=energy)
 

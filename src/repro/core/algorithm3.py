@@ -22,7 +22,9 @@ Like Algorithm 2, this module is a thin policy layer over
 hover times, the per-(site, k) sojourns and partial awards, and the
 cheapest-insertion deltas, recomputing rows only for candidates whose
 covered sensors drained since the last step — the paper's "recompute the
-overlapping candidates" rule (lines 11–12) made literal.  A whole
+overlapping candidates" rule (lines 11–12) made literal.  The selection
+itself (line 6) is served from a :class:`RatioTable` that is rescored
+only where the kernel's rows changed, with a lazy budget check.  A whole
 capacity column runs as one stacked program in
 :func:`repro.core.batch.plan_algorithm3_batch`.
 
@@ -36,12 +38,13 @@ Fig. 4/5 comparison fair).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.algorithm2 import _DENOM_EPS
-from repro.core.hovering import HoveringSites, build_hovering_sites
+from repro.core.hovering import (HoveringSites, build_hovering_sites,
+                                 check_prebuilt_sites)
 from repro.core.kernel import PlannerKernel
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
@@ -58,6 +61,92 @@ from repro.utils.validation import check_integer
 #: Residual volumes below this many MB are treated as fully collected,
 #: which keeps the greedy loop from chasing floating-point dust.
 _VOLUME_TOL = 1e-9
+
+
+class RatioTable:
+    """Algorithm 3's (site, k) ratio table with a lazy budget check.
+
+    ``rho[j, k] = P'_k(s_j) / max(tau[j, k] * eta_h + delta_j * eta_t/v,
+    eps)`` does not depend on the hover time or tour length spent so
+    far, so it is kept in an ``(m, K)`` array.  Pairs failing the
+    row-local tests (``p_partial > tol``, ``t' > tol / B``) hold ``-inf``.
+    ``delta_j`` is the cheapest-insertion delta clamped at 0, and 0 for
+    on-tour sites (the Lemma 2 upgrade travels nowhere).
+
+    After an upgrade round only the rows the kernel's flush recomputed
+    (:attr:`PlannerKernel.changed_rows`) are rescored; the whole table
+    is rebuilt only when the tour changed (first round, an insertion,
+    or a polish) — the planner says so through :attr:`stale`.
+
+    The budget is checked lazily: the argmax pair's energy is evaluated
+    as a scalar.  If it fits, it is the first maximum over a superset of
+    the feasible pairs, hence the exact answer.  If not, every pair is
+    checked once and the over-budget ones are set to ``-inf``.  Between
+    tour changes the tour length is fixed and the hover time only grows,
+    and IEEE rounding is monotone, so such a pair stays over budget until
+    its row is rescored.
+    """
+
+    # repro: hot-path  (select() runs once per greedy round)
+
+    def __init__(self, kern: PlannerKernel, energy: EnergyModel,
+                 K: int) -> None:
+        self.kern = kern
+        self.eta_h = energy.hover_power
+        self.etat_m = energy.travel_cost_per_meter
+        self.capacity = energy.capacity
+        # repro: allow[hot-path-purity] -- (m, K) ratio table, not (m, n)
+        self.rho = np.full((kern.m, K), -np.inf)
+        self.deltas = np.zeros(kern.m)
+        self.stale = True
+
+    def select(self, eligible_site: np.ndarray, tau: np.ndarray,
+               p_partial: np.ndarray, hover: float,
+               length: float) -> Optional[Tuple[int, int]]:
+        """The first max-ratio ``(site, k)`` pair within budget, or None."""
+        rows = self.kern.changed_rows
+        if self.stale:
+            deltas, _positions = self.kern.insertion_state()
+            deltas = np.maximum(deltas, 0.0)
+            deltas[self.kern.in_tour[1:]] = 0.0
+            self.deltas = deltas
+            self.stale = False
+            rows = None
+        self.refresh(rows, eligible_site, tau, p_partial)
+        pick = self._argmax()
+        if pick is None:
+            return None
+        j, k = pick
+        if ((hover + tau[j, k]) * self.eta_h
+                + (length + self.deltas[j]) * self.etat_m
+                <= self.capacity + 1e-9):
+            return pick
+        self.mask_over_budget(tau, hover, length)
+        return self._argmax()
+
+    def refresh(self, rows: Optional[np.ndarray], eligible_site: np.ndarray,
+                tau: np.ndarray, p_partial: np.ndarray) -> None:
+        """Rescore *rows* of the table (``None``: every row)."""
+        at = slice(None) if rows is None else rows
+        p_rows = p_partial[at]
+        denom = np.maximum(tau[at] * self.eta_h
+                           + self.deltas[at][:, None] * self.etat_m,
+                           _DENOM_EPS)
+        valid = (p_rows > _VOLUME_TOL) & eligible_site[at][:, None]
+        self.rho[at] = np.where(valid, p_rows / denom, -np.inf)
+
+    def mask_over_budget(self, tau: np.ndarray, hover: float,
+                         length: float) -> None:
+        """Set every pair over the energy budget to ``-inf``."""
+        new_energy = ((hover + tau) * self.eta_h
+                      + (length + self.deltas)[:, None] * self.etat_m)
+        self.rho[~(new_energy <= self.capacity + 1e-9)] = -np.inf
+
+    def _argmax(self) -> Optional[Tuple[int, int]]:
+        j, k = np.unravel_index(int(np.argmax(self.rho)), self.rho.shape)
+        if self.rho[j, k] == -np.inf:
+            return None
+        return int(j), int(k)
 
 
 def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
@@ -95,15 +184,15 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
+    else:
+        check_prebuilt_sites(sites, network, radio, delta)
     if reduction.enabled and not isinstance(sites, ReducedSites):
         sites = reduce_sites(sites, reduction, energy=energy)
 
     kern = PlannerKernel(sites, energy, radio, volume_tol=_VOLUME_TOL)
+    table = RatioTable(kern, energy, K)
     pts_all = kern.points_all
     bandwidth = radio.bandwidth
-    eta_h = energy.hover_power
-    etat_m = energy.travel_cost_per_meter
-    capacity = energy.capacity
     m = sites.n_sites
 
     # --- mutable planner state shared by the greedy loop and the polish ---
@@ -125,30 +214,19 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
                 if not eligible_site.any():
                     return
 
-                # Travel delta: zero for on-tour sites (Lemma 2 upgrade).
-                deltas, _positions = kern.insertion_state()
-                deltas = np.maximum(deltas, 0.0)
-                deltas[kern.in_tour[1:]] = 0.0
-
-                new_energy = ((state["hover"] + tau) * eta_h
-                              + (state["len"] + deltas)[:, None] * etat_m)
-                feasible = (new_energy <= capacity + 1e-9) \
-                    & (p_partial > _VOLUME_TOL) & eligible_site[:, None]
-                if not feasible.any():
+                pick = table.select(eligible_site, tau, p_partial,
+                                    state["hover"], state["len"])
+                if pick is None:
                     return
-
-                denom = np.maximum(tau * eta_h + deltas[:, None] * etat_m,
-                                   _DENOM_EPS)
-                rho = np.where(feasible, p_partial / denom, -np.inf)
-                j, k = np.unravel_index(int(np.argmax(rho)), rho.shape)
-                j, k = int(j), int(k)
+                j, k = pick
 
                 node = j + 1
                 duration = float(tau[j, k])
                 if not kern.in_tour[node]:
                     kern.insert(j)
-                    state["len"] += float(deltas[j])
+                    state["len"] += float(table.deltas[j])
                     sojourn_of[node] = 0.0
+                    table.stale = True
                 sojourn_of[node] += duration
                 state["hover"] += duration
 
@@ -168,6 +246,7 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
             start = int(np.flatnonzero(tour_arr[improved] == 0)[0])
             order = np.roll(improved, -start)
             kern.set_tour([int(tour_arr[i]) for i in order])
+            table.stale = True
             state["len"] = tour_length_matrix(
                 np.arange(len(order)), local_dist[np.ix_(order, order)])
             greedy_loop()
@@ -192,4 +271,4 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         meta=meta)
 
 
-__all__ = ["plan_algorithm3"]
+__all__ = ["RatioTable", "plan_algorithm3"]

@@ -10,8 +10,8 @@ dispatches, span bookkeeping, and loop control *per cell*.
 :class:`BatchPlannerKernel` plans the whole column as a single numpy
 program.  The per-variant residual-award (Eq. 11) and residual-hover-time
 (Eq. 12) state of :class:`~repro.core.kernel.PlannerKernel` is stacked
-into ``(B, ·)`` arrays over one shared
-:class:`~repro.geometry.coverage.SparseCoverage` CSR:
+into ``(B, ·)`` arrays over the sites' shared
+:class:`~repro.geometry.coverage.SparseCoverage` CSR (``sites.csr``):
 
 * **Union dirty-set rescoring** — each greedy round rescores the union of
   every variant's dirty sites with one batched segment-``reduceat`` over
@@ -66,12 +66,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.algorithm2 import _DENOM_EPS, SCORING_POLICIES, _score
-from repro.core.hovering import HoveringSites, build_hovering_sites
+from repro.core.hovering import (HoveringSites, build_hovering_sites,
+                                 check_prebuilt_sites)
+from repro.core.kernel import _segment_reduce
 from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
-from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import cross_distances, pairwise_distances
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
@@ -87,25 +88,6 @@ _VOLUME_TOL = 1e-9
 #: Element budget for one insertion-flush distance block — bounds the
 #: transient ``(m, rows·|tour|)`` distance matrix to ~32 MB of float64.
 _FLUSH_CHUNK_ELEMS = 4_000_000
-
-
-def _segment_reduce_rows(vals: np.ndarray, starts: np.ndarray,
-                         lengths: np.ndarray, ufunc) -> np.ndarray:
-    """Row-batched per-segment ``ufunc`` reduction, empty segments -> 0.0.
-
-    The ``(B, nnz)`` generalisation of ``kernel._segment_reduce``:
-    ``reduceat(axis=1)`` reduces every row's segments with the same
-    sequential order as the 1-D call, so each row is bitwise-identical
-    to reducing that row alone.
-    """
-    # repro: allow[hot-path-purity] -- (B, |dirty|) rescore rows, not (m, n)
-    out = np.zeros((vals.shape[0], len(lengths)))
-    if vals.shape[1] == 0 or len(lengths) == 0:
-        return out
-    safe = np.minimum(starts, vals.shape[1] - 1)
-    out[:] = ufunc.reduceat(vals, safe, axis=1)
-    out[:, lengths == 0] = 0.0
-    return out
 
 
 class BatchPlannerKernel:
@@ -164,7 +146,7 @@ class BatchPlannerKernel:
                                    dtype=float)
         self.points_all = np.vstack([sites.network.depot[None, :],
                                      sites.points])
-        self.csr = SparseCoverage.from_matrix(sites.cov_matrix)
+        self.csr = sites.csr
 
         B, m, n = self.B, self.m, self.n
         # --- residual state (one PlannerKernel row per variant) -------- #
@@ -241,9 +223,9 @@ class BatchPlannerKernel:
             return
         idxs, starts, lengths = self.csr.gather(dirty)
         vals = self.rem[:, idxs]
-        self._p_res[:, dirty] = _segment_reduce_rows(vals, starts, lengths,
-                                                     np.add)
-        self._t_res[:, dirty] = _segment_reduce_rows(
+        self._p_res[:, dirty] = _segment_reduce(vals, starts, lengths,
+                                                np.add)
+        self._t_res[:, dirty] = _segment_reduce(
             vals, starts, lengths, np.maximum) / self.bandwidth
         self._partial_dirty[:, dirty] = True
 
@@ -282,7 +264,7 @@ class BatchPlannerKernel:
         for k in range(len(self._fractions)):
             caps = np.repeat(self.bandwidth * tau_d[:, :, k], lengths,
                              axis=1)
-            self._p_partial[:, dirty, k] = _segment_reduce_rows(
+            self._p_partial[:, dirty, k] = _segment_reduce(
                 np.minimum(vals, caps), starts, lengths, np.add)
 
     # ------------------------------------------------------------------ #
@@ -600,6 +582,8 @@ def plan_algorithm2_batch(network: SensorNetwork,
             f"scoring must be one of {SCORING_POLICIES}, got {scoring!r}")
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
+    else:
+        check_prebuilt_sites(sites, network, radio, delta)
     sites = _reduce_column_sites(sites, site_reduction, energies)
     kern = BatchPlannerKernel(sites, energies, radio)
     B, m = kern.B, kern.m
@@ -709,6 +693,8 @@ def plan_algorithm3_batch(network: SensorNetwork,
     K = check_integer(K, "K", minimum=1)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
+    else:
+        check_prebuilt_sites(sites, network, radio, delta)
     sites = _reduce_column_sites(sites, site_reduction, energies)
     kern = BatchPlannerKernel(sites, energies, radio,
                               volume_tol=_VOLUME_TOL)

@@ -11,16 +11,20 @@ can never contribute award), which keeps the candidate count linear in
 * the coverage set ``C(s_j)`` (sensor indices within ``R0``),
 * the award ``p(s_j) = sum of D_v over C(s_j)`` (Eq. 6),
 * the full-collection hover time ``t(s_j) = max D_v / B`` (Eq. 7).
+
+Planners that take prebuilt sites check them with
+:func:`check_prebuilt_sites` before trusting them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from repro.geometry.coverage import CoverageIndex
+from repro.geometry.coverage import CoverageIndex, SparseCoverage
 from repro.geometry.grid import GridPartition
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
@@ -60,6 +64,14 @@ class HoveringSites:
         """Number of candidate hovering locations ``m``."""
         return len(self.points)
 
+    @cached_property
+    def csr(self) -> SparseCoverage:
+        """The coverage matrix as a read-only CSR index, built on first use.
+
+        Every planner kernel over these sites shares this one index.
+        """
+        return SparseCoverage.from_matrix(self.cov_matrix)
+
     def coverage_list(self, site: int) -> np.ndarray:
         """Sorted sensor indices in ``C(s_site)``."""
         if not (0 <= site < self.n_sites):
@@ -92,6 +104,38 @@ class HoveringSites:
         if masked.shape[1] == 0:
             return np.zeros(self.n_sites)
         return masked.max(axis=1)
+
+
+def check_prebuilt_sites(sites: HoveringSites, network: SensorNetwork,
+                         radio: RadioModel, delta: float) -> None:
+    """Reject prebuilt *sites* that were not built from these inputs.
+
+    The sites must come from the same network (the same object, or equal
+    positions, volumes and depot), the same grid edge ``delta`` and an
+    equal radio.  On the artifact-cache path the network is the same
+    object, so the check is O(1).
+
+    Raises
+    ------
+    InvalidParameterError
+        Naming the first input that does not match.
+    """
+    built = sites.network
+    if built is not network:
+        for name in ("positions", "volumes", "depot"):
+            if not np.array_equal(getattr(built, name),
+                                  getattr(network, name)):
+                raise InvalidParameterError(
+                    "prebuilt sites were built for another network: "
+                    f"its {name} differ from this network's")
+    if sites.delta != delta:
+        raise InvalidParameterError(
+            f"prebuilt sites were built with delta={sites.delta}, "
+            f"not delta={delta}")
+    if sites.radio != radio:
+        raise InvalidParameterError(
+            f"prebuilt sites were built with radio {sites.radio}, "
+            f"not {radio}")
 
 
 def build_hovering_sites(network: SensorNetwork, radio: RadioModel,
@@ -139,4 +183,5 @@ def build_hovering_sites(network: SensorNetwork, radio: RadioModel,
                          radio=radio, delta=float(delta))
 
 
-__all__ = ["HoveringSites", "build_hovering_sites"]
+__all__ = ["HoveringSites", "build_hovering_sites",
+           "check_prebuilt_sites"]

@@ -17,12 +17,16 @@ candidates, DESIGN.md §S3) that is hours per run.
 
 * **Sparse coverage index** — a CSR site→sensor index and its sensor→site
   transpose (:class:`repro.geometry.coverage.SparseCoverage`), built once
-  from ``HoveringSites.cov_matrix``.
+  per :class:`~repro.core.hovering.HoveringSites` (``sites.csr``) and
+  shared by every kernel over those sites.
 * **Dirty-set residual invalidation** — when a selection drains sensors,
   only the sites covering those sensors (found through the transpose) are
   rescored, via segment ``reduceat`` reductions over the CSR rows; no
   ``(m, n)`` temporary is ever materialised.  Per-site ``t'`` maxima are
-  maintained the same way.
+  maintained the same way.  Algorithm 3's flush is fused: one gather of
+  the dirty rows yields ``P'``, ``t'`` and all K partial-award columns,
+  and :attr:`PlannerKernel.changed_rows` tells the planner which rows of
+  its ratio table to recompute.
 * **Cached cheapest-insertion deltas** — each candidate remembers its best
   tour edge.  An insertion destroys exactly one edge and creates two, so
   only candidates whose recorded best edge was destroyed are rescanned
@@ -41,9 +45,10 @@ The kernel also counts its work (insertions, drains, sites rescored,
 deltas recomputed) in the plain-int :attr:`PlannerKernel.counters`;
 planners surface them as ``CollectionTour.meta["perf"]`` so figure
 runners and benches report the work actually done.  Time per phase is
-measured only by the ``kernel.rescore`` / ``kernel.partial`` /
-``kernel.insertion`` spans on the active :mod:`repro.obs` tracer — free
-when tracing is disabled, a flame chart when it is not.
+measured only by the ``kernel.rescore`` (Algorithm 2) /
+``kernel.partial`` (Algorithm 3) / ``kernel.insertion`` spans on the
+active :mod:`repro.obs` tracer — free when tracing is disabled, a flame
+chart when it is not.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.hovering import HoveringSites
-from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import cross_distances
 from repro.obs.tracer import span
 from repro.utils.errors import InvalidParameterError
@@ -65,13 +69,17 @@ from repro.utils.errors import InvalidParameterError
 
 def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
                     lengths: np.ndarray, ufunc) -> np.ndarray:
-    """Per-segment ``ufunc`` reduction with empty segments mapped to 0.0."""
-    out = np.zeros(len(lengths))
-    if len(vals) == 0 or len(lengths) == 0:
-        return out
-    safe = np.minimum(starts, len(vals) - 1)
-    out[:] = ufunc.reduceat(vals, safe)
-    out[lengths == 0] = 0.0
+    """Per-segment ``ufunc`` reduction along the last axis of *vals*.
+
+    Empty segments map to 0.0.  A 2-D ``(r, nnz)`` input reduces every
+    row's segments in the same sequential order as the 1-D call on that
+    row alone, so each output row is bitwise the 1-D result.
+    """
+    if vals.shape[-1] == 0 or len(lengths) == 0:
+        return np.zeros(vals.shape[:-1] + (len(lengths),))
+    out = ufunc.reduceat(vals, np.minimum(starts, vals.shape[-1] - 1),
+                         axis=-1)
+    out[..., lengths == 0] = 0.0
     return out
 
 
@@ -96,6 +104,11 @@ class PlannerKernel:
     stay thin policy layers deciding *which* candidate to take, while all
     state bookkeeping funnels through :meth:`insert`, :meth:`set_tour`,
     :meth:`drain_full`, and :meth:`drain_partial`.
+
+    ``changed_rows`` reports the rows of the ``(t', tau, partial awards)``
+    table the last :meth:`partial_scores` call recomputed, as sorted site
+    indices; ``None`` means every row (the first call, a new
+    ``fractions``, or a kernel that does not track rows).
     """
 
     def __init__(self, sites: HoveringSites, energy, radio, *,
@@ -109,7 +122,7 @@ class PlannerKernel:
         self.bandwidth = radio.bandwidth
         self.points_all = np.vstack([sites.network.depot[None, :],
                                      sites.points])
-        self.csr = SparseCoverage.from_matrix(sites.cov_matrix)
+        self.csr = sites.csr
 
         # --- residual state -------------------------------------------- #
         self.rem = sites.network.volumes.astype(float).copy()
@@ -123,6 +136,7 @@ class PlannerKernel:
         self._tau: Optional[np.ndarray] = None
         self._p_partial: Optional[np.ndarray] = None
         self._partial_dirty = np.ones(self.m, dtype=bool)
+        self.changed_rows: Optional[np.ndarray] = None
 
         # --- tour + cheapest-insertion cache --------------------------- #
         self.tour: List[int] = [0]
@@ -173,11 +187,13 @@ class PlannerKernel:
 
         ``tau[j, k] = t'(s_j) * fractions[k]`` and ``p_partial[j, k]`` is
         Eq. 4 evaluated on residual volumes.  Rows are recomputed only for
-        candidates whose residuals changed.
+        candidates whose residuals changed; :attr:`changed_rows` names
+        them.
         """
         fractions = np.asarray(fractions, dtype=float)
-        if self._fractions is None or not np.array_equal(self._fractions,
-                                                         fractions):
+        fresh = self._fractions is None or not np.array_equal(
+            self._fractions, fractions)
+        if fresh:
             self._fractions = fractions.copy()
             self._partial_dirty[:] = True
             # (m, K) caches, K small and allocated once per fractions change.
@@ -185,30 +201,45 @@ class PlannerKernel:
             self._tau = np.zeros((self.m, len(fractions)))
             # repro: allow[hot-path-purity] -- (m, K) cache, not (m, n)
             self._p_partial = np.zeros((self.m, len(fractions)))
-        with span("kernel.rescore"):
-            self._flush_residuals()
         with span("kernel.partial"):
-            self._flush_partial()
+            rows = self._flush_partial()
+        self.changed_rows = None if fresh else rows
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
 
-    def _flush_partial(self) -> None:
-        """Recompute the partial-award rows of dirty sites only."""
-        if not self._partial_dirty.any():
-            return
+    def _flush_partial(self) -> np.ndarray:
+        """Recompute ``P'``, ``t'`` and the (site, k) rows of dirty sites.
+
+        One fused pass: the sites overlapping drained sensors join the
+        pending dirty rows, the rows are gathered once, and all K
+        partial-award columns come from that gather as one
+        ``(K, nnz)`` block.  Returns the recomputed rows.
+        """
         assert (self._fractions is not None and self._tau is not None
                 and self._p_partial is not None)
-        dirty = np.flatnonzero(self._partial_dirty)
+        sensors = np.flatnonzero(self._dirty_sensors)
+        if len(sensors):
+            self._dirty_sensors[:] = False
+            touched = self.csr.sites_covering(sensors)
+            self._partial_dirty[touched] = True
+            self.counters["sites_rescored"] += len(touched)
+        rows = np.flatnonzero(self._partial_dirty)
+        if len(rows) == 0:
+            return rows
         self._partial_dirty[:] = False
-        # repro: allow[hot-path-purity] -- (|dirty|, K) rows, not (m, n)
-        tau_d = self._t_res[dirty][:, None] * self._fractions[None, :]
-        self._tau[dirty] = tau_d
-        idxs, starts, lengths = self.csr.gather(dirty)
+        idxs, starts, lengths = self.csr.gather(rows)
         vals = self.rem[idxs]
-        for k in range(len(self._fractions)):
-            caps = np.repeat(self.bandwidth * tau_d[:, k], lengths)
-            self._p_partial[dirty, k] = _segment_reduce(
-                np.minimum(vals, caps), starts, lengths, np.add)
+        self._p_res[rows] = _segment_reduce(vals, starts, lengths, np.add)
+        t_rows = _segment_reduce(vals, starts, lengths,
+                                 np.maximum) / self.bandwidth
+        self._t_res[rows] = t_rows
+        # repro: allow[hot-path-purity] -- (|rows|, K) block, not (m, n)
+        tau = t_rows[:, None] * self._fractions[None, :]
+        self._tau[rows] = tau
+        caps = np.repeat(self.bandwidth * tau.T, lengths, axis=1)
+        self._p_partial[rows] = _segment_reduce(
+            np.minimum(vals, caps), starts, lengths, np.add).T
+        return rows
 
     # ------------------------------------------------------------------ #
     # Drains (selection side effects on residual volumes)

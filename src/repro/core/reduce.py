@@ -568,7 +568,7 @@ def _repair_coverage(sites: HoveringSites, keep: np.ndarray,
     coverable = sites.cov_matrix[safe_keep].any(axis=0) if safe_keep.any() \
         else np.zeros(n, dtype=bool)
     repaired = 0
-    csr = SparseCoverage.from_matrix(sites.cov_matrix)
+    csr = sites.csr
     for v in np.flatnonzero(coverable & ~covered_now):
         if covered_now[v]:
             continue                     # repaired by an earlier re-add

@@ -94,9 +94,11 @@ def coverage_matrix(candidates, sensors, radius: float) -> np.ndarray:
 class SparseCoverage:
     """CSR view of a boolean coverage matrix, plus its transpose.
 
-    Built once per instance; the incremental planner kernel
-    (:mod:`repro.core.kernel`) walks these index arrays instead of
-    materialising ``(m, n)`` temporaries on every greedy step:
+    Built once per :class:`~repro.core.hovering.HoveringSites` (its
+    ``csr``) and read-only; the incremental planner kernels
+    (:mod:`repro.core.kernel`, :mod:`repro.core.batch`) walk these index
+    arrays instead of materialising ``(m, n)`` temporaries on every
+    greedy step:
 
     * ``site_indptr`` / ``site_indices`` — row ``j`` of the matrix, i.e.
       the sorted sensor indices covered by candidate site ``j``;
@@ -126,6 +128,8 @@ class SparseCoverage:
         tcols, trows = np.nonzero(cov.T)      # transpose walk, same trick
         sensor_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(tcols, minlength=n), out=sensor_indptr[1:])
+        for arr in (site_indptr, cols, sensor_indptr, trows):
+            arr.flags.writeable = False
         return cls(n_sites=m, n_sensors=n,
                    site_indptr=site_indptr, site_indices=cols,
                    sensor_indptr=sensor_indptr, sensor_indices=trows)
@@ -149,7 +153,8 @@ class SparseCoverage:
         """Sorted unique site indices covering any of *sensors*.
 
         This is the dirty set of one greedy selection: the only candidates
-        whose residual award / hover time can have changed.
+        whose residual award / hover time can have changed.  Deduplicated
+        with an ``m``-sized mark array (O(m + hits), no sort).
         """
         sensors = np.asarray(sensors, dtype=np.int64)
         if len(sensors) == 0:
@@ -162,7 +167,9 @@ class SparseCoverage:
         flat = np.repeat(self.sensor_indptr[sensors]
                          - np.cumsum(lengths) + lengths, lengths) \
             + np.arange(total)
-        return np.unique(self.sensor_indices[flat])
+        mark = np.zeros(self.n_sites, dtype=bool)
+        mark[self.sensor_indices[flat]] = True
+        return np.flatnonzero(mark)
 
     def gather(self, sites: np.ndarray) -> tuple:
         """Segment gather for a batch of site rows.

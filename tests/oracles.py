@@ -5,6 +5,9 @@
   ``cov @ rem`` residual awards, an ``(m, n)`` masked row-max for the
   residual hover times and partial awards, a full cheapest-insertion scan
   per call, and coverage rows read from the dense matrix.
+* :class:`DenseRatioTable` — Algorithm 3's selection as the textbook
+  round: every (site, k) pair scored and budget-checked, in place of the
+  cached :class:`~repro.core.algorithm3.RatioTable` and its lazy check.
 * :class:`LegacyPruneCache` — the baseline's prune loop as a full rescan
   of every removal ratio per round.
 * :func:`dense_w2` — Algorithm 1's auxiliary-graph weights (Eq. 9) as the
@@ -18,8 +21,8 @@
   as the package built it before both moved in-house
   (:mod:`repro.tsp.matching`).  networkx is a test-only dependency.
 
-:func:`dense_planners`, :func:`legacy_prune` and :func:`dense_auxgraph`
-install them into the planner modules for the duration of a ``with``
+:func:`dense_planners`, :func:`dense_selection`, :func:`legacy_prune` and
+:func:`dense_auxgraph` install them into the planner modules for the duration of a ``with``
 block, so a test plans the same instance both ways through the public
 planner functions (:func:`kernel_and_dense` and :func:`plan_on` do
 exactly that).  All are plain context managers (not fixtures), so
@@ -37,6 +40,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from repro.core import algorithm1, algorithm2, algorithm3, benchmark_alg
+from repro.core.algorithm2 import _DENOM_EPS
+from repro.core.algorithm3 import _VOLUME_TOL, RatioTable
 from repro.core.auxgraph import W2Costs
 from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.kernel import PlannerKernel, PruneCache
@@ -104,6 +109,29 @@ class DenseKernel(PlannerKernel):
         snap = super().perf()
         snap["engine"] = "dense"
         return snap
+
+
+class DenseRatioTable(RatioTable):
+    """Algorithm 3's per-round selection over every (site, k) pair."""
+
+    def select(self, eligible_site, tau, p_partial, hover, length):
+        kern = self.kern
+        # Travel delta: zero for on-tour sites (Lemma 2 upgrade).
+        deltas, _positions = kern.insertion_state()
+        deltas = np.maximum(deltas, 0.0)
+        deltas[kern.in_tour[1:]] = 0.0
+        self.deltas = deltas
+        new_energy = ((hover + tau) * self.eta_h
+                      + (length + deltas)[:, None] * self.etat_m)
+        feasible = (new_energy <= self.capacity + 1e-9) \
+            & (p_partial > _VOLUME_TOL) & eligible_site[:, None]
+        if not feasible.any():
+            return None
+        denom = np.maximum(tau * self.eta_h + deltas[:, None] * self.etat_m,
+                           _DENOM_EPS)
+        rho = np.where(feasible, p_partial / denom, -np.inf)
+        j, k = np.unravel_index(int(np.argmax(rho)), rho.shape)
+        return int(j), int(k)
 
 
 class LegacyPruneCache(PruneCache):
@@ -184,6 +212,13 @@ def dense_planners() -> Iterator[None]:
     """Run Algorithms 2/3 on :class:`DenseKernel` inside the block."""
     with mock.patch.object(algorithm2, "PlannerKernel", DenseKernel), \
             mock.patch.object(algorithm3, "PlannerKernel", DenseKernel):
+        yield
+
+
+@contextmanager
+def dense_selection() -> Iterator[None]:
+    """Run Algorithm 3 on :class:`DenseRatioTable` inside the block."""
+    with mock.patch.object(algorithm3, "RatioTable", DenseRatioTable):
         yield
 
 

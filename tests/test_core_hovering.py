@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.algorithm1 import plan_algorithm1
+from repro.core.algorithm2 import plan_algorithm2
+from repro.core.algorithm3 import plan_algorithm3
 from repro.core.auxgraph import overlap_conflicts
+from repro.core.batch import (BatchPlannerKernel, plan_algorithm2_batch,
+                              plan_algorithm3_batch)
 from repro.core.hovering import build_hovering_sites
+from repro.core.kernel import PlannerKernel
+from repro.energy.model import EnergyModel
 from repro.geometry.grid import GridPartition
+from repro.geometry.region import Region
+from repro.network.generator import NetworkGenerator
+from repro.network.sensor_network import SensorNetwork
+from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
 
 
@@ -116,3 +127,97 @@ class TestResidualHelpers:
     def test_residual_shape_validated(self, sites):
         with pytest.raises(InvalidParameterError):
             sites.residual_awards([1.0, 2.0])
+
+
+class TestCoverageIndex:
+    def test_csr_built_once_and_shared(self, sites, radio, energy):
+        csr = sites.csr
+        assert sites.csr is csr
+        assert PlannerKernel(sites, energy, radio).csr is csr
+        assert BatchPlannerKernel(sites, [energy], radio).csr is csr
+        for arr in (csr.site_indptr, csr.site_indices, csr.sensor_indptr,
+                    csr.sensor_indices):
+            assert not arr.flags.writeable
+        for j in range(sites.n_sites):
+            np.testing.assert_array_equal(csr.sensors_of(j),
+                                          sites.coverage_list(j))
+
+
+# --------------------------------------------------------------------- #
+# Prebuilt sites must match the planner's own inputs.
+# --------------------------------------------------------------------- #
+
+_GEN = NetworkGenerator(Region.square(400.0), volume_range=(50.0, 500.0))
+_RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
+_ENERGY = EnergyModel(capacity=2e4, hover_power=150.0, travel_power=100.0,
+                      speed=10.0)
+
+#: Every planner that takes ``sites=``, as ``(network, radio, delta,
+#: sites) -> one tour``.
+_PLANNERS = {
+    "algorithm1": lambda net, radio, delta, sites: plan_algorithm1(
+        net, _ENERGY, radio, delta, sites=sites, solver="greedy"),
+    "algorithm2": lambda net, radio, delta, sites: plan_algorithm2(
+        net, _ENERGY, radio, delta, sites=sites),
+    "algorithm3": lambda net, radio, delta, sites: plan_algorithm3(
+        net, _ENERGY, radio, delta, 2, sites=sites),
+    "algorithm2_batch": lambda net, radio, delta, sites: plan_algorithm2_batch(
+        net, [_ENERGY], radio, delta, sites=sites)[0],
+    "algorithm3_batch": lambda net, radio, delta, sites: plan_algorithm3_batch(
+        net, [_ENERGY], radio, delta, 2, sites=sites)[0],
+}
+
+
+def _built_for():
+    """The sites every mismatch case passes: 30 nodes, R0 = 50, δ = 20."""
+    return build_hovering_sites(_GEN.uniform(30, seed=1), _RADIO, 20.0)
+
+
+#: Planner inputs that do not match :func:`_built_for`, and the word the
+#: error must name.
+_MISMATCHES = {
+    "other_network": (lambda: (_GEN.uniform(30, seed=2), _RADIO, 20.0),
+                      "positions"),
+    "smaller_network": (lambda: (_GEN.uniform(20, seed=1), _RADIO, 20.0),
+                        "positions"),
+    "other_volumes": (lambda: (_GEN.uniform(30, seed=1).with_volumes(
+        np.full(30, 100.0)), _RADIO, 20.0), "volumes"),
+    "delta": (lambda: (_GEN.uniform(30, seed=1), _RADIO, 35.0), "delta"),
+    "radio": (lambda: (_GEN.uniform(30, seed=1),
+                       RadioModel(bandwidth=150.0, transmission_range=80.0,
+                                  altitude=0.0), 20.0), "radio"),
+}
+
+
+class TestPrebuiltSitesChecked:
+    @pytest.mark.parametrize("planner", sorted(_PLANNERS))
+    @pytest.mark.parametrize("mismatch", sorted(_MISMATCHES))
+    def test_mismatch_rejected(self, planner, mismatch):
+        make_inputs, named = _MISMATCHES[mismatch]
+        net, radio, delta = make_inputs()
+        with pytest.raises(InvalidParameterError, match=named):
+            _PLANNERS[planner](net, radio, delta, _built_for())
+
+    @pytest.mark.parametrize("planner", sorted(_PLANNERS))
+    def test_equal_inputs_accepted(self, planner):
+        """An equal (not identical) network and radio, and an int δ."""
+        net = _GEN.uniform(30, seed=1)
+        sites = build_hovering_sites(net, _RADIO, 20.0)
+        twin = SensorNetwork(positions=net.positions.copy(),
+                             volumes=net.volumes.copy(),
+                             depot=net.depot.copy(), region=net.region)
+        radio = RadioModel(bandwidth=150.0, transmission_range=50.0,
+                           altitude=0.0)
+        a = _PLANNERS[planner](twin, radio, 20, sites)
+        b = _PLANNERS[planner](net, _RADIO, 20.0, None)
+        np.testing.assert_array_equal(a.points, b.points)
+        np.testing.assert_array_equal(a.sojourns, b.sojourns)
+        np.testing.assert_array_equal(a.collected, b.collected)
+
+    def test_depot_mismatch_rejected(self):
+        net = _GEN.uniform(30, seed=1)
+        moved = SensorNetwork(positions=net.positions, volumes=net.volumes,
+                              depot=net.depot + 1.0, region=net.region)
+        with pytest.raises(InvalidParameterError, match="depot"):
+            plan_algorithm3(moved, _ENERGY, _RADIO, 20.0, 2,
+                            sites=build_hovering_sites(net, _RADIO, 20.0))

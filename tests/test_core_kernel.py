@@ -174,6 +174,34 @@ class TestDirtySetResiduals:
             np.testing.assert_array_equal(a.rem, b.rem)
 
 
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_changed_rows_name_every_changed_row(self, K):
+        net = _net(6)
+        sites = build_hovering_sites(net, RADIO, 20.0)
+        kern = PlannerKernel(sites, ENERGY, RADIO, volume_tol=1e-9)
+        fractions = np.arange(1, K + 1) / K
+        kern.partial_scores(fractions)
+        assert kern.changed_rows is None            # first call: all rows
+        rng = np.random.default_rng(6)
+        for _ in range(6):
+            before = [a.copy() for a in kern.partial_scores(fractions)]
+            site = int(rng.integers(sites.n_sites))
+            drained = kern.rem.copy()
+            kern.drain_partial(site, float(rng.random()))
+            drained = np.flatnonzero(kern.rem != drained)
+            after = kern.partial_scores(fractions)
+            rows = kern.changed_rows
+            np.testing.assert_array_equal(
+                rows, np.flatnonzero(sites.cov_matrix[:, drained].any(axis=1)))
+            same = np.ones(sites.n_sites, dtype=bool)
+            same[rows] = False
+            for old, new in zip(before, after):
+                np.testing.assert_array_equal(old[same], new[same])
+        # A new fractions vector invalidates every row again.
+        kern.partial_scores(fractions / 2)
+        assert kern.changed_rows is None
+
+
 class TestInsertionCache:
     """Incremental delta cache vs the full-scan `_insertion_deltas` oracle."""
 
