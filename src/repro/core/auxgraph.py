@@ -12,7 +12,8 @@ property test suite re-verifies that on random instances.
 
 ``w2`` is a closed form over the node points and ``w1``, so the graph
 never stores the ``(m+1, m+1)`` matrix: :class:`W2Costs` evaluates rows,
-pairs and tour costs on demand (O(m) memory plus the rows it has served).
+column-subset blocks, pairs and tour costs on demand (O(m) memory
+plus the rows it has served).
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class W2Costs:
         block[np.arange(len(new)), new] = 0.0
         return block
 
-    def rows(self, idx) -> np.ndarray:
-        """Fresh ``(len(idx), n)`` copy of rows *idx* (cached per node)."""
+    def _slots(self, idx) -> np.ndarray:
+        """Store slots of rows *idx*, evaluating the rows not yet cached."""
         idx = np.asarray(idx, dtype=np.intp)
         slots = self._slot[idx]
         if (slots < 0).any():
@@ -118,7 +119,22 @@ class W2Costs:
             self._slot[new] = np.arange(self._n_rows, end)
             self._n_rows = end
             slots = self._slot[idx]
+        return slots
+
+    def rows(self, idx) -> np.ndarray:
+        """Fresh ``(len(idx), n)`` copy of rows *idx* (cached per node)."""
+        slots = self._slots(idx)          # may grow the store: call first
         return self._store[slots]
+
+    def block(self, idx, cols) -> np.ndarray:
+        """Fresh ``(len(idx), len(cols))`` gather of rows *idx* at *cols*.
+
+        Served from the cached rows: only the requested entries are
+        copied, never whole rows (one flat ``take`` over the store).
+        """
+        slots = self._slots(idx)
+        flat = slots[:, None] * self.n_nodes + np.asarray(cols, dtype=np.intp)
+        return self._store.take(flat)
 
     def pair(self, i, j) -> np.ndarray:
         """``w2(i, j)`` elementwise over broadcast index arrays."""

@@ -20,12 +20,12 @@ into ``(B, ·)`` arrays over the sites' shared
   (``reduceat`` is a deterministic sequential reduction over identical
   inputs), so the union rescore is bitwise-free.
 * **Batched cheapest-insertion cache** — per-variant deltas/best-edges in
-  ``(B, m)`` arrays, repaired after each round's insertions with the same
-  operation order as :meth:`PlannerKernel.insert`: dead-edge detection
-  before the edge-index shift, two sequential new-edge passes with the
-  identical ``(cand < deltas) | ((cand == deltas) & (new_edge < edges))``
-  tie-break toward the lower edge index, then per-variant rescans of the
-  candidates whose recorded best edge was destroyed.
+  ``(B, m)`` arrays, repaired after each round's insertions by the same
+  :func:`~repro.tsp.construct.repair_insertion_cache` call as
+  :meth:`PlannerKernel.insert`, with the row axis batched (the new-edge
+  comparison and its tie-break toward the lower edge index), then
+  per-variant rescans of the candidates whose recorded best edge was
+  destroyed.
 * **Energy masking** — variants leave the active set exactly where their
   sequential loop would ``break`` (no eligible candidate, nothing
   feasible, or the iteration limit); finished variants simply stop
@@ -77,6 +77,7 @@ from repro.geometry.distance import cross_distances, pairwise_distances
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
 from repro.radio.link import RadioModel
+from repro.tsp.construct import repair_insertion_cache
 from repro.tsp.improve import two_opt
 from repro.tsp.length import tour_length_matrix
 from repro.utils.errors import InvalidParameterError
@@ -396,11 +397,10 @@ class BatchPlannerKernel:
     def insert_many(self, rows: np.ndarray, sites_sel: np.ndarray) -> None:
         """Insert each variant's selected site at its cached best position.
 
-        The cache repair replays ``PlannerKernel.insert`` per row with the
-        row axis batched: dead-edge masks are taken before the edge-index
-        shift, both new edges are applied sequentially with the identical
-        lower-edge-index tie-break, and destroyed-edge candidates are
-        rescanned per variant (tours are ragged across variants).
+        The cache repair is ``PlannerKernel.insert``'s
+        (:func:`~repro.tsp.construct.repair_insertion_cache`) with the row
+        axis batched; destroyed-edge candidates are rescanned per variant
+        (tours are ragged across variants).
         """
         with span("kernel.batch.insertion"):
             stale = np.flatnonzero(self._ins_stale[rows])
@@ -446,8 +446,6 @@ class BatchPlannerKernel:
 
             deltas_sub = self._ins_deltas[rows_g]
             edges_sub = self._ins_edges[rows_g]
-            dead = edges_sub == e_g[:, None]
-            edges_sub[edges_sub > e_g[:, None]] += 1
             # O(1) per candidate: compare against the two edges each
             # row's insertion just created.
             pa = self.points_all[a_nodes]
@@ -457,14 +455,10 @@ class BatchPlannerKernel:
             d3 = d3.reshape(len(rows_g), 3, self.m)
             lens = np.stack([np.linalg.norm(pn - pa, axis=1),
                              np.linalg.norm(pb - pn, axis=1)], axis=1)
-            for t in (0, 1):
-                new_edge = (e_g + t)[:, None]
-                cand = d3[:, t] + d3[:, t + 1] - lens[:, t][:, None]
-                better = (cand < deltas_sub) | ((cand == deltas_sub)
-                                                & (new_edge < edges_sub))
-                deltas_sub[better] = cand[better]
-                edges_sub[better] = np.broadcast_to(
-                    new_edge, edges_sub.shape)[better]
+            dead = repair_insertion_cache(
+                deltas_sub, edges_sub, e_g[:, None],
+                (d3[:, 0] + d3[:, 1] - lens[:, 0][:, None],
+                 d3[:, 1] + d3[:, 2] - lens[:, 1][:, None]))
             # Full rescan only where a row's recorded best edge died
             # ((edges, sites) layout: the per-site argmin over the edge
             # axis keeps the first-minimum tie-break).

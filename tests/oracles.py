@@ -16,17 +16,21 @@
   over it instead of the on-demand :class:`~repro.core.auxgraph.W2Costs`.
 * :func:`overlap_matrix` / :func:`dense_overlap_conflicts` — the conflict
   lists read row by row off a dense ``(m, m)`` overlap matrix.
+* :func:`rescan_greedy_fill` — the orienteering greedy constructor with a
+  full scan of every tour edge against every node per insertion
+  (:func:`full_insertion_deltas`), in place of the production
+  cheapest-insertion cache over the live candidates.
 * :func:`networkx_matching` / :func:`networkx_christofides` — the
   Christofides tour with networkx's blossom matching and Euler circuit,
   as the package built it before both moved in-house
   (:mod:`repro.tsp.matching`).  networkx is a test-only dependency.
 
-:func:`dense_planners`, :func:`dense_selection`, :func:`legacy_prune` and
-:func:`dense_auxgraph` install them into the planner modules for the duration of a ``with``
-block, so a test plans the same instance both ways through the public
-planner functions (:func:`kernel_and_dense` and :func:`plan_on` do
-exactly that).  All are plain context managers (not fixtures), so
-hypothesis tests can use them.
+:func:`dense_planners`, :func:`dense_selection`, :func:`legacy_prune`,
+:func:`dense_auxgraph` and :func:`rescan_construction` install them into
+the planner modules for the duration of a ``with`` block, so a test
+plans the same instance both ways through the public planner functions
+(:func:`kernel_and_dense` and :func:`plan_on` do exactly that).  All are
+plain context managers (not fixtures), so hypothesis tests can use them.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ from repro.core.auxgraph import W2Costs
 from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.kernel import PlannerKernel, PruneCache
 from repro.geometry.distance import pairwise_distances
+from repro.orienteering import grasp, greedy, local_search
+from repro.orienteering._vector import (conflict_neighbors, insertion_ratio,
+                                        rcl_pick)
 from repro.orienteering.problem import OrienteeringInstance
 from repro.tsp.length import validate_tour
 
@@ -205,6 +212,90 @@ def dense_overlap_conflicts(sites) -> List[np.ndarray]:
     for row in overlap_matrix(sites):
         lists.append(np.flatnonzero(row) + 1)
     return lists
+
+
+def full_insertion_deltas(tour: np.ndarray, costs
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every node's cheapest insertion into *tour* from two row gathers."""
+    n = costs.n_nodes
+    k = len(tour)
+    if k == 0:
+        return np.zeros(n), np.zeros(n, dtype=int)
+    if k == 1:
+        return 2.0 * costs.rows(tour)[0], np.ones(n, dtype=int)
+    nxt = np.roll(tour, -1)
+    edge = costs.pair(tour, nxt)
+    cand = costs.rows(tour)
+    cand += costs.rows(nxt)
+    cand -= edge[:, None]
+    best = np.argmin(cand, axis=0)
+    deltas = cand[best, np.arange(n)]
+    positions = (best + 1) % k
+    positions[positions == 0] = k
+    return deltas, positions
+
+
+def rescan_greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
+                       rng: Optional[np.random.Generator] = None,
+                       tape: Optional[np.ndarray] = None,
+                       rcl_size: int = 1,
+                       blocked: Optional[np.ndarray] = None) -> np.ndarray:
+    """Best-ratio greedy insertion with a full insertion scan per step."""
+    n = instance.n_nodes
+    costs = instance.costs
+    budget = instance.budget
+    awards = instance.awards
+    neigh = conflict_neighbors(instance)
+
+    if tape is None and rng is not None and rcl_size > 1:
+        tape = rng.random(max(n - 1, 1))
+    randomized = tape is not None and rcl_size > 1
+    drawn = 0
+
+    cur = np.asarray(tour, dtype=int).copy()
+    cost = instance.tour_cost(cur)
+    unavailable = np.zeros(n, dtype=bool)
+    if blocked is not None:
+        unavailable |= np.asarray(blocked, dtype=bool)
+    unavailable[cur] = True
+    unavailable[awards <= 0] = True
+    if neigh is not None:
+        for v in cur:
+            nb = neigh[int(v)]
+            if len(nb):
+                unavailable[nb] = True
+
+    while True:
+        if unavailable.all():
+            break
+        deltas, positions = full_insertion_deltas(cur, costs)
+        feasible = ~unavailable & (cost + deltas <= budget + 1e-9)
+        if not feasible.any():
+            break
+        ratio = insertion_ratio(deltas, awards, feasible)
+        if not randomized:
+            v = int(np.argmax(ratio))
+        else:
+            v = rcl_pick(ratio, int(feasible.sum()),
+                         float(tape[drawn]), rcl_size)
+            drawn += 1
+        pos = int(positions[v])
+        cur = np.insert(cur, pos if pos != 0 else len(cur), v)
+        cost += float(deltas[v])
+        unavailable[v] = True
+        if neigh is not None and len(neigh[v]):
+            unavailable[neigh[v]] = True
+    return cur
+
+
+@contextmanager
+def rescan_construction() -> Iterator[None]:
+    """Build every orienteering construction with :func:`rescan_greedy_fill`."""
+    with mock.patch.object(greedy, "greedy_fill", rescan_greedy_fill), \
+            mock.patch.object(grasp, "greedy_fill", rescan_greedy_fill), \
+            mock.patch.object(local_search, "greedy_fill",
+                              rescan_greedy_fill):
+        yield
 
 
 @contextmanager

@@ -14,7 +14,7 @@ from repro.experiments.config import reduced_settings
 from repro.experiments.instances import make_instances
 from repro.orienteering.grasp import GRASP_STAT_NAMES
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import dense_auxgraph
+from tests.oracles import dense_auxgraph, rescan_construction
 
 
 class TestFeasibility:
@@ -243,3 +243,29 @@ class TestImplicitCostMemory:
             tracemalloc.stop()
         assert tour.n_hovers > 0
         assert peak < dense_bytes / 4, (peak, dense_bytes)
+
+
+class TestRescanConstructionOracle:
+    """Plans with the cached GRASP construction equal the full rescan's."""
+
+    @pytest.fixture(scope="class")
+    def reduced(self):
+        config = reduced_settings().scaled(n_instances=1, seed=11)
+        return config, make_instances(config)[0]
+
+    @pytest.mark.parametrize("delta", [10.0, 15.0, 25.0])
+    def test_plans_match_on_reduced_instance(self, reduced, delta):
+        config, net = reduced
+        radio = config.radio_model()
+        for capacity in config.capacity_sweep:
+            energy = config.energy_model(capacity)
+            kwargs = dict(method="algorithm1", delta=delta, n_restarts=3,
+                          seed=0)
+            tour = plan_tour(net, energy, radio, **kwargs)
+            with rescan_construction():
+                oracle = plan_tour(net, energy, radio, **kwargs)
+            for field in ("points", "sojourns", "collected"):
+                assert (getattr(tour, field).tobytes()
+                        == getattr(oracle, field).tobytes())
+            assert tour.meta == oracle.meta
+            assert tour.meta["perf"]["grasp"]["restarts"] == 3

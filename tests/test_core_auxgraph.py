@@ -133,6 +133,29 @@ class TestW2Costs:
             tour = rng.permutation(n)[:rng.integers(0, n + 1)]
             assert ops.tour_cost(tour) == tour_length_matrix(tour, dense)
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+           cached_first=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_block_matches_dense(self, seed, n, cached_first):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(0, 500, (n, 2))
+        w1 = rng.uniform(0.0, 1e3, n)
+        ops = W2Costs(points, w1, 10.0)
+        dense = dense_w2(points, w1, 10.0)
+        if cached_first:
+            ops.rows(rng.integers(0, n, 3))
+        for _ in range(4):
+            # Uncached rows grow the store mid-call; repeats and empty
+            # column sets included.
+            idx = rng.integers(0, n, int(rng.integers(1, 6)))
+            cols = rng.integers(0, n, int(rng.integers(0, n + 1)))
+            block = ops.block(idx, cols)
+            assert block.shape == (len(idx), len(cols))
+            assert block.tobytes() == dense[idx][:, cols].tobytes()
+            block += 1.0                              # a fresh copy
+            assert ops.block(idx, cols).tobytes() \
+                == dense[idx][:, cols].tobytes()
+
     def test_depot_only_graph(self, radio, energy):
         empty = SensorNetwork(positions=np.empty((0, 2)), volumes=[],
                               depot=[50.0, 50.0],

@@ -145,6 +145,16 @@ class TestEvaluation:
         assert instance.tour_award([]) == 0.0
         assert instance.tour_cost([]) == 0.0
 
+    def test_block_is_row_column_subset(self, instance):
+        matrix = instance.costs.matrix
+        idx, cols = np.array([3, 0, 3]), np.array([7, 1, 1, 5])
+        block = instance.costs.block(idx, cols)
+        assert block.tobytes() == matrix[idx][:, cols].tobytes()
+        block += 1.0                                  # a fresh copy
+        assert instance.costs.block(idx, cols).tobytes() \
+            == matrix[idx][:, cols].tobytes()
+        assert instance.costs.block([2], []).shape == (1, 0)
+
 
 class TestFeasibility:
     def test_depot_only_feasible(self, instance):
