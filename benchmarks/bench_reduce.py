@@ -1,9 +1,8 @@
 """Site-reduction benchmark: candidate shrink and end-to-end sweep speedup.
 
 Runs the *same* paper-scale dense-δ Fig. 5 capacity sweep at three
-reduction levels — ``off``, ``safe``, ``aggressive`` — over both the
-per-cell ``kernel`` engine and the stacked ``batch`` column engine, and
-records for each mode:
+reduction levels — ``off``, ``safe``, ``aggressive`` — on the per-cell
+``kernel`` engine, and records for each mode:
 
 1. **shrink** — the candidate-site reduction factor read back from the
    ``reduce.*`` work counters (PR 9 targets >= 5x for ``aggressive`` on
@@ -11,7 +10,7 @@ records for each mode:
 2. **speedup** — end-to-end sweep wall-clock ratio against the same
    engine's ``off`` run (best of ``--repeats``),
 3. **losslessness** — ``safe`` rows must be bitwise-identical to ``off``
-   rows (minus wall-clock) on both engines, and the claims harness must
+   rows (minus wall-clock), and the claims harness must
    pass R1 (safe: exact volume equality) and R2 (aggressive: bounded
    collected-data loss, ``--max-loss``),
 4. **ledger records** — one ``bench.case`` record per (engine, level)
@@ -46,7 +45,7 @@ from repro.obs.record import config_hash
 from repro.obs.regress import Thresholds, compare
 
 LEVELS = ("off", "safe", "aggressive")
-ENGINES = ("kernel", "batch")
+ENGINES = ("kernel",)
 
 
 def _bench_config(nodes: int, instances: int, delta: float):
@@ -76,11 +75,9 @@ def _shrink_factor(result) -> Optional[float]:
     return sites_in / sites_out
 
 
-def _run_mode(config, engine: str, level: str,
-              repeats: int) -> Dict[str, Any]:
-    """Best-of-*repeats* wall time of one (engine, level) Fig. 5 sweep."""
-    kwargs: Dict[str, Any] = {"jobs": 1, "cache": True,
-                              "batch_columns": engine == "batch"}
+def _run_mode(config, level: str, repeats: int) -> Dict[str, Any]:
+    """Best-of-*repeats* wall time of one reduction level's Fig. 5 sweep."""
+    kwargs: Dict[str, Any] = {"jobs": 1, "cache": True}
     if level != "off":
         kwargs["site_reduction"] = level
     times = []
@@ -154,8 +151,7 @@ def main(argv=None) -> int:
         for level in LEVELS:
             print(f"running fig5 sweep: engine={engine} level={level}...",
                   file=sys.stderr)
-            runs[(engine, level)] = _run_mode(config, engine, level,
-                                              args.repeats)
+            runs[(engine, level)] = _run_mode(config, level, args.repeats)
             print(f"  {runs[(engine, level)]['wall_s']:.2f} s",
                   file=sys.stderr)
 

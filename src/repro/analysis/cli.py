@@ -73,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "and exit 0")
     check.add_argument("--flow", action="store_true",
                        help="also run the interprocedural flow rules "
-                            "(determinism taint, transport purity, "
-                            "batch-surface parity)")
+                            "(determinism taint, transport purity)")
     check.add_argument("--callgraph-out", default=None, metavar="FILE",
                        help="export the call graph (.dot -> GraphViz, "
                             "else JSON); implies building it")

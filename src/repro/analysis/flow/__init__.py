@@ -2,16 +2,14 @@
 
 This subpackage layers a call graph (:mod:`.callgraph`), a determinism
 taint lattice (:mod:`.taint`), and a JSON-safety lattice
-(:mod:`.jsonsafe`) on top of the per-file engine, and ships three rules
+(:mod:`.jsonsafe`) on top of the per-file engine, and ships two rules
 that consume them:
 
 * ``flow-determinism`` (:mod:`.determinism`) — nondeterminism sources
   must not reach planner returns, SweepRow fields, cache keys, or span
   attributes;
 * ``flow-transport`` (:mod:`.transport`) — the parallel worker boundary
-  only carries provably JSON-safe data;
-* ``flow-parity`` (:mod:`.parity`) — ``plan_X`` / ``plan_X_batch``
-  signatures and ``meta["perf"]`` key contracts must agree.
+  only carries provably JSON-safe data.
 
 The expensive shared artifacts (call graph, taint fixpoint) are computed
 once per :class:`~repro.analysis.engine.Project` through
@@ -25,7 +23,6 @@ from typing import Dict, List, Optional
 from repro.analysis.engine import Project, Rule
 from repro.analysis.flow.callgraph import CallGraph, build_call_graph
 from repro.analysis.flow.determinism import FlowDeterminismRule
-from repro.analysis.flow.parity import FlowParityRule
 from repro.analysis.flow.taint import SinkSpec, TaintAnalysis
 from repro.analysis.flow.transport import FlowTransportRule
 
@@ -58,9 +55,8 @@ class FlowContext:
 
 def flow_rules() -> List[Rule]:
     """The interprocedural rules, in deterministic order."""
-    return [FlowDeterminismRule(), FlowTransportRule(), FlowParityRule()]
+    return [FlowDeterminismRule(), FlowTransportRule()]
 
 
 __all__ = ["FlowContext", "flow_rules", "FlowDeterminismRule",
-           "FlowTransportRule", "FlowParityRule", "CallGraph",
-           "build_call_graph"]
+           "FlowTransportRule", "CallGraph", "build_call_graph"]

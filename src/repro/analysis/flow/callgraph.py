@@ -251,7 +251,7 @@ def _scan_stmt(env: ModuleEnv, stmt: ast.stmt, prefix: str = "") -> None:
             env.import_alias[alias.asname or alias.name.split(".")[0]] = \
                 alias.name if alias.asname else alias.name.split(".")[0]
             if alias.asname is None and "." in alias.name:
-                # ``import repro.core.batch`` binds the root package but
+                # ``import repro.core.kernel`` binds the root package but
                 # resolves the full dotted chain at call sites.
                 env.import_alias[alias.name.split(".")[0]] = \
                     alias.name.split(".")[0]
@@ -395,7 +395,7 @@ class Resolver:
             meth = cls.methods.get(chain[1])
             if meth is not None:
                 return meth
-        # Module attribute chains: np.random.default_rng, batch.plan_x
+        # Module attribute chains: np.random.default_rng, module.func
         mapped = self.env.import_alias.get(base)
         if mapped is not None:
             dotted = ".".join([mapped] + chain[1:])

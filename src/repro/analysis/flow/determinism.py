@@ -1,9 +1,9 @@
 """``flow-determinism`` — nondeterminism may not reach a reproducible sink.
 
-The repo's core promise is bitwise-identical tours and sweep rows per
-cell and per batch column, for any ``jobs=N``.  That promise
-dies silently when a nondeterministic value (or ordering) flows — often
-several calls deep — into one of the *reproducible sinks*:
+The repo's core promise is bitwise-identical tours and sweep rows for
+any ``jobs=N``.  That promise dies silently when a nondeterministic
+value (or ordering) flows — often several calls deep — into one of the
+*reproducible sinks*:
 
 * the return value of a planner (any ``repro`` function returning a
   ``CollectionTour``),

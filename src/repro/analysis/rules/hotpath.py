@@ -12,9 +12,8 @@ rule makes the contract machine-checked: inside code marked
 * calls to ``pairwise_distances`` (an ``(n, n)`` matrix by definition),
 * broadcasted 2-D temporaries of the form ``a[:, None] <op> b[None, :]``,
 * their batched 3-D cousins, e.g. ``a[:, :, None] <op> b[:, None, :]`` —
-  the ``(B, m, n)`` temporaries ``repro.core.batch`` must avoid (its
-  column-stacked kernel carries a leading variant axis, so the old
-  two-axis pattern alone would miss a dense rescore),
+  a ``(B, m, n)`` temporary stacked along a leading axis, which the
+  two-axis pattern alone would miss,
 * gram-matrix matmuls ``x @ y.T`` / ``x.T @ y`` — the dense
   ``(m, m)`` intersection-count products the site-reduction pre-pass
   (``repro.core.reduce``) must build chunked and sparse instead,

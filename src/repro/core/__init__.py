@@ -14,8 +14,6 @@
   virtual hovering locations (paper Algorithm 3),
 * :mod:`repro.core.benchmark_alg` — the paper's comparison baseline
   (Christofides tour over all sensors + min-ratio pruning),
-* :mod:`repro.core.batch` — the column-stacked planner state (one
-  instance, B energy variants as one numpy program),
 * :mod:`repro.core.planner` — one-call facade over all four planners.
 """
 
@@ -27,11 +25,6 @@ from repro.core.algorithm1 import plan_algorithm1
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.benchmark_alg import plan_benchmark
-from repro.core.batch import (
-    BatchPlannerKernel,
-    plan_algorithm2_batch,
-    plan_algorithm3_batch,
-)
 from repro.core.planner import plan_tour, PLANNERS
 from repro.core.bounds import UpperBoundReport, collection_upper_bound, hover_bound, reach_bound
 from repro.core.multi_uav import FleetPlan, plan_fleet, partition_sectors, partition_kmeans
@@ -78,9 +71,6 @@ __all__ = [
     "plan_algorithm2",
     "plan_algorithm3",
     "plan_benchmark",
-    "BatchPlannerKernel",
-    "plan_algorithm2_batch",
-    "plan_algorithm3_batch",
     "plan_tour",
     "PLANNERS",
 ]

@@ -13,8 +13,7 @@ This module is a thin *policy* layer: which candidate to take, under which
 scoring rule.  All per-candidate state — residual awards/hover times with
 dirty-set invalidation and the cheapest-insertion delta cache — lives in
 :class:`repro.core.kernel.PlannerKernel`, which makes each greedy step
-O(overlap) instead of O(m·n + m·|tour|).  A whole capacity column runs
-as one stacked program in :func:`repro.core.batch.plan_algorithm2_batch`.
+O(overlap) instead of O(m·n + m·|tour|).
 
 Incremental-TSP modes
 ---------------------
@@ -40,7 +39,7 @@ from repro.core.reduce import (ReducedSites, attach_reduction_meta,
                                reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
-from repro.geometry.distance import cross_distances, pairwise_distances
+from repro.geometry.distance import pairwise_distances
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
 from repro.radio.link import RadioModel
@@ -48,6 +47,7 @@ from repro.tsp.christofides import christofides_tour
 from repro.tsp.improve import two_opt
 from repro.tsp.length import tour_length_matrix
 from repro.utils.errors import InvalidParameterError
+from repro.utils.validation import check_integer
 
 #: Denominator floor preventing division by zero when a candidate adds
 #: neither hover time nor tour length (e.g. a site colocated with the depot).
@@ -82,31 +82,6 @@ def _score(policy: str, p_res, t_res, deltas, eta_h, etat_m, feasible):
     return np.where(feasible, raw, -np.inf)
 
 
-def _insertion_deltas(site_points: np.ndarray,
-                      tour_points: np.ndarray) -> tuple:
-    """Vectorised cheapest-insertion delta of every site into the tour.
-
-    Returns ``(deltas, positions)`` where ``positions[j]`` is the tour index
-    *before which* site ``j`` would be inserted.  This is the full O(m·k)
-    scan; the kernel maintains the same quantities incrementally and uses
-    this formulation only for flushes (and as the oracle in tests).
-    """
-    k = len(tour_points)
-    if k == 1:
-        d = 2.0 * cross_distances(site_points, tour_points)[:, 0]
-        return d, np.ones(len(site_points), dtype=int)
-    d_site_tour = cross_distances(site_points, tour_points)      # (m, k)
-    nxt = np.roll(np.arange(k), -1)
-    edge_len = np.linalg.norm(tour_points[nxt] - tour_points, axis=1)  # (k,)
-    # delta for inserting between tour_i and tour_{i+1}
-    cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
-    best = np.argmin(cand, axis=1)
-    deltas = cand[np.arange(len(site_points)), best]
-    positions = (best + 1) % k
-    positions[positions == 0] = k
-    return deltas, positions
-
-
 def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
                     radio: RadioModel, delta: float, *,
                     tsp_mode: str = "insertion",
@@ -139,7 +114,8 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
         ``"aggressive"``, or a :class:`~repro.core.reduce.SiteReduction`
         / its dict form.  Ignored when *sites* is already reduced.
     max_iterations:
-        Safety bound on greedy iterations (default: number of candidates).
+        Safety bound on greedy iterations, an integer >= 0 (default:
+        number of candidates + 1).
     """
     # repro: hot-path  (the greedy loop must stay O(overlap) per step)
     if tsp_mode not in ("insertion", "christofides"):
@@ -148,6 +124,9 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
     if scoring not in SCORING_POLICIES:
         raise InvalidParameterError(
             f"scoring must be one of {SCORING_POLICIES}, got {scoring!r}")
+    if max_iterations is not None:
+        max_iterations = check_integer(max_iterations, "max_iterations",
+                                       minimum=0)
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)

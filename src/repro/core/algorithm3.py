@@ -24,9 +24,7 @@ cheapest-insertion deltas, recomputing rows only for candidates whose
 covered sensors drained since the last step — the paper's "recompute the
 overlapping candidates" rule (lines 11–12) made literal.  The selection
 itself (line 6) is served from a :class:`RatioTable` that is rescored
-only where the kernel's rows changed, with a lazy budget check.  A whole
-capacity column runs as one stacked program in
-:func:`repro.core.batch.plan_algorithm3_batch`.
+only where the kernel's rows changed, with a lazy budget check.
 
 With ``K = 1`` this planner coincides with Algorithm 2 (the paper's
 observation that DCM is the special case of PDCM); the test suite asserts
@@ -175,12 +173,15 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         :class:`~repro.core.reduce.SiteReduction` / its dict form);
         ignored when *sites* is already reduced.
     max_iterations:
-        Safety bound on greedy iterations (default ``2 * K * (m + 1)``,
-        mirroring the paper's ``M' = K * M`` virtual-square count with
-        headroom for post-polish resumption).
+        Safety bound on greedy iterations, an integer >= 0 (default
+        ``2 * K * (m + 1)``, mirroring the paper's ``M' = K * M``
+        virtual-square count with headroom for post-polish resumption).
     """
     # repro: hot-path  (the greedy loop must stay O(overlap) per step)
     K = check_integer(K, "K", minimum=1)
+    if max_iterations is not None:
+        max_iterations = check_integer(max_iterations, "max_iterations",
+                                       minimum=0)
     reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)

@@ -291,23 +291,25 @@ class PlannerKernel:
         return self._ins_deltas.copy(), (self._ins_edges + 1).astype(int)
 
     def _flush_insertion(self) -> None:
-        """Full cheapest-insertion scan (legacy `_insertion_deltas`)."""
-        pts = self.sites.points
-        tour_pts = self.points_all[self.tour]
-        k = len(self.tour)
-        if k == 1:
-            self._ins_deltas = 2.0 * cross_distances(pts, tour_pts)[:, 0]
-            self._ins_edges = np.zeros(self.m, dtype=np.int64)
-        else:
-            d_site_tour = cross_distances(pts, tour_pts)
-            nxt = np.roll(np.arange(k), -1)
-            edge_len = np.linalg.norm(tour_pts[nxt] - tour_pts, axis=1)
-            cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
-            best = np.argmin(cand, axis=1)
-            self._ins_deltas = cand[np.arange(self.m), best]
-            self._ins_edges = best.astype(np.int64)
+        """Full cheapest-insertion scan of every candidate."""
+        self._scan_insertion(np.arange(self.m))
         self._ins_stale = False
-        self.counters["deltas_recomputed"] += self.m
+
+    def _scan_insertion(self, idx: np.ndarray) -> None:
+        """Scan candidates *idx* against every edge of the current tour.
+
+        Caches each one's cheapest insertion delta and the first edge
+        attaining it (first-minimum ``argmin``).
+        """
+        tour_pts = self.points_all[self.tour]
+        nxt = np.roll(np.arange(len(self.tour)), -1)
+        edge_len = np.linalg.norm(tour_pts[nxt] - tour_pts, axis=1)
+        d_site_tour = cross_distances(self.sites.points[idx], tour_pts)
+        cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
+        best = np.argmin(cand, axis=1)
+        self._ins_deltas[idx] = cand[np.arange(len(idx)), best]
+        self._ins_edges[idx] = best
+        self.counters["deltas_recomputed"] += len(idx)
 
     def insert(self, site: int) -> int:
         """Insert candidate *site* at its cached best position.
@@ -350,17 +352,7 @@ class PlannerKernel:
                                    d3[:, 1] + d3[:, 2] - lens[1])))
             # Full rescan only where the recorded best edge was destroyed.
             if len(dead_idx):
-                tour_pts = self.points_all[self.tour]
-                k = len(self.tour)
-                d_site_tour = cross_distances(self.sites.points[dead_idx],
-                                              tour_pts)
-                nxt = np.roll(np.arange(k), -1)
-                edge_len = np.linalg.norm(tour_pts[nxt] - tour_pts, axis=1)
-                cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
-                best = np.argmin(cand, axis=1)
-                deltas[dead_idx] = cand[np.arange(len(dead_idx)), best]
-                edges[dead_idx] = best
-                self.counters["deltas_recomputed"] += len(dead_idx)
+                self._scan_insertion(dead_idx)
         return pos
 
     def set_tour(self, order) -> None:

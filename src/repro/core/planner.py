@@ -100,7 +100,7 @@ def plan_tour(network: SensorNetwork, energy: EnergyModel, radio: RadioModel,
     **kwargs:
         Planner-specific options — e.g. ``K=4`` for ``algorithm3``,
         ``overlap="ignore"`` for ``algorithm1``, ``tsp_mode="christofides"``
-        for ``algorithm2``/``algorithm3``.
+        for ``algorithm2`` only.
 
     Returns
     -------

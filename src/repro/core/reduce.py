@@ -3,11 +3,10 @@
 Dense δ-grids explode the candidate-site count ``m`` (Fig. 4's δ = 5 m
 column enumerates tens of thousands of squares for |V| = 500) and every
 greedy round of Algorithms 1-3 scores all of them, even with the
-incremental kernel and the stacked batch engine.  Following the
-TSP-derived candidate-pruning idea of Krishnan et al. (arXiv:2306.01355),
-this module shrinks the candidate :class:`~repro.core.hovering.HoveringSites`
-*before* any planner runs, behind a :class:`SiteReduction` config with two
-preset levels:
+incremental kernel.  Following the TSP-derived candidate-pruning idea of
+Krishnan et al. (arXiv:2306.01355), this module shrinks the candidate
+:class:`~repro.core.hovering.HoveringSites` *before* any planner runs,
+behind a :class:`SiteReduction` config with two preset levels:
 
 ``safe`` — provably plan-preserving eliminations only.  A site with zero
 residual award can never be selected (Eq. 11 keeps its ``P'`` at 0), and a
@@ -16,8 +15,8 @@ the planners' feasibility test ``new_energy <= E + 1e-9`` (any closed tour
 through ``s`` has length ``>= 2·d(depot, s)``, so the travel term alone
 already overshoots).  Removing such sites changes neither the residual
 scores nor the argmax tie-breaks of the survivors, so Algorithms 2/3
-produce bitwise-identical tours per cell and per batch column (pinned by
-``tests/test_core_reduce.py`` and the hypothesis properties).
+produce bitwise-identical tours (pinned by ``tests/test_core_reduce.py``
+and the hypothesis properties).
 
 ``aggressive`` — three additional heuristic stages that trade collected
 data for candidate count (the deltas are measured by the claims harness,
@@ -38,8 +37,8 @@ never assumed):
   2-opt) over a greedy set-cover skeleton of the survivors and drop sites
   whose cheapest-insertion detour off that corridor exceeds
   ``corridor_budget_factor``·R0 metres.  The budget is deliberately
-  denominated in metres, not joules, so per-cell plans and batch columns
-  (which plan whole capacity columns at once) agree on the survivor set.
+  denominated in metres, not joules, so the survivor set does not depend
+  on the battery capacity.
 
 A coverage-repair step then re-adds the best dropped site for any sensor
 the aggressive stages orphaned, so reachable sensors never silently lose
@@ -268,10 +267,7 @@ def reduce_sites(sites: HoveringSites,
     """Run the configured reduction stages over *sites*.
 
     ``energy`` feeds the ``unreachable`` stage (its capacity is the
-    feasibility bound); when ``None`` that stage is skipped.  For a batch
-    column, pass the **largest**-capacity variant: a site unreachable at
-    the largest battery is unreachable for every variant, which keeps the
-    pre-pass plan-preserving column-wide.
+    feasibility bound); when ``None`` that stage is skipped.
 
     ``corridor_seed`` warm-starts the TSP-corridor stage: an ``(t, 2)``
     array of already-planned hover points (a coarser δ-grid's tour, the
@@ -477,8 +473,8 @@ def _drop_off_corridor(sites: HoveringSites, keep: np.ndarray,
     2-opt tour over depot + skeleton is the *corridor*.  Non-skeleton
     sites survive only when their cheapest-insertion detour into that
     tour is within ``corridor_budget_factor``·R0 metres — the Krishnan
-    et al. reduction with a distance-denominated budget, so every
-    capacity variant of a batch column computes the same survivor set.
+    et al. reduction with a distance-denominated budget, so the survivor
+    set does not depend on the battery capacity.
 
     With *seed_points* (the δ-continuation warm start) the skeleton step
     is skipped entirely: the corridor tour is built over depot + the

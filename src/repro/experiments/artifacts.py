@@ -139,9 +139,6 @@ class ArtifactCache:
                       corridor_seed: Optional[Any] = None) -> ReducedSites:
         """Memoized site-reduction pre-pass over the cached base sites.
 
-        For a batch column pass the largest-capacity variant as *energy*
-        (the same convention as
-        :func:`repro.core.batch.plan_algorithm2_batch`).
         ``corridor_seed`` (a coarser δ-grid's tour points, δ-continuation)
         warm-starts the corridor stage and joins the cache key.
         """
@@ -241,9 +238,7 @@ class ArtifactCache:
         conflict lists are built over the *reduced* geometry and keyed by
         the reduction token, so cells differing only in reduction level
         never share artifacts.  For capacity-dependent reductions the
-        caller's *energy* is the reachability bound — batch columns pass
-        their largest-capacity variant (see
-        :func:`repro.experiments.runner.run_sweep`).
+        caller's *energy* is the reachability bound.
         """
         if method == "benchmark":
             if "tour" in kwargs:

@@ -91,12 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rebuild per-instance geometry every cell "
                              "instead of memoizing it across the sweep "
                              "(paper-literal per-cell timings)")
-    parser.add_argument("--batch-columns", action="store_true",
-                        help="fig5 (and 'all', for its fig5 sweep) only: "
-                             "plan each eligible algorithm's whole "
-                             "capacity column per instance as one "
-                             "stacked call (identical results, stacked "
-                             "numpy execution)")
     parser.add_argument("--delta-continuation", action="store_true",
                         help="fig4 only: add an Algorithm 1 series and "
                              "chain its δ cells per instance coarse→fine, "
@@ -140,10 +134,6 @@ def main(argv=None) -> int:
         print("error: --delta-continuation chains the fig4 δ sweep; "
               f"got figure {args.figure!r}", file=sys.stderr)
         return 2
-    if args.batch_columns and args.figure in ("fig3", "fig4"):
-        print("error: --batch-columns stacks the fig5 capacity sweep; "
-              f"got figure {args.figure!r}", file=sys.stderr)
-        return 2
     if args.delta_continuation and args.no_cache:
         print("error: --delta-continuation needs the artifact cache; "
               "drop --no-cache", file=sys.stderr)
@@ -171,8 +161,6 @@ def main(argv=None) -> int:
         extra = {}
         if args.delta_continuation and fig == "fig4":
             extra = {"delta_continuation": True}
-        if args.batch_columns and fig == "fig5":
-            extra = {"batch_columns": True}
         with activated(tracer):
             result = RUNNERS[fig](config, progress=progress,
                                   jobs=args.jobs, cache=not args.no_cache,

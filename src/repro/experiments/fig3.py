@@ -47,11 +47,9 @@ def run_fig3(config: ExperimentConfig,
     ``jobs``/``cache`` select the execution engine and the per-instance
     artifact cache (see :func:`repro.experiments.runner.run_sweep`); the
     aggregated volumes are bitwise-identical across all settings.
-    There is no ``batch_columns`` option: Algorithm 1 and the benchmark
-    have no stacked formulation.  ``site_reduction`` applies the
-    candidate-site reduction pre-pass to the Algorithm 1 cells (the
-    benchmark has no δ-grid); GRASP seeding is reduction-aware, so
-    ``safe`` leaves the rows bitwise-identical.
+    ``site_reduction`` applies the candidate-site reduction pre-pass to
+    the Algorithm 1 cells (the benchmark has no δ-grid); GRASP seeding
+    is reduction-aware, so ``safe`` leaves the rows bitwise-identical.
     """
     if instances is None:
         instances = make_instances(config)

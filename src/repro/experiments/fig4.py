@@ -60,8 +60,6 @@ def run_fig4(config: ExperimentConfig,
     artifact cache (see :func:`repro.experiments.runner.run_sweep`).
     Each δ builds its own grid, so the cache pays off here across the
     Algorithm 2/3 cells that share a δ, not along the swept axis.
-    There is no ``batch_columns`` option: the swept δ changes every
-    cell's geometry, so no spec forms a batchable column.
     ``site_reduction`` applies the candidate-site reduction pre-pass to
     every Algorithm 2/3 cell — the dense-δ end of this sweep is where it
     pays the most (see ``DESIGN.md``).

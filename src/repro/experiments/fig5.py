@@ -29,22 +29,14 @@ def run_fig5(config: ExperimentConfig,
              instances: Optional[Sequence[SensorNetwork]] = None,
              *, validate: bool = True, progress=None,
              jobs: int = 1, cache: bool = True,
-             batch_columns: bool = False,
              site_reduction=None) -> SweepResult:
     """Run the Fig. 5 capacity sweep and return the aggregated rows.
 
     ``jobs``/``cache`` select the execution engine and the per-instance
     artifact cache (see :func:`repro.experiments.runner.run_sweep`); δ is
     fixed here, so the cache builds each instance's grid exactly once
-    for the whole sweep.  This sweep is the batch-column showcase: with
-    ``batch_columns=True`` every Algorithm 2/3 spec plans its whole
-    capacity column per instance in one stacked call
-    (identical tours, one stacked numpy program instead of one greedy
-    loop per capacity; the benchmark keeps the per-cell path).
-    ``site_reduction`` applies the candidate-site reduction pre-pass to
-    the Algorithm 2/3 cells; capacity-dependent stages bound a batch
-    column by its largest capacity, so columns stay plan-preserving at
-    the ``safe`` level.
+    for the whole sweep.  ``site_reduction`` applies the candidate-site
+    reduction pre-pass to the Algorithm 2/3 cells.
     """
     if instances is None:
         instances = make_instances(config)
@@ -65,7 +57,6 @@ def run_fig5(config: ExperimentConfig,
         progress=progress,
         jobs=jobs,
         cache=cache,
-        batch_columns=batch_columns,
         site_reduction=site_reduction)
 
 

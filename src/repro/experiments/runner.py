@@ -9,18 +9,10 @@ across instances.
 Work units
 ----------
 :func:`plan_units` cuts the grid into plain-data *work units*, each
-covering one algorithm spec over a rectangle of the grid, in one of
-three kinds:
+covering one algorithm spec over a rectangle of the grid, in one of two
+kinds:
 
 * ``cell`` — one parameter value x every instance (the default);
-* ``column`` (``batch_columns=True``) — every value x one instance,
-  planned in one stacked call (:mod:`repro.core.batch`).  Eligible when
-  a spec's kwargs are identical at every value and only the energy
-  capacity varies (Fig. 5's capacity sweep, :func:`batchable_column`).
-  Batch plans are bitwise-identical to per-cell plans, so every
-  deterministic row field except the perf engine/counters (``"batch"``
-  instead of ``"kernel"``) is unchanged; per-cell ``mean_time_s``
-  becomes the column wall-clock divided by the column width;
 * ``chain`` (``delta_continuation=True``, δ sweeps only) — every δ x one
   instance of an Algorithm 1 spec, planned in descending δ order,
   warm-starting every finer grid's reduction corridor and first GRASP
@@ -51,14 +43,12 @@ measure the paper-literal geometry-included time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 import numpy as np
 
-from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.planner import plan_tour
 from repro.core.reduce import resolve_reduction
 from repro.energy.model import EnergyModel
@@ -150,11 +140,10 @@ class SweepResult:
 
     config: ExperimentConfig
     rows: List[SweepRow]
-    #: Execution metadata — ``jobs``, the cells served from batch columns,
-    #: the continuation chain count and the artifact-cache counters, with
-    #: the same keys under any ``jobs``; a pool adds the counts of trace
-    #: and ledger records it merged home.  Diagnostic only, never
-    #: serialised into the CSVs.
+    #: Execution metadata — ``jobs``, the continuation chain count and
+    #: the artifact-cache counters, with the same keys under any
+    #: ``jobs``; a pool adds the counts of trace and ledger records it
+    #: merged home.  Diagnostic only, never serialised into the CSVs.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def series(self, algorithm: str) -> List[SweepRow]:
@@ -201,10 +190,9 @@ def _emit_sweep_records(config: ExperimentConfig,
                         param_values: Sequence[float],
                         rows: Sequence[SweepRow],
                         *,
-                        jobs: int,
-                        column_specs: Sequence[int] = ()) -> None:
-    """Emit one ``sweep.cell`` ledger record per finished cell (plus one
-    ``sweep.column`` per batched column); a no-op when no ledger is active.
+                        jobs: int) -> None:
+    """Emit one ``sweep.cell`` ledger record per finished cell; a no-op
+    when no ledger is active.
 
     Called *after* every row exists — the parent emits these in canonical
     cell order under any ``jobs``, and nothing here touches the
@@ -216,7 +204,6 @@ def _emit_sweep_records(config: ExperimentConfig,
     if get_ledger() is None:
         return
     campaign = config.as_dict()
-    n_specs = len(algorithms)
     for index, value, spec in sweep_cells(algorithms, param_values):
         row = rows[index]
         perf = row.perf or {}
@@ -236,22 +223,6 @@ def _emit_sweep_records(config: ExperimentConfig,
                    "param_value": float(value),
                    "mean_volume_gb": row.mean_volume_gb,
                    "n_instances": row.n_instances})
-    for s_idx in sorted(column_specs):
-        spec = algorithms[s_idx]
-        col_rows = [rows[v_idx * n_specs + s_idx]
-                    for v_idx in range(len(param_values))]
-        payload = sanitize_config({
-            "campaign": campaign, "param_name": param_name,
-            "algorithm": spec.name, "method": spec.method,
-            "kwargs": spec.kwargs, "column": True})
-        record_event(
-            "sweep.column",
-            label=spec.name,
-            config_hash=config_hash(payload),
-            engine=(col_rows[0].perf or {}).get("engine"),
-            jobs=jobs,
-            wall_s=sum(r.mean_time_s * r.n_instances for r in col_rows),
-            extra={"column": s_idx, "width": len(param_values)})
 
 
 def _with_site_reduction(make_kwargs: Callable[[ExperimentConfig, float,
@@ -294,30 +265,21 @@ def plan_units(config: ExperimentConfig,
                make_kwargs: Callable[[ExperimentConfig, float, AlgoSpec],
                                      Dict[str, Any]],
                validate: bool,
-               batch_columns: bool,
                delta_continuation: bool) -> List[Unit]:
     """Cut the sweep grid into work units, in canonical order.
 
     Each spec is classified once: a ``chain`` when *delta_continuation*
     is set and :func:`~repro.experiments.continuation.chainable_spec`
-    holds, else a ``column`` when *batch_columns* is set and
-    :func:`batchable_column` holds, else plain ``cell`` units.  A cell
-    unit covers one value x every instance; a column or chain unit every
-    value x one instance.  Units are ordered by their first cell index,
-    then instance, and each carries its canonical ``unit`` index, the
-    ``cells``, ``values`` and ``instances`` it covers, and per value the
-    energy-model fields and planner kwargs.
+    holds, else plain ``cell`` units.  A cell unit covers one value x
+    every instance; a chain unit every value x one instance.  Units are
+    ordered by their first cell index, then instance, and each carries
+    its canonical ``unit`` index, the ``cells``, ``values`` and
+    ``instances`` it covers, and per value the energy-model fields and
+    planner kwargs.
     """
-    kinds = []
-    for spec in algorithms:
-        if delta_continuation and chainable_spec(config, spec, param_values,
-                                                 make_kwargs):
-            kinds.append("chain")
-        elif batch_columns and batchable_column(config, spec, param_values,
-                                                make_energy, make_kwargs):
-            kinds.append("column")
-        else:
-            kinds.append("cell")
+    kinds = ["chain" if delta_continuation
+             and chainable_spec(config, spec, param_values, make_kwargs)
+             else "cell" for spec in algorithms]
     cells = sweep_cells(algorithms, param_values)
     n_specs = len(algorithms)
     units: List[Unit] = []
@@ -327,7 +289,7 @@ def plan_units(config: ExperimentConfig,
         spec = algorithms[s_idx]
         values = [cells[index][1] for index in indices]
         units.append({
-            "unit": len(units), "kind": kind, "spec": s_idx,
+            "unit": len(units), "kind": kind,
             "algorithm": spec.name, "method": spec.method,
             "param_name": param_name, "cells": indices,
             "values": [float(v) for v in values], "instances": instances,
@@ -341,7 +303,7 @@ def plan_units(config: ExperimentConfig,
             add("cell", s_idx, [index], list(range(n_instances)))
         elif index < n_specs:           # the spec's first value
             for i in range(n_instances):
-                add(kinds[s_idx], s_idx,
+                add("chain", s_idx,
                     list(range(s_idx, len(cells), n_specs)), [i])
     return units
 
@@ -356,7 +318,7 @@ def execute_unit(unit: Unit,
     ``run_sweep`` calls it inline for ``jobs=1`` and the pool calls it
     inside a worker, so the timers wrap the same planning calls and the
     samples are bitwise-identical either way.  Opens the unit's
-    ``runner.cell`` / ``runner.column`` / ``runner.chain`` span.
+    ``runner.cell`` / ``runner.chain`` span.
     """
     kind = unit["kind"]
     spec = AlgoSpec(unit["algorithm"], unit["method"])
@@ -374,11 +336,6 @@ def execute_unit(unit: Unit,
             return [[_instance_sample(net, spec, energies[0], radio,
                                       kwargs=kwargs[0], validate=validate,
                                       cache=cache)]
-                    for net in nets]
-        if kind == "column":
-            return [_plan_column_instance(net, spec, energies, radio,
-                                          kwargs=kwargs[0],
-                                          validate=validate, cache=cache)
                     for net in nets]
         assert cache is not None    # run_sweep refuses chains without it
         return [_plan_chain_instance(net, spec, unit["values"], energies,
@@ -426,7 +383,6 @@ def run_sweep(config: ExperimentConfig,
               trace: Optional[TracerLike] = None,
               jobs: int = 1,
               cache: bool = True,
-              batch_columns: bool = False,
               site_reduction: Any = None,
               delta_continuation: bool = False) -> SweepResult:
     """Run a full sweep and aggregate per-cell statistics.
@@ -458,10 +414,10 @@ def run_sweep(config: ExperimentConfig,
         once every earlier cell is complete).
     trace:
         Optional :class:`repro.obs.Tracer` activated for the whole sweep;
-        every work unit gets a ``runner.cell`` / ``runner.column`` /
-        ``runner.chain`` span with the planner's own spans nested
-        underneath.  Under ``jobs > 1`` workers record spans into JSONL
-        shards which are merged into this tracer after the sweep
+        every work unit gets a ``runner.cell`` / ``runner.chain`` span
+        with the planner's own spans nested underneath.  Under
+        ``jobs > 1`` workers record spans into JSONL shards which are
+        merged into this tracer after the sweep
         (:mod:`repro.obs.shards`).
     jobs:
         Worker process count; ``1`` runs in-process.
@@ -471,12 +427,6 @@ def run_sweep(config: ExperimentConfig,
         (one per process; its hit/miss/artifact counts, summed over
         workers, come back as ``meta["cache"]``); ``False`` — rebuild per
         cell, paper-literal.
-    batch_columns:
-        Plan each eligible algorithm's whole value column per instance
-        in one stacked call (see the module
-        docstring).  Deterministic row fields other than the perf
-        engine/counters are unchanged; ineligible specs keep the
-        per-cell path.
     site_reduction:
         Candidate-site reduction pre-pass applied to every δ-grid cell
         (``None``/``"off"``, ``"safe"``, ``"aggressive"``, a
@@ -485,8 +435,6 @@ def run_sweep(config: ExperimentConfig,
         ``site_reduction`` planner kwarg, so it reaches every unit kind
         under any ``jobs`` the same way; benchmark specs and specs that
         already set their own ``site_reduction`` are left alone.
-        Capacity-dependent stages bound a batch column by its largest
-        capacity (see :mod:`repro.core.batch`).
     delta_continuation:
         Plan each Algorithm 1 spec's δ column per instance in descending
         δ order (coarse grids first), warm-starting every finer cell's
@@ -521,13 +469,9 @@ def run_sweep(config: ExperimentConfig,
     units = plan_units(config, algorithms, param_name, param_values,
                        n_instances=len(instances), make_energy=make_energy,
                        make_kwargs=make_kwargs, validate=validate,
-                       batch_columns=batch_columns,
                        delta_continuation=delta_continuation)
-    column_specs = sorted({u["spec"] for u in units
-                           if u["kind"] == "column"})
     meta: Dict[str, Any] = {
         "jobs": jobs,
-        "batch_columns": len(column_specs) * len(param_values),
         "continuation_chains": sum(u["kind"] == "chain" for u in units)}
     slots: List[List[Optional[Sample]]] = [[None] * len(instances)
                                            for _ in cells]
@@ -561,7 +505,7 @@ def run_sweep(config: ExperimentConfig,
                 reported += 1
         ordered = [rows[index] for index in range(len(cells))]
         _emit_sweep_records(config, algorithms, param_name, param_values,
-                            ordered, jobs=jobs, column_specs=column_specs)
+                            ordered, jobs=jobs)
     return SweepResult(config=config, rows=ordered, meta=meta)
 
 
@@ -626,107 +570,6 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
         perf=perf_mean)
 
 
-#: Planner kwargs the batch column executor understands, per method.
-#: A spec using any other option falls back to the per-cell path.
-_COLUMN_KWARGS: Dict[str, frozenset] = {
-    "algorithm2": frozenset({"delta", "polish", "scoring", "max_iterations",
-                             "tsp_mode", "site_reduction"}),
-    "algorithm3": frozenset({"delta", "K", "polish", "max_iterations",
-                             "site_reduction"}),
-}
-
-
-def batchable_column(config: ExperimentConfig,
-                     spec: AlgoSpec,
-                     param_values: Sequence[float],
-                     make_energy: Callable[[ExperimentConfig, float],
-                                           EnergyModel],
-                     make_kwargs: Callable[[ExperimentConfig, float,
-                                            AlgoSpec], Dict[str, Any]],
-                     ) -> bool:
-    """True if *spec*'s cells form one batchable column.
-
-    Batchable means the stacked planner can replay every cell exactly:
-    the method has a batch formulation (Algorithms 2/3 with the default
-    insertion construction), the planner
-    kwargs are identical JSON at every parameter value (so geometry and
-    policy are shared), and the energy models differ only in capacity-like
-    fields — :class:`~repro.core.batch.BatchPlannerKernel` requires equal
-    hover/travel rates across the column.
-    """
-    allowed = _COLUMN_KWARGS.get(spec.method)
-    if allowed is None or not len(param_values):
-        return False
-    try:
-        kwargs0 = make_kwargs(config, param_values[0], spec)
-        key0 = json.dumps(kwargs0, sort_keys=True)
-        keys_equal = all(
-            json.dumps(make_kwargs(config, v, spec), sort_keys=True) == key0
-            for v in param_values[1:])
-    except TypeError:
-        return False             # non-JSON kwargs (e.g. prebuilt sites)
-    if not keys_equal or not set(kwargs0) <= allowed:
-        return False
-    if "delta" not in kwargs0:
-        return False
-    if kwargs0.get("tsp_mode", "insertion") != "insertion":
-        return False
-    if spec.method == "algorithm3" and "K" not in kwargs0:
-        return False
-    energies = [make_energy(config, v) for v in param_values]
-    e0 = energies[0]
-    return all(e.hover_power == e0.hover_power
-               and e.travel_cost_per_meter == e0.travel_cost_per_meter
-               for e in energies)
-
-
-def _plan_column_instance(net: SensorNetwork,
-                          spec: AlgoSpec,
-                          energies: Sequence[EnergyModel],
-                          radio: Any,
-                          *,
-                          kwargs: Dict[str, Any],
-                          validate: bool,
-                          cache: Optional[ArtifactCache] = None
-                          ) -> List[Sample]:
-    """Plan one instance's whole column in one batch call.
-
-    Returns one sample per parameter value, in value order.  The timer
-    wraps the single stacked planning call; each cell's time share is
-    the column wall-clock divided by the column width (the work counters
-    in ``perf`` stay per-variant and grouping-invariant).
-    """
-    call_kwargs = dict(kwargs)
-    if cache is not None:
-        # Outside the timer, like the per-cell path.  The largest
-        # capacity is the column's reachability bound for capacity-
-        # dependent site reductions (matching _reduce_column_sites in
-        # repro.core.batch); plain geometry keys ignore the capacity, so
-        # the choice is free for unreduced columns.
-        cap_energy = max(energies, key=lambda e: e.capacity)
-        call_kwargs = cache.augment_kwargs(net, cap_energy, radio,
-                                           spec.method, call_kwargs)
-    delta = call_kwargs.pop("delta")
-    call_kwargs.pop("tsp_mode", None)
-    if spec.method == "algorithm3":
-        K = call_kwargs.pop("K")
-        with Timer() as t:
-            tours = plan_algorithm3_batch(net, list(energies), radio, delta,
-                                          K, **call_kwargs)
-    else:
-        with Timer() as t:
-            tours = plan_algorithm2_batch(net, list(energies), radio, delta,
-                                          **call_kwargs)
-    share = t.elapsed / len(tours)
-    samples: List[Sample] = []
-    for tour in tours:
-        if validate:
-            cross_validate(tour, radio)
-        samples.append((tour.collected_volume / MB_PER_GB, share,
-                        tour.meta.get("perf")))
-    return samples
-
-
 def _plan_chain_instance(net: SensorNetwork,
                          spec: AlgoSpec,
                          param_values: Sequence[float],
@@ -787,9 +630,7 @@ def _population_std(values: Sequence[float]) -> float:
 
 
 __all__ = ["AlgoSpec", "SweepRow", "SweepResult", "run_sweep", "MB_PER_GB",
-           "sweep_cells", "format_progress",
-           "batchable_column", "_with_site_reduction",
+           "sweep_cells", "format_progress", "_with_site_reduction",
            "_emit_sweep_records", "plan_units", "execute_unit",
-           "_instance_sample",
-           "_aggregate_samples", "_plan_column_instance",
+           "_instance_sample", "_aggregate_samples",
            "_plan_chain_instance", "_population_std"]

@@ -95,10 +95,9 @@ class SparseCoverage:
     """CSR view of a boolean coverage matrix, plus its transpose.
 
     Built once per :class:`~repro.core.hovering.HoveringSites` (its
-    ``csr``) and read-only; the incremental planner kernels
-    (:mod:`repro.core.kernel`, :mod:`repro.core.batch`) walk these index
-    arrays instead of materialising ``(m, n)`` temporaries on every
-    greedy step:
+    ``csr``) and read-only; the incremental planner kernel
+    (:mod:`repro.core.kernel`) walks these index arrays instead of
+    materialising ``(m, n)`` temporaries on every greedy step:
 
     * ``site_indptr`` / ``site_indices`` — row ``j`` of the matrix, i.e.
       the sorted sensor indices covered by candidate site ``j``;

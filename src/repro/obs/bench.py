@@ -220,15 +220,12 @@ def _fig3_workload() -> Dict[str, Any]:
             "extra": {"rows": len(result.rows)}}
 
 
-def _fig5_batch_workload() -> Dict[str, Any]:
-    """Miniature Fig. 5 capacity sweep via stacked batch columns."""
+def _fig5_workload() -> Dict[str, Any]:
+    """Miniature Fig. 5 capacity sweep (sequential, cached)."""
     from repro.experiments.fig5 import run_fig5
-    result = run_fig5(_sweep_config(), jobs=1, cache=True,
-                      batch_columns=True)
+    result = run_fig5(_sweep_config(), jobs=1, cache=True)
     return {"counters": _rows_counters(result.rows),
-            "engine": "batch",
-            "extra": {"rows": len(result.rows),
-                      "batch_columns": result.meta.get("batch_columns")}}
+            "extra": {"rows": len(result.rows)}}
 
 
 register_case(BenchCase(
@@ -258,9 +255,9 @@ register_case(BenchCase(
     config={**_SWEEP_CONFIG, "figure": "fig3"},
     fn=_fig3_workload))
 register_case(BenchCase(
-    name="sweep.fig5_batch", suites=("smoke",),
-    config={**_SWEEP_CONFIG, "figure": "fig5", "batch_columns": True},
-    fn=_fig5_batch_workload))
+    name="sweep.fig5", suites=("smoke",),
+    config={**_SWEEP_CONFIG, "figure": "fig5"},
+    fn=_fig5_workload))
 
 
 __all__ = ["BenchCase", "register_case", "get_case", "suite_cases",

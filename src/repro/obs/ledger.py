@@ -2,10 +2,10 @@
 
 Nothing about a planner run used to persist across invocations — perf
 counters died with the process, trace exports were one-offs, and the
-pinned speedups (kernel ~14-20x, batch >=3x) had no continuously-audited
-trail.  A :class:`Ledger` fixes that: an append-only JSONL file of
+pinned speedups (kernel ~14-20x) had no continuously-audited trail.  A
+:class:`Ledger` fixes that: an append-only JSONL file of
 :class:`~repro.obs.record.RunRecord` entries, one per planner facade
-call, sweep cell/column, or benchmark case.
+call, sweep cell, or benchmark case.
 
 Like tracing, the ledger is **off by default** and ambient when on:
 

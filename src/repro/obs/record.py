@@ -1,7 +1,7 @@
 """Run-ledger records: one structured measurement per planner/sweep/bench run.
 
 A :class:`RunRecord` is the ledger's unit of accounting — every
-``plan_tour`` facade call, every ``run_sweep`` cell/column, and every
+``plan_tour`` facade call, every ``run_sweep`` cell, and every
 ``repro-bench`` case emits one.  The schema is flat JSON:
 
 ``v``
@@ -19,9 +19,9 @@ A :class:`RunRecord` is the ledger's unit of accounting — every
     the same campaign;
 ``engine`` / ``jobs``
     the plan's ``meta["perf"]["engine"]`` path label (``kernel`` for a
-    per-cell Algorithm 2/3 plan and the baseline's prune cache, ``batch``
-    for a batch column, ``scalar`` for Algorithm 1's restart-by-restart
-    GRASP) and worker count;
+    per-cell Algorithm 2/3 plan and the baseline's prune cache,
+    ``scalar`` for Algorithm 1's restart-by-restart GRASP) and worker
+    count;
 ``wall_s``
     measured wall-clock seconds (**nondeterministic** — excluded from
     :meth:`RunRecord.deterministic_dict`);

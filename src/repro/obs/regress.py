@@ -1,8 +1,8 @@
 """Regression observatory: aggregate run ledgers and gate on their diff.
 
 ``repro-bench compare OLD NEW --gate`` is the CI back-stop for every perf
-claim the repo has accumulated (kernel ~14-20x, batch >=3x, cache and
-pool speedups): it aggregates two ledgers (:func:`aggregate`), matches
+claim the repo has accumulated (kernel ~14-20x, cache and pool
+speedups): it aggregates two ledgers (:func:`aggregate`), matches
 benchmark cases by ``(event, label, config_hash)`` — so a case whose
 *configuration* changed is reported as new, never silently compared —
 and applies :class:`Thresholds` to the per-case deltas

@@ -8,8 +8,8 @@ the parent merges the shards into a single span-record list after the
 sweep completes.  The merge:
 
 * orders shards deterministically — by the smallest ``unit`` attribute
-  recorded in the shard (every ``runner.cell`` / ``runner.column`` /
-  ``runner.chain`` span carries its canonical work-unit index), falling
+  recorded in the shard (every ``runner.cell`` / ``runner.chain`` span
+  carries its canonical work-unit index), falling
   back to the shard filename — so the merged trace does not depend on
   worker pids or completion order;
 * re-identifies every span into one contiguous id space and remaps

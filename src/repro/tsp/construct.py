@@ -79,9 +79,7 @@ def repair_insertion_cache(deltas: np.ndarray, edges: np.ndarray, e,
     positions ``i`` and ``i + 1``, cyclically).  Inserting a node on edge
     ``e`` destroys that edge, creates edges ``e`` and ``e + 1`` and
     shifts every later edge up by one; *via_new* holds every candidate's
-    delta against the two new edges, in that order.  Everything is
-    elementwise, so ``(B, c)`` caches of B tours repair in one call with
-    a ``(B, 1)`` column of destroyed edges *e*.
+    delta against the two new edges, in that order.
 
     Both arrays are updated in place: every candidate's cached best is
     compared against the better of the two new edges, exact ties going

@@ -5,6 +5,9 @@
   ``cov @ rem`` residual awards, an ``(m, n)`` masked row-max for the
   residual hover times and partial awards, a full cheapest-insertion scan
   per call, and coverage rows read from the dense matrix.
+* :func:`site_insertion_deltas` — the cheapest-insertion delta of every
+  candidate site into a tour as one full ``(m, |tour|)`` scan, in place
+  of the kernel's incrementally repaired cache.
 * :class:`DenseRatioTable` — Algorithm 3's selection as the textbook
   round: every (site, k) pair scored and budget-checked, in place of the
   cached :class:`~repro.core.algorithm3.RatioTable` and its lazy check.
@@ -47,9 +50,8 @@ from repro.core import algorithm1, algorithm2, algorithm3, benchmark_alg
 from repro.core.algorithm2 import _DENOM_EPS
 from repro.core.algorithm3 import _VOLUME_TOL, RatioTable
 from repro.core.auxgraph import W2Costs
-from repro.core.batch import plan_algorithm2_batch, plan_algorithm3_batch
 from repro.core.kernel import PlannerKernel, PruneCache
-from repro.geometry.distance import pairwise_distances
+from repro.geometry.distance import cross_distances, pairwise_distances
 from repro.orienteering import grasp, greedy, local_search
 from repro.orienteering._vector import (conflict_neighbors, insertion_ratio,
                                         rcl_pick)
@@ -57,7 +59,7 @@ from repro.orienteering.problem import OrienteeringInstance
 from repro.tsp.length import validate_tour
 
 #: The ways a test can plan one Algorithm 2/3 cell (see :func:`plan_on`).
-IMPLEMENTATIONS = ("kernel", "dense", "batch")
+IMPLEMENTATIONS = ("kernel", "dense")
 
 
 class _DenseRows:
@@ -214,6 +216,30 @@ def dense_overlap_conflicts(sites) -> List[np.ndarray]:
     return lists
 
 
+def site_insertion_deltas(site_points: np.ndarray,
+                          tour_points: np.ndarray) -> tuple:
+    """Vectorised cheapest-insertion delta of every site into the tour.
+
+    Returns ``(deltas, positions)`` where ``positions[j]`` is the tour index
+    *before which* site ``j`` would be inserted.  This is the full O(m·k)
+    scan the kernel's incremental cache is pinned against.
+    """
+    k = len(tour_points)
+    if k == 1:
+        d = 2.0 * cross_distances(site_points, tour_points)[:, 0]
+        return d, np.ones(len(site_points), dtype=int)
+    d_site_tour = cross_distances(site_points, tour_points)      # (m, k)
+    nxt = np.roll(np.arange(k), -1)
+    edge_len = np.linalg.norm(tour_points[nxt] - tour_points, axis=1)  # (k,)
+    # delta for inserting between tour_i and tour_{i+1}
+    cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
+    best = np.argmin(cand, axis=1)
+    deltas = cand[np.arange(len(site_points)), best]
+    positions = (best + 1) % k
+    positions[positions == 0] = k
+    return deltas, positions
+
+
 def full_insertion_deltas(tour: np.ndarray, costs
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Every node's cheapest insertion into *tour* from two row gathers."""
@@ -332,14 +358,9 @@ def plan_on(implementation: str, planner, network, energy, radio,
             delta: float, **kwargs: Any):
     """One Algorithm 2/3 cell planned by *implementation*.
 
-    ``"kernel"`` is the production per-cell path, ``"dense"`` the same
-    planner on :class:`DenseKernel`, and ``"batch"`` a one-variant
-    column of the planner's stacked sibling.
+    ``"kernel"`` is the production path and ``"dense"`` the same
+    planner on :class:`DenseKernel`.
     """
-    if implementation == "batch":
-        stacked = {algorithm2.plan_algorithm2: plan_algorithm2_batch,
-                   algorithm3.plan_algorithm3: plan_algorithm3_batch}[planner]
-        return stacked(network, [energy], radio, delta, **kwargs)[0]
     with dense_planners() if implementation == "dense" else nullcontext():
         return planner(network, energy, radio, delta, **kwargs)
 

@@ -108,6 +108,6 @@ class TestRulesListing:
     def test_flow_rules_are_listed_and_tagged(self, capsys):
         assert main(["rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("flow-determinism", "flow-transport", "flow-parity"):
+        for rule_id in ("flow-determinism", "flow-transport"):
             assert rule_id in out
         assert "[flow]" in out

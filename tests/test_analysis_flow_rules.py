@@ -1,4 +1,4 @@
-"""Fixture-driven tests for the three interprocedural flow rules.
+"""Fixture-driven tests for the two interprocedural flow rules.
 
 Each fixture package under ``tests/flow_fixtures/<name>/src/repro/``
 ships at least one deliberate true positive, one inline-suppressed case,
@@ -13,7 +13,6 @@ from pathlib import Path
 from repro.analysis.engine import Project, run_rules
 from repro.analysis.flow import FlowContext, flow_rules
 from repro.analysis.flow.determinism import FlowDeterminismRule
-from repro.analysis.flow.parity import FlowParityRule
 from repro.analysis.flow.transport import FlowTransportRule
 
 FIXTURES = Path(__file__).resolve().parent / "flow_fixtures"
@@ -96,36 +95,6 @@ class TestFlowTransport:
         assert not any("clean_unit" in f.message for f in raw)
 
 
-class TestFlowParity:
-    def test_reported_set(self):
-        project = load_fixture("parity")
-        kept = run_rules(project, [FlowParityRule()])
-        messages = [f.message for f in kept]
-        assert len(messages) == 2
-        assert any("BKernel.perf" in m and "'flushes'" in m
-                   for m in messages)
-        assert any("plan_fix_batch" in m and "'sites'" in m
-                   for m in messages)
-
-    def test_dispatch_only_and_rename_are_not_drift(self):
-        project = load_fixture("parity")
-        raw = raw_findings(project, FlowParityRule())
-        # `tsp_mode` is dispatch-only and `energy -> energies` is the
-        # sanctioned structural rename: neither may be reported.
-        assert not any("'tsp_mode'" in f.message or "'energy'" in f.message
-                       for f in raw)
-        assert not any("plan_ok" in f.message for f in raw)
-
-    def test_inline_allows_suppress_sanctioned_gaps(self):
-        project = load_fixture("parity")
-        raw = raw_findings(project, FlowParityRule())
-        assert any("plan_quiet_batch" in f.message for f in raw)
-        assert any("CKernel.perf" in f.message for f in raw)
-        kept = run_rules(project, [FlowParityRule()])
-        assert not any("plan_quiet_batch" in f.message for f in kept)
-        assert not any("CKernel.perf" in f.message for f in kept)
-
-
 class TestFlowContext:
     def test_call_graph_and_taint_are_cached_per_project(self):
         project = load_fixture("determinism")
@@ -137,4 +106,4 @@ class TestFlowContext:
 
     def test_flow_rules_order_is_stable(self):
         ids = [r.rule_id for r in flow_rules()]
-        assert ids == ["flow-determinism", "flow-transport", "flow-parity"]
+        assert ids == ["flow-determinism", "flow-transport"]

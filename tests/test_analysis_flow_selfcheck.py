@@ -2,7 +2,7 @@
 
 The repo's own ``src`` tree must be clean under the interprocedural
 rules with the shipped (empty) baseline, and the whole flow pass —
-call graph, taint fixpoint, all three rules — must stay fast enough for
+call graph, taint fixpoint, both rules — must stay fast enough for
 the CI ``lint-flow`` job's 30-second pin.
 """
 

@@ -251,8 +251,8 @@ class TestHotPathPurity:
         assert rule_findings(project, HotPathPurityRule()) == []
 
     def test_fires_on_batched_3d_broadcast(self, tmp_path):
-        # The batch kernel's leading variant axis: a (B, m) state column
-        # against a (B, n) one makes a dense (B, m, n) temporary.
+        # A leading variant axis: a (B, m) state column against a
+        # (B, n) one makes a dense (B, m, n) temporary.
         bad = """
             # repro: hot-path
             import numpy as np

@@ -82,19 +82,14 @@ class TestSeedOverride:
         assert volume_panel(out1) == volume_panel(out2)
 
 
-class TestBatchColumnsFlag:
-    @pytest.mark.parametrize("figure", ["fig3", "fig4"])
-    def test_rejected_outside_fig5(self, capsys, figure):
-        rc = main([figure, "--nodes", "15", "--instances", "1", "--quiet",
-                   "--batch-columns"])
-        assert rc == 2
-        assert "--batch-columns stacks the fig5" in capsys.readouterr().err
-
-    def test_all_batches_fig5(self, capsys, tmp_path):
+class TestTraceFlag:
+    def test_all_writes_one_trace(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"
         rc = main(["all", "--nodes", "15", "--instances", "1", "--quiet",
-                   "--batch-columns", "--trace", str(trace)])
+                   "--trace", str(trace)])
         assert rc == 0
         names = [json.loads(line)["name"]
                  for line in trace.read_text().splitlines()]
-        assert "runner.column" in names
+        assert "runner.cell" in names
+        # Every figure's planners ran under the one tracer.
+        assert {"alg1.reduction", "alg2.round", "alg3.round"} <= set(names)

@@ -7,8 +7,6 @@ from repro.core.algorithm1 import plan_algorithm1
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.auxgraph import overlap_conflicts
-from repro.core.batch import (BatchPlannerKernel, plan_algorithm2_batch,
-                              plan_algorithm3_batch)
 from repro.core.hovering import build_hovering_sites
 from repro.core.kernel import PlannerKernel
 from repro.energy.model import EnergyModel
@@ -134,7 +132,6 @@ class TestCoverageIndex:
         csr = sites.csr
         assert sites.csr is csr
         assert PlannerKernel(sites, energy, radio).csr is csr
-        assert BatchPlannerKernel(sites, [energy], radio).csr is csr
         for arr in (csr.site_indptr, csr.site_indices, csr.sensor_indptr,
                     csr.sensor_indices):
             assert not arr.flags.writeable
@@ -161,10 +158,6 @@ _PLANNERS = {
         net, _ENERGY, radio, delta, sites=sites),
     "algorithm3": lambda net, radio, delta, sites: plan_algorithm3(
         net, _ENERGY, radio, delta, 2, sites=sites),
-    "algorithm2_batch": lambda net, radio, delta, sites: plan_algorithm2_batch(
-        net, [_ENERGY], radio, delta, sites=sites)[0],
-    "algorithm3_batch": lambda net, radio, delta, sites: plan_algorithm3_batch(
-        net, [_ENERGY], radio, delta, 2, sites=sites)[0],
 }
 
 

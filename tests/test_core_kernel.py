@@ -6,7 +6,9 @@ Three layers of guarantees:
    full-recompute oracles of ``tests/oracles.py`` (``DenseKernel``,
    ``LegacyPruneCache``) produce *identical* tours (points, sojourns,
    collected volumes) for Algorithms 2/3 and the benchmark baseline on
-   seeded instances across δ ∈ {10, 20, 40} and K ∈ {1, 2, 4}.
+   seeded instances across δ ∈ {10, 20, 40} and K ∈ {1, 2, 4}, on every
+   named scenario family over a capacity column, and on random networks
+   (hypothesis).
 2. **Component oracles** — the dirty-set residual cache, the partial-award
    table, the incremental cheapest-insertion cache, and the prune cache
    each match a brute-force recomputation after arbitrary mutation
@@ -21,10 +23,11 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.algorithm2 import _insertion_deltas, plan_algorithm2
+from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
-from repro.core.batch import BatchPlannerKernel
 from repro.core.benchmark_alg import plan_benchmark
 from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.kernel import PlannerKernel, PruneCache
@@ -34,11 +37,12 @@ from repro.geometry.coverage import SparseCoverage
 from repro.geometry.distance import pairwise_distances
 from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
+from repro.network.scenarios import SCENARIOS, make_scenario
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
 from tests.oracles import (IMPLEMENTATIONS, DenseKernel, kernel_and_dense,
-                          legacy_prune, plan_on)
+                          legacy_prune, plan_on, site_insertion_deltas)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
 ENERGY = EnergyModel(capacity=2e4, hover_power=150.0,
@@ -203,7 +207,7 @@ class TestDirtySetResiduals:
 
 
 class TestInsertionCache:
-    """Incremental delta cache vs the full-scan `_insertion_deltas` oracle."""
+    """Incremental delta cache vs the full-scan `site_insertion_deltas` oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_insert_sequence_matches_full_scan(self, seed):
@@ -214,14 +218,14 @@ class TestInsertionCache:
         candidates = rng.permutation(sites.n_sites)[:min(10, sites.n_sites)]
         for site in candidates:
             deltas, positions = kern.insertion_state()
-            oracle_d, oracle_p = _insertion_deltas(
+            oracle_d, oracle_p = site_insertion_deltas(
                 sites.points, kern.points_all[np.array(kern.tour)])
             np.testing.assert_array_equal(deltas, oracle_d)
             np.testing.assert_array_equal(positions, oracle_p)
             kern.insert(int(site))
         # and once more after the final insertion
         deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = _insertion_deltas(
+        oracle_d, oracle_p = site_insertion_deltas(
             sites.points, kern.points_all[np.array(kern.tour)])
         np.testing.assert_array_equal(deltas, oracle_d)
         np.testing.assert_array_equal(positions, oracle_p)
@@ -249,7 +253,7 @@ class TestInsertionCache:
         kern.set_tour(reordered)
         assert kern.counters["tour_flushes"] == 1
         deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = _insertion_deltas(
+        oracle_d, oracle_p = site_insertion_deltas(
             sites.points, kern.points_all[np.array(kern.tour)])
         np.testing.assert_array_equal(deltas, oracle_d)
         np.testing.assert_array_equal(positions, oracle_p)
@@ -347,6 +351,59 @@ class TestEngineEquivalenceAlg3:
         net = _net(3)
         _assert_same_tour(*kernel_and_dense(plan_algorithm3, net, ENERGY,
                                              RADIO, 20.0, K=2, polish=False))
+
+
+#: A capacity column from scarce to roomy, planned cell by cell.
+CAPACITIES = (2e4, 5e4, 1e5, 3e5, 8e5)
+
+
+def _energy(capacity: float) -> EnergyModel:
+    return EnergyModel(capacity=capacity, hover_power=150.0,
+                       travel_power=100.0, speed=10.0)
+
+
+class TestScenarioEquivalence:
+    """Kernel vs dense oracle on every named scenario family."""
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_alg2_matches_dense(self, name):
+        net = make_scenario(name, seed=2, n=30)
+        for capacity in CAPACITIES:
+            _assert_same_tour(*kernel_and_dense(
+                plan_algorithm2, net, _energy(capacity), RADIO, 30.0))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_alg3_matches_dense(self, name, K):
+        net = make_scenario(name, seed=5, n=30)
+        for capacity in CAPACITIES:
+            _assert_same_tour(*kernel_and_dense(
+                plan_algorithm3, net, _energy(capacity), RADIO, 30.0, K=K))
+
+
+class TestEquivalenceProperty:
+    """Kernel vs dense oracle over random seeds, sizes and capacities."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 20), n=st.integers(5, 18),
+           caps=st.lists(st.sampled_from([1e4, 3e4, 8e4, 2e5, 6e5]),
+                         min_size=1, max_size=4))
+    def test_alg2_kernel_matches_dense(self, seed, n, caps):
+        net = _net(seed, n)
+        for capacity in caps:
+            _assert_same_tour(*kernel_and_dense(
+                plan_algorithm2, net, _energy(capacity), RADIO, 30.0))
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10), n=st.integers(5, 15),
+           K=st.integers(1, 3),
+           caps=st.lists(st.sampled_from([1e4, 3e4, 8e4, 2e5]),
+                         min_size=1, max_size=3))
+    def test_alg3_kernel_matches_dense(self, seed, n, K, caps):
+        net = _net(seed, n)
+        for capacity in caps:
+            _assert_same_tour(*kernel_and_dense(
+                plan_algorithm3, net, _energy(capacity), RADIO, 30.0, K=K))
 
 
 class TestEngineEquivalenceBenchmark:
@@ -449,11 +506,8 @@ class TestEdgeCases:
         """A kernel over (m, 0) coverage scores everything as zero."""
         net = self._empty_net()
         sites = build_hovering_sites(net, RADIO, 50.0, prune=False)
-        if engine == "batch":
-            kern = BatchPlannerKernel(sites, [ENERGY], RADIO)
-        else:
-            cls = DenseKernel if engine == "dense" else PlannerKernel
-            kern = cls(sites, ENERGY, RADIO)
+        cls = DenseKernel if engine == "dense" else PlannerKernel
+        kern = cls(sites, ENERGY, RADIO)
         p_res, t_res = kern.residual_scores()
         np.testing.assert_array_equal(np.ravel(p_res),
                                       np.zeros(sites.n_sites))

@@ -10,8 +10,6 @@ import pytest
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.planner import PLANNERS, plan_tour
-from repro.experiments.config import reduced_settings
-from repro.experiments.runner import AlgoSpec, batchable_column
 from repro.utils.errors import InvalidParameterError
 from tests.oracles import IMPLEMENTATIONS, dense_planners, legacy_prune, plan_on
 
@@ -67,6 +65,37 @@ class TestStrayKwargs:
             assert "'engine'" in str(exc.value)
 
 
+class TestPlannerOptions:
+    def test_christofides_mode_is_algorithm2_only(self, tiny_net, energy,
+                                                  radio):
+        with pytest.raises(InvalidParameterError,
+                           match=r"algorithm3 planner got unknown "
+                                 r"option\(s\) \['tsp_mode'\]"):
+            plan_tour(tiny_net, energy, radio, method="algorithm3",
+                      delta=25.0, tsp_mode="christofides")
+
+    @pytest.mark.parametrize("method", ["algorithm2", "algorithm3"])
+    @pytest.mark.parametrize("bad", [float("nan"), -1, 2.5, True, "3"])
+    def test_bad_max_iterations_rejected(self, small_net, energy, radio,
+                                         method, bad):
+        """Unchecked, NaN and -1 plan a depot-only tour, 2.5 runs 3
+        rounds, ``True`` one round, and ``"3"`` raises a bare
+        ``TypeError``."""
+        with pytest.raises(InvalidParameterError, match="max_iterations"):
+            plan_tour(small_net, energy, radio, method=method, delta=25.0,
+                      max_iterations=bad)
+
+    @pytest.mark.parametrize("method", ["algorithm2", "algorithm3"])
+    def test_integral_max_iterations_caps_rounds(self, small_net, energy,
+                                                 radio, method):
+        as_int, as_float = (plan_tour(small_net, energy, radio,
+                                      method=method, delta=25.0,
+                                      max_iterations=cap)
+                            for cap in (3, 3.0))
+        assert as_int.meta["iterations"] == as_float.meta["iterations"] <= 3
+        assert as_int.collected_volume == as_float.collected_volume
+
+
 class TestDeltaFloor:
     @pytest.mark.parametrize("method", ["algorithm1", "algorithm2",
                                         "algorithm3"])
@@ -84,16 +113,9 @@ class TestEnginePassthrough:
                                       method, engine):
         """The path that planned a tour names itself in
         ``meta["perf"]["engine"]``; the baseline has one path and keeps
-        its label under the prune oracle and in batch-column sweeps."""
+        its label under the prune oracle."""
         if method == "benchmark":
             plain = plan_tour(small_net, energy, radio, method=method)
-            if engine == "batch":
-                config = reduced_settings()
-                assert not batchable_column(
-                    config, AlgoSpec("Benchmark", method, {}),
-                    config.capacity_sweep,
-                    lambda cfg, value: cfg.energy_model(capacity=value),
-                    lambda cfg, value, spec: dict(spec.kwargs))
             with legacy_prune() if engine == "dense" else nullcontext():
                 tour = plan_tour(small_net, energy, radio, method=method)
             assert tour.collected_volume == plain.collected_volume

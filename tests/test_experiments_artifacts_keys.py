@@ -6,7 +6,7 @@ The regression pinned here (PR 9): any per-cell planner option listed in
 only in reduction level can never share cached hovering sites, conflict
 lists, or auxiliary graphs.  Also covers ``run_sweep(...,
 site_reduction=)`` end to end: off-vs-safe row equality, worker-process
-parity, batch columns, and the claims-harness delta checkers.
+parity, and the claims-harness delta checkers.
 """
 
 import json
@@ -152,11 +152,6 @@ class TestSweepReduction:
         par = run_fig5(tiny_config, jobs=2, site_reduction="safe")
         assert [r.deterministic_dict() for r in safe.rows] == \
             [r.deterministic_dict() for r in par.rows]
-
-    def test_batch_columns_match_per_cell(self, tiny_config, safe):
-        col = run_fig5(tiny_config, jobs=1, batch_columns=True,
-                       site_reduction="safe")
-        assert nontime_rows(safe) == nontime_rows(col)
 
     def test_transport_is_json_safe(self, tiny_config):
         # The injected kwarg must survive the worker-boundary JSON dump.

@@ -6,7 +6,6 @@ to the in-process ``jobs=1`` path, for every figure runner, any worker
 count, and cache on or off.
 """
 
-import inspect
 import json
 from collections import Counter
 from dataclasses import replace
@@ -22,13 +21,12 @@ from repro.experiments.artifacts import (CACHEABLE_METHODS, ArtifactCache,
                                         resolve_cache)
 from repro.experiments.config import reduced_settings
 from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig4 import fig4_algorithms, run_fig4
+from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
 from repro.experiments.runner import (
     AlgoSpec,
     SweepRow,
-    batchable_column,
     format_progress,
     plan_units,
     run_sweep,
@@ -79,6 +77,11 @@ class TestParallelEquality:
         seq = run_fig5(tiny_config, jobs=1)
         par = run_fig5(tiny_config, jobs=3)
         assert det_rows(par) == det_rows(seq)
+
+    def test_fig5_cache_off_matches_cache_on(self, tiny_config):
+        cached = run_fig5(tiny_config, jobs=1)
+        uncached = run_fig5(tiny_config, jobs=1, cache=False)
+        assert det_rows(uncached) == det_rows(cached)
 
     def test_cache_off_matches_cache_on(self, tiny_config, fig3_seq):
         uncached = run_fig3(tiny_config, n_restarts=1, jobs=1, cache=False)
@@ -147,7 +150,7 @@ class TestProgressParallel:
 
 
 #: The span every work unit opens, one name per unit kind.
-UNIT_SPANS = ("runner.cell", "runner.column", "runner.chain")
+UNIT_SPANS = ("runner.cell", "runner.chain")
 
 
 def unit_spans(records):
@@ -194,7 +197,7 @@ class TestJobsParity:
     spans, the meta keys and the progress order must not depend on it."""
 
     @pytest.mark.parametrize("figure, mode, kind", [
-        ("fig5", {"batch_columns": True}, "runner.column"),
+        ("fig5", {}, "runner.cell"),
         ("fig4", {"delta_continuation": True}, "runner.chain")])
     def test_spans_meta_and_progress_match(self, tiny_config, figure, mode,
                                            kind):
@@ -224,12 +227,15 @@ class TestJobsParity:
             assert count == n, pair
         for pair, count in par_built.items():
             assert count % n == 0 and n <= count <= 2 * n, pair
-        # One column/chain span per (spec, instance).
+        # One chain span per (spec, instance); one cell span per cell.
         kind_attrs = [attrs for name, attrs in map(json.loads, seq_spans)
                       if name == kind]
         specs = {attrs["algorithm"] for attrs in kind_attrs}
         assert specs
-        assert len(kind_attrs) == len(specs) * tiny_config.n_instances
+        if kind == "runner.chain":
+            assert len(kind_attrs) == len(specs) * tiny_config.n_instances
+        else:
+            assert len(kind_attrs) == len(seq.rows)
         assert set(par.meta) == set(seq.meta)
         assert set(par.meta["cache"]) == set(seq.meta["cache"])
         total = len(seq.rows)
@@ -291,13 +297,13 @@ class TestShardsUnit:
         merged = merge_trace_shards(tmp_path)
         assert [r["attrs"]["cell"] for r in merged] == [0, 3]
 
-    def test_merge_orders_column_only_shards_by_unit(self, tmp_path):
-        # Column and chain spans carry no cell index; their shards must
-        # still merge in unit order, not by pid filename.
-        append_shard([self._rec(0, None, "runner.column", unit=1,
+    def test_merge_orders_chain_only_shards_by_unit(self, tmp_path):
+        # Chain spans carry no cell index; their shards must still
+        # merge in unit order, not by pid filename.
+        append_shard([self._rec(0, None, "runner.chain", unit=1,
                                 instance=1)],
                      shard_path(tmp_path, 111))
-        append_shard([self._rec(0, None, "runner.column", unit=0,
+        append_shard([self._rec(0, None, "runner.chain", unit=0,
                                 instance=0)],
                      shard_path(tmp_path, 999))
         merged = merge_trace_shards(tmp_path)
@@ -356,20 +362,20 @@ class TestWorkUnits:
 
     def test_units_in_canonical_order(self, tiny_config):
         specs = [AlgoSpec("Bench", "benchmark", {}),
-                 AlgoSpec("Alg 2", "algorithm2", {})]
+                 AlgoSpec("Alg 1", "algorithm1", {})]
         units = plan_units(
-            tiny_config, specs, "capacity", (1.5e4, 3e4), n_instances=2,
-            make_energy=lambda c, v: c.energy_model(capacity=v),
+            tiny_config, specs, "delta", (40.0, 25.0), n_instances=2,
+            make_energy=lambda c, v: c.energy_model(),
             make_kwargs=lambda c, v, s: (
-                {} if s.method == "benchmark" else {"delta": 25.0}),
-            validate=True, batch_columns=True, delta_continuation=False)
+                {} if s.method == "benchmark" else {"delta": v}),
+            validate=True, delta_continuation=True)
         assert [(u["unit"], u["kind"], u["cells"], u["instances"])
                 for u in units] == [
             (0, "cell", [0], [0, 1]),
-            (1, "column", [1, 3], [0]),
-            (2, "column", [1, 3], [1]),
+            (1, "chain", [1, 3], [0]),
+            (2, "chain", [1, 3], [1]),
             (3, "cell", [2], [0, 1])]
-        assert [e["capacity"] for e in units[1]["energies"]] == [1.5e4, 3e4]
+        assert [k["delta"] for k in units[1]["kwargs"]] == [40.0, 25.0]
 
 
 class TestEngineSelection:
@@ -393,7 +399,7 @@ class TestEngineSelection:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("figure, mode", [
         ("fig3", {}),
-        ("fig5", {"batch_columns": True}),
+        ("fig5", {}),
         ("fig4", {"delta_continuation": True})])
     def test_empty_instance_list_rejected(self, tiny_config, jobs, figure,
                                           mode):
@@ -517,134 +523,6 @@ class TestArtifactCache:
         for bad in ("yes", ArtifactCache()):
             with pytest.raises(TypeError, match="must be a bool"):
                 resolve_cache(bad)
-
-
-def det_rows_sans_perf(result):
-    """Deterministic rows with the engine-specific perf block removed.
-
-    The batch engine counts work differently from the per-cell kernel
-    (union dirty-set rescoring, no ``sites_rescored``), so cross-engine
-    comparisons drop perf; everything else must be bitwise-equal.
-    """
-    rows = []
-    for row in result.rows:
-        det = row.deterministic_dict()
-        det.pop("perf", None)
-        rows.append(det)
-    return rows
-
-
-class TestBatchColumns:
-    """``batch_columns=True`` plans eligible columns on the batch planner."""
-
-    @pytest.fixture(scope="class")
-    def fig5_plain(self, tiny_config):
-        return run_fig5(tiny_config, jobs=1)
-
-    @pytest.fixture(scope="class")
-    def fig5_batch(self, tiny_config):
-        return run_fig5(tiny_config, jobs=1, batch_columns=True)
-
-    def test_sequential_matches_per_cell(self, fig5_plain, fig5_batch):
-        assert det_rows_sans_perf(fig5_batch) == det_rows_sans_perf(
-            fig5_plain)
-
-    def test_eligible_rows_use_batch_engine(self, fig5_batch):
-        engines = {row.algorithm: row.perf["engine"]
-                   for row in fig5_batch.rows if row.perf}
-        assert engines["Algorithm 2"] == "batch"
-        assert engines["Algorithm 3 (K=2)"] == "batch"
-
-    def test_meta_counts_column_cells(self, tiny_config, fig5_batch):
-        # 2 eligible specs (Algorithm 2/3) x 2 capacities.
-        assert fig5_batch.meta["batch_columns"] == \
-            2 * len(tiny_config.capacity_sweep)
-
-    def test_parallel_matches_sequential(self, tiny_config, fig5_batch):
-        par = run_fig5(tiny_config, jobs=2, batch_columns=True)
-        assert det_rows(par) == det_rows(fig5_batch)
-        assert par.meta["batch_columns"] == fig5_batch.meta["batch_columns"]
-
-    def test_fig4_batch_columns_is_noop(self, tiny_config):
-        # A δ sweep (Fig. 4's axis) changes every cell's kwargs, so
-        # nothing batches; run_fig4 itself has no batch_columns option.
-        instances = make_instances(tiny_config)
-
-        def make_kwargs(cfg, value, spec):
-            kwargs = dict(spec.kwargs)
-            if spec.method != "benchmark":
-                kwargs["delta"] = value
-            return kwargs
-
-        def sweep(**options):
-            return run_sweep(
-                tiny_config, instances, fig4_algorithms(tiny_config),
-                param_name="delta", param_values=tiny_config.delta_sweep,
-                make_energy=lambda cfg, value: cfg.energy_model(),
-                make_kwargs=make_kwargs, **options)
-
-        plain = sweep()
-        batch = sweep(batch_columns=True)
-        assert det_rows(batch) == det_rows(plain)
-        assert batch.meta["batch_columns"] == 0
-        assert "batch_columns" not in inspect.signature(run_fig4).parameters
-
-    def test_cache_off_matches(self, tiny_config, fig5_batch):
-        uncached = run_fig5(tiny_config, jobs=1, batch_columns=True,
-                            cache=False)
-        assert det_rows(uncached) == det_rows(fig5_batch)
-
-
-class TestBatchableColumn:
-    @staticmethod
-    def _fig5_kwargs(cfg, value, spec):
-        kwargs = dict(spec.kwargs)
-        if spec.method != "benchmark":
-            kwargs["delta"] = cfg.delta
-        return kwargs
-
-    def test_capacity_column_eligible(self, tiny_config):
-        make_energy = lambda cfg, v: cfg.energy_model(capacity=v)  # noqa: E731
-        for spec in (AlgoSpec("Alg 2", "algorithm2", {}),
-                     AlgoSpec("Alg 3", "algorithm3", {"K": 2})):
-            assert batchable_column(
-                tiny_config, spec, tiny_config.capacity_sweep,
-                make_energy, self._fig5_kwargs)
-
-    def test_benchmark_not_eligible(self, tiny_config):
-        assert not batchable_column(
-            tiny_config, AlgoSpec("Bench", "benchmark", {}),
-            tiny_config.capacity_sweep,
-            lambda cfg, v: cfg.energy_model(capacity=v),
-            self._fig5_kwargs)
-
-    def test_swept_kwargs_not_eligible(self, tiny_config):
-        def swept_delta(cfg, value, spec):
-            return {"delta": value}
-        assert not batchable_column(
-            tiny_config, AlgoSpec("Alg 2", "algorithm2", {}),
-            tiny_config.delta_sweep,
-            lambda cfg, v: cfg.energy_model(), swept_delta)
-
-    def test_varying_rates_not_eligible(self, tiny_config):
-        from repro.energy.model import EnergyModel
-
-        def rate_sweep(cfg, v):
-            return EnergyModel(capacity=cfg.capacity, hover_power=v,
-                               travel_power=cfg.travel_power,
-                               speed=cfg.speed)
-
-        assert not batchable_column(
-            tiny_config, AlgoSpec("Alg 2", "algorithm2", {}),
-            (100.0, 200.0), rate_sweep, self._fig5_kwargs)
-
-    def test_christofides_not_eligible(self, tiny_config):
-        spec = AlgoSpec("Alg 2", "algorithm2",
-                        {"tsp_mode": "christofides"})
-        assert not batchable_column(
-            tiny_config, spec, tiny_config.capacity_sweep,
-            lambda cfg, v: cfg.energy_model(capacity=v),
-            self._fig5_kwargs)
 
 
 class TestAlgorithm1PrebuiltInputs:
@@ -788,16 +666,14 @@ class TestSequentialLedger:
         assert get_ledger() is None
         assert "ledger_records" not in result.meta
 
-    def test_batch_columns_emit_column_records(self, tiny_config):
+    def test_fig5_emits_one_record_per_cell(self, tiny_config):
         with ledger_active(Ledger()) as ledger:
-            result = run_fig5(tiny_config, jobs=1, batch_columns=True)
+            result = run_fig5(tiny_config, jobs=1)
         events = ledger_events(ledger)
+        assert set(events) == {"planner.call", "sweep.cell"}
         assert events["sweep.cell"] == len(result.rows)
-        assert events.get("sweep.column", 0) > 0
-        columns = [r for r in ledger.records()
-                   if r.event == "sweep.column"]
-        for rec in columns:
-            assert rec.extra["width"] == len(tiny_config.capacity_sweep)
+        assert events["planner.call"] == \
+            len(result.rows) * tiny_config.n_instances
 
 
 class TestParallelLedger:

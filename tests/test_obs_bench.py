@@ -54,7 +54,7 @@ class TestRegistry:
         assert "smoke" in suites()
         names = [c.name for c in suite_cases("smoke")]
         assert "plan.alg2_kernel" in names
-        assert "sweep.fig5_batch" in names
+        assert "sweep.fig5" in names
 
     def test_duplicate_name_rejected(self, synthetic_case):
         with pytest.raises(ValueError, match="already registered"):

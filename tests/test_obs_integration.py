@@ -129,9 +129,9 @@ def test_run_sweep_trace_records_cells(tiny_net, radio):
     assert plans and all(p["parent"] in cell_ids for p in plans)
 
 
-def test_batch_column_spans_carry_phase_time():
-    # meta["perf"] holds counts only, so a batch column's per-phase time
-    # must be in its spans: every round and every kernel.batch.* phase.
+def test_fig5_spans_carry_phase_time():
+    # meta["perf"] holds counts only, so a sweep's per-phase time must be
+    # in its spans: every round and every kernel.* phase.
     from repro.experiments.config import reduced_settings
     from repro.experiments.fig5 import run_fig5
 
@@ -140,13 +140,12 @@ def test_batch_column_spans_carry_phase_time():
         delta=25.0, k_values=(2,), seed=11)
     tracer = Tracer()
     with activated(tracer):
-        result = run_fig5(config, batch_columns=True)
-    assert result.meta["batch_columns"] > 0
+        result = run_fig5(config)
     records = tracer.records()
     names = {r["name"] for r in records}
-    assert {"runner.column", "batch.round", "kernel.batch.rescore",
-            "kernel.batch.insertion", "kernel.batch.partial"} <= names
+    assert {"runner.cell", "alg2.round", "alg3.round", "kernel.rescore",
+            "kernel.insertion", "kernel.partial"} <= names
     assert all(r["dur_s"] >= 0.0 for r in records
-               if r["name"].startswith("kernel.batch."))
+               if r["name"].startswith("kernel."))
     for row in result.rows:
         assert not any(k.startswith("seconds") for k in row.perf)

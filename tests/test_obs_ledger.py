@@ -317,7 +317,7 @@ records = st.builds(
     event=st.sampled_from(["planner.call", "sweep.cell", "bench.case"]),
     label=st.text(max_size=20),
     config_hash=st.text(st.sampled_from("0123456789abcdef"), max_size=16),
-    engine=st.none() | st.sampled_from(["kernel", "dense", "batch"]),
+    engine=st.none() | st.sampled_from(["kernel", "dense", "scalar"]),
     jobs=st.integers(1, 16),
     wall_s=st.floats(min_value=0, max_value=1e6, allow_nan=False),
     metrics=st.fixed_dictionaries({}, optional={"counters": counters}),
