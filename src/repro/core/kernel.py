@@ -26,7 +26,10 @@ candidates, DESIGN.md §S3) that is hours per run.
   maintained the same way.  Algorithm 3's flush is fused: one gather of
   the dirty rows yields ``P'``, ``t'`` and all K partial-award columns,
   and :attr:`PlannerKernel.changed_rows` tells the planner which rows of
-  its ratio table to recompute.
+  its ratio table to recompute.  A flush whose only dirty sensor is ``v``
+  (most of Algorithm 3's rounds: an upgrade of a site with one undrained
+  sensor) reads its rows and their segment gather from a per-sensor plan
+  memoized at first use (:meth:`PlannerKernel.sensor_plan`).
 * **Cached cheapest-insertion deltas** — each candidate remembers its best
   tour edge.  An insertion destroys exactly one edge and creates two, so
   only candidates whose recorded best edge was destroyed are rescanned
@@ -66,6 +69,7 @@ from repro.geometry.distance import cross_distances
 from repro.obs.tracer import span
 from repro.tsp.construct import repair_insertion_cache
 from repro.utils.errors import InvalidParameterError
+from repro.utils.validation import check_integer, check_non_negative
 
 
 def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
@@ -138,6 +142,7 @@ class PlannerKernel:
         self._p_partial: Optional[np.ndarray] = None
         self._partial_dirty = np.ones(self.m, dtype=bool)
         self.changed_rows: Optional[np.ndarray] = None
+        self._sensor_plans: Dict[int, Tuple[np.ndarray, ...]] = {}
 
         # --- tour + cheapest-insertion cache --------------------------- #
         self.tour: List[int] = [0]
@@ -208,27 +213,51 @@ class PlannerKernel:
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
 
+    def sensor_plan(self, sensor: int) -> Tuple[np.ndarray, ...]:
+        """``(rows, idxs, starts, lengths)`` of a flush dirtied by *sensor* only.
+
+        ``rows`` are the sites covering *sensor* (``csr.sites_of``:
+        sorted and duplicate-free, as ``csr.sites_covering([sensor])``)
+        and the rest is ``csr.gather(rows)``.  Memoized at first use;
+        the arrays are read-only.
+        """
+        plan = self._sensor_plans.get(sensor)
+        if plan is None:
+            rows = self.csr.sites_of(sensor)
+            plan = (rows,) + tuple(self.csr.gather(rows))
+            for arr in plan:
+                arr.flags.writeable = False
+            self._sensor_plans[sensor] = plan
+        return plan
+
     def _flush_partial(self) -> np.ndarray:
         """Recompute ``P'``, ``t'`` and the (site, k) rows of dirty sites.
 
         One fused pass: the sites overlapping drained sensors join the
         pending dirty rows, the rows are gathered once, and all K
         partial-award columns come from that gather as one
-        ``(K, nnz)`` block.  Returns the recomputed rows.
+        ``(K, nnz)`` block.  With one dirty sensor and no pending row,
+        the rows and the gather come from :meth:`sensor_plan`.  Returns
+        the recomputed rows.
         """
         assert (self._fractions is not None and self._tau is not None
                 and self._p_partial is not None)
         sensors = np.flatnonzero(self._dirty_sensors)
-        if len(sensors):
-            self._dirty_sensors[:] = False
-            touched = self.csr.sites_covering(sensors)
-            self._partial_dirty[touched] = True
-            self.counters["sites_rescored"] += len(touched)
-        rows = np.flatnonzero(self._partial_dirty)
+        if len(sensors) == 1 and not self._partial_dirty.any():
+            self._dirty_sensors[sensors[0]] = False
+            rows, idxs, starts, lengths = self.sensor_plan(int(sensors[0]))
+            self.counters["sites_rescored"] += len(rows)
+        else:
+            if len(sensors):
+                self._dirty_sensors[:] = False
+                touched = self.csr.sites_covering(sensors)
+                self._partial_dirty[touched] = True
+                self.counters["sites_rescored"] += len(touched)
+            rows = np.flatnonzero(self._partial_dirty)
+            self._partial_dirty[:] = False
+            idxs, starts, lengths = self.csr.gather(rows)
         if len(rows) == 0:
             return rows
-        self._partial_dirty[:] = False
-        idxs, starts, lengths = self.csr.gather(rows)
         vals = self.rem[idxs]
         self._p_res[rows] = _segment_reduce(vals, starts, lengths, np.add)
         t_rows = _segment_reduce(vals, starts, lengths,
@@ -245,9 +274,17 @@ class PlannerKernel:
     # ------------------------------------------------------------------ #
     # Drains (selection side effects on residual volumes)
     # ------------------------------------------------------------------ #
+    def _site(self, site: int) -> int:
+        """*site* as a candidate index in ``[0, m)`` (O(1) scalar check)."""
+        j = check_integer(site, "site", minimum=0)
+        if j >= self.m:
+            raise InvalidParameterError(
+                f"site must be < {self.m} (the candidate count), got {site!r}")
+        return j
+
     def drain_full(self, site: int) -> None:
         """Full collection at *site*: covered sensors drop to zero (DCM)."""
-        idx = self.csr.sensors_of(site)
+        idx = self.csr.sensors_of(self._site(site))
         changed = idx[self.rem[idx] > 0.0]
         self.rem[idx] = 0.0
         self.covered[idx] = True
@@ -261,18 +298,18 @@ class PlannerKernel:
         channel; residuals below ``volume_tol`` are snapped to zero
         everywhere, mirroring the legacy loop's dust cleanup.
         """
+        site = self._site(site)
+        duration = check_non_negative(duration, "duration")
         idx = self.csr.sensors_of(site)
         vals = self.rem[idx]
         uploaded = np.minimum(vals, self.bandwidth * duration)
         self.rem[idx] = vals - uploaded
-        changed = np.zeros(self.n, dtype=bool)
-        changed[idx[uploaded > 0.0]] = True
+        self._dirty_sensors[idx[uploaded > 0.0]] = True
         if self.volume_tol > 0.0:
             tiny = (self.rem > 0.0) & (self.rem < self.volume_tol)
             self.rem[tiny] = 0.0
-            changed |= tiny
+            self._dirty_sensors |= tiny
         self.covered[idx] = True
-        self._dirty_sensors |= changed
         self.counters["drains"] += 1
 
     # ------------------------------------------------------------------ #
@@ -322,10 +359,15 @@ class PlannerKernel:
         destroyed are fully rescanned.
 
         Returns the insertion position (for the caller's bookkeeping).
+        Raises :class:`InvalidParameterError` for a site that is not a
+        candidate index or is already on the tour.
         """
+        site = self._site(site)
+        node = site + 1
+        if self.in_tour[node]:
+            raise InvalidParameterError(f"site {site} is already on the tour")
         if self._ins_stale:
             self._flush_insertion()
-        node = site + 1
         k_old = len(self.tour)
         e = int(self._ins_edges[site])
         pos = e + 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import List
 
 import numpy as np
@@ -84,9 +85,15 @@ def coverage_matrix(candidates, sensors, radius: float) -> np.ndarray:
         return cov
     tree = cKDTree(sens)
     neighbors = tree.query_ball_point(cands, r=radius)
-    for ci, idx in enumerate(neighbors):
-        if idx:
-            cov[ci, idx] = True
+    # One fancy assignment from the neighbour lists: row ids repeated by
+    # list length against the concatenated sensor ids.
+    lengths = np.fromiter(map(len, neighbors), dtype=np.intp,
+                          count=len(neighbors))
+    total = int(lengths.sum())
+    if total:
+        cols = np.fromiter(chain.from_iterable(neighbors), dtype=np.intp,
+                           count=total)
+        cov[np.repeat(np.arange(len(cands)), lengths), cols] = True
     return cov
 
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm2 import plan_algorithm2
-from repro.core.algorithm3 import plan_algorithm3
+from repro.core.algorithm3 import _VOLUME_TOL, plan_algorithm3
 from repro.core.benchmark_alg import plan_benchmark
 from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.kernel import PlannerKernel, PruneCache
@@ -206,6 +206,75 @@ class TestDirtySetResiduals:
         assert kern.changed_rows is None
 
 
+class TestSensorPlan:
+    """The memoized per-sensor flush plan vs the CSR queries it replaces."""
+
+    def _sites(self, delta):
+        net = _net(8, n=20)
+        if delta > RADIO.coverage_radius:
+            # A grid-square corner lies δ/√2 > R0 from every square
+            # centre: a sensor there has no covering site.
+            corner = np.array([[2.0 * delta, 2.0 * delta]])
+            net = SensorNetwork(positions=np.vstack([net.positions, corner]),
+                                volumes=np.append(net.volumes, 100.0),
+                                depot=net.depot, region=net.region)
+        return net, build_hovering_sites(net, RADIO, delta)
+
+    @pytest.mark.parametrize("delta", [10.0, 30.0, 80.0])
+    def test_plan_matches_csr(self, delta):
+        net, sites = self._sites(delta)
+        csr = sites.csr
+        kern = PlannerKernel(sites, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
+        empty = 0
+        for v in range(net.n_nodes):
+            plan = kern.sensor_plan(v)
+            rows, idxs, starts, lengths = plan
+            np.testing.assert_array_equal(rows, csr.sites_covering([v]))
+            for got, want in zip((idxs, starts, lengths), csr.gather(rows)):
+                np.testing.assert_array_equal(got, want)
+            assert (lengths > 0).all()
+            assert kern.sensor_plan(v) is plan            # memoized
+            empty += len(rows) == 0
+        assert (empty > 0) == (delta > RADIO.coverage_radius)
+
+    @pytest.mark.parametrize("delta", [10.0, 30.0, 80.0])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_one_sensor_flush(self, delta, K):
+        """A flush dirtied by one sensor rescores exactly its sites, with
+        the counters and scores of the dense recompute."""
+        net, sites = self._sites(delta)
+        csr = sites.csr
+        fractions = np.arange(1, K + 1) / K
+        for v in range(net.n_nodes):
+            vols = np.zeros(net.n_nodes)
+            covering = csr.sites_of(v)
+            vols[v] = 300.0 if len(covering) else 0.5 * _VOLUME_TOL
+            one = build_hovering_sites(net.with_volumes(vols), RADIO, delta)
+            np.testing.assert_array_equal(one.points, sites.points)
+            kern = PlannerKernel(one, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
+            dense = DenseKernel(one, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
+            kern.partial_scores(fractions)
+            dense.partial_scores(fractions)
+            site = int(covering[0]) if len(covering) else 0
+            kern.drain_partial(site, 0.5)
+            dense.drain_partial(site, 0.5)
+            np.testing.assert_array_equal(kern.rem, dense.rem)
+            before = kern.counters["sites_rescored"]
+            got = kern.partial_scores(fractions)
+            want = dense.partial_scores(fractions)
+            np.testing.assert_array_equal(kern.changed_rows,
+                                          csr.sites_covering([v]))
+            assert (kern.counters["sites_rescored"] - before
+                    == len(csr.sites_covering([v])))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+            # Nothing drained since: nothing rescored.
+            kern.partial_scores(fractions)
+            assert len(kern.changed_rows) == 0
+            assert (kern.counters["sites_rescored"] - before
+                    == len(csr.sites_covering([v])))
+
+
 class TestInsertionCache:
     """Incremental delta cache vs the full-scan `site_insertion_deltas` oracle."""
 
@@ -264,6 +333,54 @@ class TestInsertionCache:
         kern = PlannerKernel(sites, ENERGY, RADIO)
         with pytest.raises(InvalidParameterError):
             kern.set_tour([1, 2])
+
+
+#: Bad calls to the public mutators of a kernel whose tour holds site 0.
+BAD_CALLS = {
+    "drain_partial-negative": lambda k: k.drain_partial(0, -2.0),
+    "drain_partial-nan": lambda k: k.drain_partial(0, float("nan")),
+    "drain_partial-inf": lambda k: k.drain_partial(0, float("inf")),
+    "drain_partial-site-minus-1": lambda k: k.drain_partial(-1, 1.0),
+    "drain_partial-site-m": lambda k: k.drain_partial(k.m, 1.0),
+    "drain_partial-site-fractional": lambda k: k.drain_partial(0.5, 1.0),
+    "drain_full-site-minus-1": lambda k: k.drain_full(-1),
+    "drain_full-site-m": lambda k: k.drain_full(k.m),
+    "insert-on-tour": lambda k: k.insert(0),
+    "insert-depot": lambda k: k.insert(-1),
+    "insert-site-m": lambda k: k.insert(k.m),
+}
+
+
+class TestMutatorValidation:
+    """Bad input to a public mutator raises and leaves the state intact."""
+
+    @staticmethod
+    def _kernel():
+        """A 20-node instance at δ = 30 with site 0 on the tour."""
+        sites = build_hovering_sites(_net(11, n=20), RADIO, 30.0)
+        kern = PlannerKernel(sites, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
+        kern.insert(0)
+        return kern
+
+    @pytest.mark.parametrize("name", sorted(BAD_CALLS))
+    def test_rejected(self, name):
+        kern = self._kernel()
+        rem, covered = kern.rem.copy(), kern.covered.copy()
+        tour, counters = list(kern.tour), dict(kern.counters)
+        with pytest.raises(InvalidParameterError):
+            BAD_CALLS[name](kern)
+        np.testing.assert_array_equal(kern.rem, rem)
+        np.testing.assert_array_equal(kern.covered, covered)
+        assert kern.tour == tour and kern.counters == counters
+
+    def test_valid_calls_still_accepted(self):
+        kern = self._kernel()
+        kern.drain_partial(np.int64(0), np.float64(0.0))
+        kern.drain_partial(0, 1)
+        kern.drain_full(kern.m - 1)
+        kern.insert(np.int64(kern.m - 1))
+        assert kern.counters["drains"] == 3
+        assert kern.tour.count(kern.m) == 1
 
 
 class TestPruneCache:

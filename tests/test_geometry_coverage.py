@@ -63,10 +63,23 @@ class TestCoverageMatrix:
     def test_matches_bruteforce(self, rng):
         cands = rng.uniform(0, 100, (15, 2))
         sensors = rng.uniform(0, 100, (25, 2))
+        # Candidates far outside the field cover nothing; sensors exactly
+        # R0 = 18 from a candidate (axis offsets, exact in floating
+        # point) are covered.
+        cands = np.vstack([cands, [[500.0, 500.0], [-300.0, 40.0],
+                                   [50.0, 50.0], [20.0, 80.0]]])
+        sensors = np.vstack([sensors, [[68.0, 50.0], [50.0, 32.0],
+                                       [2.0, 80.0]]])
         mat = coverage_matrix(cands, sensors, 18.0)
         ref = coverage_sets_bruteforce(cands, sensors, 18.0)
-        for i in range(15):
+        assert mat.shape == (19, 28)
+        for i in range(19):
             np.testing.assert_array_equal(np.flatnonzero(mat[i]), ref[i])
+        assert not mat[15].any() and not mat[16].any()
+        assert mat[17, 25] and mat[17, 26] and mat[18, 27]
+        # Only the candidates that cover nothing: an all-False matrix.
+        none = coverage_matrix(cands[15:17], sensors, 18.0)
+        assert none.shape == (2, 28) and not none.any()
 
     def test_empty_sensors(self):
         mat = coverage_matrix([[0, 0]], np.empty((0, 2)), 5.0)
