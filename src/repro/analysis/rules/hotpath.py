@@ -14,9 +14,9 @@ rule makes the contract machine-checked: inside code marked
 * their batched 3-D cousins, e.g. ``a[:, :, None] <op> b[:, None, :]`` —
   a ``(B, m, n)`` temporary stacked along a leading axis, which the
   two-axis pattern alone would miss,
-* gram-matrix matmuls ``x @ y.T`` / ``x.T @ y`` — the dense
-  ``(m, m)`` intersection-count products the site-reduction pre-pass
-  (``repro.core.reduce``) must build chunked and sparse instead,
+* gram-matrix matmuls ``x @ y.T`` / ``x.T @ y`` — dense ``(m, m)``
+  intersection-count products, which hot code must build chunked and
+  sparse instead,
 * per-iteration reallocating calls — ``np.insert`` / ``np.delete`` /
   ``np.append`` / ``np.concatenate`` — lexically inside a ``for`` /
   ``while`` loop: each call copies its whole operand, so an

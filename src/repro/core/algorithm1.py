@@ -32,13 +32,10 @@ from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
                                  overlap_conflicts)
 from repro.core.hovering import (HoveringSites, build_hovering_sites,
                                  check_prebuilt_sites)
-from repro.core.reduce import (ReducedSites, attach_reduction_meta,
-                               reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
-from repro.orienteering.grasp import warm_tour_from_nodes
 from repro.orienteering.problem import OrienteeringInstance
 from repro.orienteering.solver import solve_orienteering
 from repro.radio.link import RadioModel
@@ -53,10 +50,8 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
                     n_restarts: int = 8,
                     seed: SeedLike = None,
                     sites: Optional[HoveringSites] = None,
-                    site_reduction=None,
                     graph: Optional[AuxiliaryGraph] = None,
-                    conflict_neighbors: Optional[List[np.ndarray]] = None,
-                    warm_nodes=None
+                    conflict_neighbors: Optional[List[np.ndarray]] = None
                     ) -> CollectionTour:
     """Plan a full-collection tour via the orienteering reduction.
 
@@ -79,28 +74,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         :class:`repro.experiments.artifacts.ArtifactCache`; a supplied
         *graph* must have been weighted with this call's energy rates
         (the capacity may differ — it only enters as the budget).
-    site_reduction:
-        Candidate-site reduction pre-pass (``None``/``"off"``, ``"safe"``,
-        ``"aggressive"``, or a :class:`~repro.core.reduce.SiteReduction` /
-        its dict form), applied before the auxiliary graph is built.
-        GRASP restarts draw their RNG tape against the *original* site
-        count and pick from index-sorted candidate lists, so the
-        ``safe`` level (a pure renumbering of survivors) leaves every
-        restart's choices — and hence the tour — invariant; only the
-        ``aggressive`` stages, which change the candidate geometry
-        itself, can change a solution.  When a pre-built
-        *graph*/*conflict_neighbors* is supplied it must have been built
-        over the same reduced sites.
-    warm_nodes:
-        Optional warm-start hint: candidate node indices in this call's
-        (reduced) node index space — e.g. the finer grid's nearest sites
-        to a coarser δ-grid's tour stops (the δ-continuation mode of
-        :func:`repro.experiments.runner.run_sweep`).  A deterministic
-        greedy construction restricted to these nodes
-        (:func:`~repro.orienteering.grasp.warm_tour_from_nodes`) is
-        polished *after* the GRASP restarts and kept only on strict
-        improvement, so a non-improving warm start leaves the tour
-        bitwise unchanged.
 
     Returns
     -------
@@ -124,7 +97,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
             raise InvalidParameterError(
                 "pre-built graph does not match the supplied sites")
 
-    reduction = resolve_reduction(site_reduction)
     with span("alg1.reduction"):
         if graph is not None and sites is None:
             sites = graph.sites
@@ -132,13 +104,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
             sites = build_hovering_sites(network, radio, delta)
         else:
             check_prebuilt_sites(sites, network, radio, delta)
-        if reduction.enabled and not isinstance(sites, ReducedSites):
-            if graph is not None or conflict_neighbors is not None:
-                raise InvalidParameterError(
-                    "site_reduction with pre-built graph/conflict lists: "
-                    "build them over the reduced sites (the ArtifactCache "
-                    "does this) or drop the prebuilt artifacts")
-            sites = reduce_sites(sites, reduction, energy=energy)
         if graph is None:
             graph = build_auxiliary_graph(sites, energy)
 
@@ -152,15 +117,8 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
     instance = OrienteeringInstance(costs=graph.w2, awards=graph.awards,
                                     budget=energy.capacity, depot=0,
                                     conflict_neighbor_lists=neighbors)
-    # Reduction-aware seeding: size the GRASP RNG tape by the *original*
-    # site count so restarts replay identically on reduced instances.
-    tape_nodes = (sites.n_original + 1 if isinstance(sites, ReducedSites)
-                  else None)
-    warm_tour = (warm_tour_from_nodes(instance, warm_nodes)
-                 if warm_nodes is not None else None)
     solution = solve_orienteering(instance, method=solver,
-                                  n_restarts=n_restarts, seed=seed,
-                                  tape_nodes=tape_nodes, warm_tour=warm_tour)
+                                  n_restarts=n_restarts, seed=seed)
 
     visited_sites = solution.tour[solution.tour > 0] - 1  # back to site ids
     points = graph.points[solution.tour]
@@ -182,7 +140,6 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         "perf": {"engine": "scalar",
                  **({"grasp": solution.stats} if solution.stats else {})},
     }
-    attach_reduction_meta(meta, sites)
     return CollectionTour(
         points=points, sojourns=sojourns, collected=collected,
         network=network, energy=energy, method="algorithm1",

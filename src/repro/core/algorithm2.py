@@ -35,8 +35,6 @@ import numpy as np
 from repro.core.hovering import (HoveringSites, build_hovering_sites,
                                  check_prebuilt_sites)
 from repro.core.kernel import PlannerKernel
-from repro.core.reduce import (ReducedSites, attach_reduction_meta,
-                               reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
@@ -88,7 +86,6 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
                     polish: bool = True,
                     scoring: str = "ratio",
                     sites: Optional[HoveringSites] = None,
-                    site_reduction=None,
                     max_iterations: Optional[int] = None) -> CollectionTour:
     """Plan a full-collection tour with the greedy max-ratio heuristic.
 
@@ -105,14 +102,7 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
         Candidate-scoring policy (see :data:`SCORING_POLICIES`); the
         default ``"ratio"`` is the paper's Eq. 13.
     sites:
-        Pre-built hovering sites (else built from the inputs).  A
-        :class:`~repro.core.reduce.ReducedSites` is used as-is (the
-        pre-pass is not idempotent).
-    site_reduction:
-        Candidate-site reduction pre-pass config — ``None``/``"off"``,
-        ``"safe"`` (plan-preserving, bitwise-identical tours),
-        ``"aggressive"``, or a :class:`~repro.core.reduce.SiteReduction`
-        / its dict form.  Ignored when *sites* is already reduced.
+        Pre-built hovering sites (else built from the inputs).
     max_iterations:
         Safety bound on greedy iterations, an integer >= 0 (default:
         number of candidates + 1).
@@ -127,13 +117,10 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
     if max_iterations is not None:
         max_iterations = check_integer(max_iterations, "max_iterations",
                                        minimum=0)
-    reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
     else:
         check_prebuilt_sites(sites, network, radio, delta)
-    if reduction.enabled and not isinstance(sites, ReducedSites):
-        sites = reduce_sites(sites, reduction, energy=energy)
 
     kern = PlannerKernel(sites, energy, radio)
     pts_all = kern.points_all
@@ -220,7 +207,6 @@ def plan_algorithm2(network: SensorNetwork, energy: EnergyModel,
         "delta": float(sites.delta),
         "perf": kern.perf(),
     }
-    attach_reduction_meta(meta, sites)
     return CollectionTour(
         points=pts_all[np.array(kern.tour, dtype=int)],
         sojourns=sojourns, collected=collected,

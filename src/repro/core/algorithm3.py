@@ -44,8 +44,6 @@ from repro.core.algorithm2 import _DENOM_EPS
 from repro.core.hovering import (HoveringSites, build_hovering_sites,
                                  check_prebuilt_sites)
 from repro.core.kernel import PlannerKernel
-from repro.core.reduce import (ReducedSites, attach_reduction_meta,
-                               reduce_sites, resolve_reduction)
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
@@ -151,7 +149,6 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
                     radio: RadioModel, delta: float, K: int, *,
                     polish: bool = True,
                     sites: Optional[HoveringSites] = None,
-                    site_reduction=None,
                     max_iterations: Optional[int] = None) -> CollectionTour:
     """Plan a partial-collection tour with the K-virtual-location heuristic.
 
@@ -165,13 +162,7 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         2-opt the finished tour and resume greedy selection with the
         freed budget (never reduces collected volume).
     sites:
-        Pre-built hovering sites (else built from the inputs).  A
-        :class:`~repro.core.reduce.ReducedSites` is used as-is.
-    site_reduction:
-        Candidate-site reduction pre-pass config (``None``/``"off"``,
-        ``"safe"``, ``"aggressive"``, or a
-        :class:`~repro.core.reduce.SiteReduction` / its dict form);
-        ignored when *sites* is already reduced.
+        Pre-built hovering sites (else built from the inputs).
     max_iterations:
         Safety bound on greedy iterations, an integer >= 0 (default
         ``2 * K * (m + 1)``, mirroring the paper's ``M' = K * M``
@@ -182,13 +173,10 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
     if max_iterations is not None:
         max_iterations = check_integer(max_iterations, "max_iterations",
                                        minimum=0)
-    reduction = resolve_reduction(site_reduction)
     if sites is None:
         sites = build_hovering_sites(network, radio, delta)
     else:
         check_prebuilt_sites(sites, network, radio, delta)
-    if reduction.enabled and not isinstance(sites, ReducedSites):
-        sites = reduce_sites(sites, reduction, energy=energy)
 
     kern = PlannerKernel(sites, energy, radio, volume_tol=_VOLUME_TOL)
     table = RatioTable(kern, energy, K)
@@ -264,7 +252,6 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         "delta": float(sites.delta),
         "perf": kern.perf(),
     }
-    attach_reduction_meta(meta, sites)
     return CollectionTour(
         points=pts_all[np.array(kern.tour, dtype=int)],
         sojourns=sojourns, collected=collected,

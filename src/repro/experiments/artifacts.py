@@ -32,7 +32,6 @@ number of cached artifacts, and a sweep publishes it as
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +40,6 @@ from repro.core.auxgraph import (AuxiliaryGraph, build_auxiliary_graph,
                                  overlap_conflicts)
 from repro.core.benchmark_alg import baseline_tour
 from repro.core.hovering import HoveringSites, build_hovering_sites
-from repro.core.reduce import (ReducedSites, SiteReduction, reduce_sites,
-                               resolve_reduction)
 from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
@@ -51,19 +48,8 @@ from repro.radio.link import RadioModel
 #: Planner methods whose kwargs the cache knows how to augment.
 CACHEABLE_METHODS = ("algorithm1", "algorithm2", "algorithm3")
 
-#: Per-cell planner options that select *different* cached geometry.
-#: Every kwarg that changes what ``sites()`` / ``graph()`` /
-#: ``conflict_neighbors()`` should return for the same (instance, δ)
-#: MUST be listed here: its token joins every cache key, so two cells
-#: differing only in such an option can never share artifacts (the
-#: regression test in tests/test_experiments_artifacts_keys.py pins it).
-#: ``corridor_seed`` (the δ-continuation warm start) is consumed by
-#: :meth:`ArtifactCache.augment_kwargs` — it seeds the reduction's
-#: corridor stage and never reaches the planner itself.
-ARTIFACT_OPTIONS = ("site_reduction", "corridor_seed")
-
-_SiteKey = Tuple[int, float, float, float, str]
-_GraphKey = Tuple[int, float, float, float, str, float, float]
+_SiteKey = Tuple[int, float, float, float]
+_GraphKey = Tuple[int, float, float, float, float, float]
 
 
 class ArtifactCache:
@@ -89,36 +75,12 @@ class ArtifactCache:
         return id(network)
 
     def _site_key(self, network: SensorNetwork, radio: RadioModel,
-                  delta: float, options: str = "") -> _SiteKey:
+                  delta: float) -> _SiteKey:
         # _pins keeps the network alive, so id() is stable for the cache
         # lifetime and the key never leaves this process.
         # repro: allow[flow-determinism] -- process-local cache key
         return (self._pin(network), float(delta), float(radio.bandwidth),
-                float(radio.coverage_radius), options)
-
-    @staticmethod
-    def _reduction_token(reduction: SiteReduction, energy: EnergyModel,
-                         corridor_seed: Optional[Any] = None) -> str:
-        """The cache-key fragment of one reduction config.
-
-        Canonical-JSON config plus, for capacity-dependent stages, the
-        exact reachability bound (capacity and travel rate): two cells
-        whose survivor sets could legally differ never share a key.  A
-        ``corridor_seed`` (δ-continuation) joins the token — hashed over
-        its exact float bytes — whenever the corridor stage would
-        consume it, so seeded and cold reductions never share survivors.
-        """
-        token = reduction.key()
-        if reduction.capacity_dependent:
-            token += (f"|cap={float(energy.capacity)!r}"
-                      f"|rate={float(energy.travel_cost_per_meter)!r}")
-        if reduction.corridor and corridor_seed is not None:
-            seed = np.ascontiguousarray(
-                np.asarray(corridor_seed, dtype=float))
-            if seed.size:
-                token += "|seed=" + hashlib.sha256(
-                    seed.tobytes()).hexdigest()[:24]
-        return token
+                float(radio.coverage_radius))
 
     def sites(self, network: SensorNetwork, radio: RadioModel,
               delta: float) -> HoveringSites:
@@ -133,45 +95,16 @@ class ArtifactCache:
         self._sites[key] = built
         return built
 
-    def reduced_sites(self, network: SensorNetwork, radio: RadioModel,
-                      delta: float, reduction: SiteReduction,
-                      energy: EnergyModel, *,
-                      corridor_seed: Optional[Any] = None) -> ReducedSites:
-        """Memoized site-reduction pre-pass over the cached base sites.
-
-        ``corridor_seed`` (a coarser δ-grid's tour points, δ-continuation)
-        warm-starts the corridor stage and joins the cache key.
-        """
-        token = self._reduction_token(reduction, energy, corridor_seed)
-        key = self._site_key(network, radio, delta, token)
-        cached = self._sites.get(key)
-        if cached is not None:
-            self.hits += 1
-            assert isinstance(cached, ReducedSites)
-            return cached
-        self.misses += 1
-        seed = (np.asarray(corridor_seed, dtype=float)
-                if corridor_seed is not None else None)
-        # The id() lives only in the cache key; the HoveringSites value
-        # reaching reduce_sites (and its span attributes) is
-        # deterministic builder output.
-        # repro: allow[flow-determinism] -- id() taint is key-only
-        built = reduce_sites(self.sites(network, radio, delta), reduction,
-                             energy=energy, corridor_seed=seed)
-        self._sites[key] = built
-        return built
-
     def conflict_neighbors(self, network: SensorNetwork, radio: RadioModel,
                            delta: float, *,
-                           sites: Optional[HoveringSites] = None,
-                           options: str = "") -> List[np.ndarray]:
+                           sites: Optional[HoveringSites] = None
+                           ) -> List[np.ndarray]:
         """Memoized Algorithm 1 conflict lists (depot entry included).
 
-        *sites*/*options* select a non-default geometry (e.g. reduced
-        sites with their reduction token); the defaults serve the plain
-        per-(instance, δ) lists.
+        *sites*, when given, must be this cell's cached :meth:`sites`;
+        it only saves the lookup.
         """
-        key = self._site_key(network, radio, delta, options)
+        key = self._site_key(network, radio, delta)
         cached = self._conflicts.get(key)
         if cached is not None:
             self.hits += 1
@@ -185,10 +118,13 @@ class ArtifactCache:
 
     def graph(self, network: SensorNetwork, radio: RadioModel, delta: float,
               energy: EnergyModel, *,
-              sites: Optional[HoveringSites] = None,
-              options: str = "") -> AuxiliaryGraph:
-        """Memoized auxiliary graph, keyed on energy *rates* not capacity."""
-        key = self._site_key(network, radio, delta, options) + (
+              sites: Optional[HoveringSites] = None) -> AuxiliaryGraph:
+        """Memoized auxiliary graph, keyed on energy *rates* not capacity.
+
+        *sites*, when given, must be this cell's cached :meth:`sites`;
+        it only saves the lookup.
+        """
+        key = self._site_key(network, radio, delta) + (
             float(energy.hover_power), float(energy.travel_cost_per_meter))
         cached = self._graphs.get(key)
         if cached is not None:
@@ -232,13 +168,6 @@ class ArtifactCache:
         through unchanged.  The injected objects are the same values the
         planner would otherwise build internally, so the tour is
         unchanged bitwise.
-
-        Options listed in :data:`ARTIFACT_OPTIONS` (currently
-        ``site_reduction``) are honoured: the injected sites/graph/
-        conflict lists are built over the *reduced* geometry and keyed by
-        the reduction token, so cells differing only in reduction level
-        never share artifacts.  For capacity-dependent reductions the
-        caller's *energy* is the reachability bound.
         """
         if method == "benchmark":
             if "tour" in kwargs:
@@ -247,28 +176,14 @@ class ArtifactCache:
         if method not in CACHEABLE_METHODS or "delta" not in kwargs:
             return kwargs
         delta = float(kwargs["delta"])
-        reduction = resolve_reduction(kwargs.get("site_reduction"))
-        augmented = dict(kwargs)
-        # The δ-continuation warm seed is an artifact option, not a
-        # planner kwarg: it steers the reduction built here and is
-        # consumed in the process.
-        corridor_seed = augmented.pop("corridor_seed", None)
-        if reduction.enabled:
-            options = self._reduction_token(reduction, energy,
-                                            corridor_seed)
-            sites: HoveringSites = self.reduced_sites(
-                network, radio, delta, reduction, energy,
-                corridor_seed=corridor_seed)
-        else:
-            options = ""
-            sites = self.sites(network, radio, delta)
-        augmented["sites"] = sites
+        sites = self.sites(network, radio, delta)
+        augmented = {**kwargs, "sites": sites}
         if method == "algorithm1":
             augmented["graph"] = self.graph(network, radio, delta, energy,
-                                            sites=sites, options=options)
+                                            sites=sites)
             if kwargs.get("overlap", "conflict") == "conflict":
                 augmented["conflict_neighbors"] = self.conflict_neighbors(
-                    network, radio, delta, sites=sites, options=options)
+                    network, radio, delta, sites=sites)
         return augmented
 
     def stats(self) -> Dict[str, int]:
@@ -290,5 +205,4 @@ def resolve_cache(cache: bool) -> Optional[ArtifactCache]:
     raise TypeError(f"cache must be a bool, got {cache!r}")
 
 
-__all__ = ["ArtifactCache", "ARTIFACT_OPTIONS", "CACHEABLE_METHODS",
-           "resolve_cache"]
+__all__ = ["ArtifactCache", "CACHEABLE_METHODS", "resolve_cache"]

@@ -22,16 +22,6 @@ Claims encoded (paper §VII-B/C/D):
 * **C7** (Fig. 5a): every algorithm's volume is non-decreasing in the
   budget, and Algorithm 3 (largest K) gains at least ``min_growth`` over
   the sweep (paper: +82 %).
-
-Site-reduction claims (:func:`check_reduction_claims`) compare a sweep
-re-run under ``site_reduction=`` against its baseline:
-
-* **R1** (``level="safe"``): collected volumes are *bitwise identical*
-  in every cell — the safe stages are plan-preserving by construction
-  (DESIGN.md §9) and this is the executable form of that proof.
-* **R2** (``level="aggressive"``): per-cell relative volume loss stays
-  within ``max_loss`` (default 5 %) — the lossy stages trade a bounded
-  data delta for a 5–10x smaller candidate set.
 """
 
 from __future__ import annotations
@@ -198,96 +188,6 @@ def check_fig5_claims(result: SweepResult, *, bench: str = "Benchmark",
     return [c7]
 
 
-# --------------------------------------------------------------------- #
-# Site-reduction claims (off-vs-reduced sweep deltas)
-# --------------------------------------------------------------------- #
-def _paired_rows(baseline: SweepResult, reduced: SweepResult):
-    """Align two sweeps' rows by (algorithm, parameter value)."""
-    base_map = {(r.algorithm, r.param_value): r for r in baseline.rows}
-    if len(base_map) != len(baseline.rows):
-        raise InvalidParameterError("baseline sweep has duplicate cells")
-    pairs = []
-    for row in reduced.rows:
-        key = (row.algorithm, row.param_value)
-        if key not in base_map:
-            raise InvalidParameterError(
-                f"reduced sweep cell {key!r} missing from baseline "
-                f"(are these the same campaign?)")
-        pairs.append((base_map[key], row))
-    if len(pairs) != len(base_map):
-        raise InvalidParameterError(
-            "baseline and reduced sweeps cover different cells")
-    return pairs
-
-
-def check_reduction_claims(baseline: SweepResult, reduced: SweepResult, *,
-                           level: str = "safe",
-                           max_loss: float = 0.05) -> List[ClaimResult]:
-    """R1/R2 — collected-data deltas of a reduced sweep vs its baseline.
-
-    *baseline* is the sweep with ``site_reduction=None``; *reduced* is
-    the same campaign re-run with ``site_reduction=level``.  Benchmark
-    cells have no δ-grid and are expected to match exactly at every
-    level.  Note R1 covers Algorithms 2/3; an Algorithm 1 GRASP cell may
-    differ even at the safe level (seeded-RNG renumbering — see
-    :func:`repro.core.algorithm1.plan_algorithm1`), so pass Fig. 3
-    sweeps through R2 instead.
-    """
-    if level not in ("safe", "aggressive"):
-        raise InvalidParameterError(
-            f"level must be 'safe' or 'aggressive', got {level!r}")
-    pairs = _paired_rows(baseline, reduced)
-    losses = []
-    for base, red in pairs:
-        rel = ((base.mean_volume_gb - red.mean_volume_gb)
-               / max(base.mean_volume_gb, 1e-12))
-        losses.append((rel, base))
-    worst_rel, worst_row = max(losses, key=lambda p: p[0])
-    worst_cell = (f"{worst_row.algorithm} @ "
-                  f"{worst_row.param_name}={worst_row.param_value:g}")
-    if level == "safe":
-        exact = all(b.mean_volume_gb == r.mean_volume_gb for b, r in pairs)
-        return [ClaimResult(
-            "R1", "safe reduction: collected volumes bitwise-identical",
-            exact,
-            f"{len(pairs)} cells; worst delta {worst_rel:+.2e} rel "
-            f"({worst_cell})")]
-    within = all(rel <= max_loss for rel, _ in losses)
-    mean_rel = float(np.mean([rel for rel, _ in losses]))
-    return [ClaimResult(
-        "R2", f"aggressive reduction: per-cell volume loss <= "
-              f"{max_loss:.0%}",
-        within,
-        f"{len(pairs)} cells; mean loss {mean_rel:+.2%}, worst "
-        f"{worst_rel:+.2%} ({worst_cell})")]
-
-
-def reduction_delta_table(baseline: SweepResult,
-                          reduced: SweepResult) -> str:
-    """Markdown per-algorithm collected-data deltas (for EXPERIMENTS.md).
-
-    One row per algorithm: mean and worst relative volume change of the
-    reduced sweep against its baseline, plus the cell where the worst
-    change occurs.  Negative percentages are losses.
-    """
-    pairs = _paired_rows(baseline, reduced)
-    per_algo: dict = {}
-    for base, red in pairs:
-        rel = ((red.mean_volume_gb - base.mean_volume_gb)
-               / max(base.mean_volume_gb, 1e-12))
-        per_algo.setdefault(base.algorithm, []).append((rel, base))
-    lines = ["| algorithm | mean Δvolume | worst Δvolume | worst cell |",
-             "|---|---|---|---|"]
-    for algo in reduced.algorithms():
-        entries = per_algo[algo]
-        rels = [r for r, _ in entries]
-        worst_rel, worst_row = min(entries, key=lambda p: p[0])
-        lines.append(
-            f"| {algo} | {float(np.mean(rels)):+.2%} | {worst_rel:+.2%} "
-            f"| {worst_row.param_name}={worst_row.param_value:g} |")
-    return "\n".join(lines)
-
-
 def check_all_claims(fig3: Optional[SweepResult] = None,
                      fig4: Optional[SweepResult] = None,
                      fig5: Optional[SweepResult] = None) -> List[ClaimResult]:
@@ -320,8 +220,6 @@ __all__ = [
     "check_fig3_claims",
     "check_fig4_claims",
     "check_fig5_claims",
-    "check_reduction_claims",
-    "reduction_delta_table",
     "check_all_claims",
     "claims_to_markdown",
 ]

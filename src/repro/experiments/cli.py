@@ -36,6 +36,7 @@ from repro.experiments.fig5 import run_fig5
 from repro.experiments.runner import SweepResult
 from repro.experiments.tables import rows_to_csv, rows_to_markdown
 from repro.obs.tracer import activated
+from repro.utils.errors import InvalidParameterError
 
 RUNNERS: Dict[str, Callable[..., SweepResult]] = {
     "fig3": run_fig3,
@@ -91,23 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rebuild per-instance geometry every cell "
                              "instead of memoizing it across the sweep "
                              "(paper-literal per-cell timings)")
-    parser.add_argument("--delta-continuation", action="store_true",
-                        help="fig4 only: add an Algorithm 1 series and "
-                             "chain its δ cells per instance coarse→fine, "
-                             "warm-starting each finer grid's reduction "
-                             "corridor and first GRASP construction from "
-                             "the coarser grid's tour (strict-improvement "
-                             "acceptance; requires the artifact cache)")
-    parser.add_argument("--site-reduction",
-                        choices=["off", "safe", "aggressive"],
-                        default="off",
-                        help="candidate-site reduction pre-pass ahead of "
-                             "Algorithms 1-3: 'safe' drops only provably "
-                             "plan-preserving sites (identical tours, "
-                             "less work), 'aggressive' adds dominated-"
-                             "coverage, cluster-representative, and TSP-"
-                             "corridor filtering (near-identical volumes, "
-                             "much less work; see DESIGN.md)")
     return parser
 
 
@@ -130,15 +114,11 @@ def main(argv=None) -> int:
         print(f"error: --jobs must be >= 1, got {args.jobs}",
               file=sys.stderr)
         return 2
-    if args.delta_continuation and args.figure != "fig4":
-        print("error: --delta-continuation chains the fig4 δ sweep; "
-              f"got figure {args.figure!r}", file=sys.stderr)
+    try:
+        config = _config_from_args(args)
+    except InvalidParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.delta_continuation and args.no_cache:
-        print("error: --delta-continuation needs the artifact cache; "
-              "drop --no-cache", file=sys.stderr)
-        return 2
-    config = _config_from_args(args)
     if args.figure == "report":
         from repro.experiments.report import generate_report
         directory = args.out if args.out is not None else pathlib.Path("results")
@@ -156,15 +136,9 @@ def main(argv=None) -> int:
         print(f"== {fig} ({config.label} scale, |V|={config.n_nodes}, "
               f"{config.n_instances} instances, jobs={args.jobs}) ==",
               file=sys.stderr)
-        reduction = (None if args.site_reduction == "off"
-                     else args.site_reduction)
-        extra = {}
-        if args.delta_continuation and fig == "fig4":
-            extra = {"delta_continuation": True}
         with activated(tracer):
             result = RUNNERS[fig](config, progress=progress,
-                                  jobs=args.jobs, cache=not args.no_cache,
-                                  site_reduction=reduction, **extra)
+                                  jobs=args.jobs, cache=not args.no_cache)
         print(rows_to_markdown(result, title=f"{fig} — {config.label} scale"))
         if args.ascii:
             print(render_sweep(result, panel="volume"))

@@ -21,7 +21,8 @@ from repro.energy.model import EnergyModel
 from repro.geometry.region import Region
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import (check_finite, check_integer,
+                                    check_non_negative, check_positive)
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,27 @@ class ExperimentConfig:
     distance_based_travel: bool = False
 
     def __post_init__(self) -> None:
-        check_integer(self.n_nodes, "n_nodes", minimum=1)
+        # The integer fields are stored as plain ints: numpy's seeding
+        # and the pool's JSON transport take no float or numpy integer.
+        for name, minimum in (("n_nodes", 1), ("n_instances", 1),
+                              ("seed", 0)):
+            object.__setattr__(self, name, check_integer(
+                getattr(self, name), name, minimum=minimum))
         check_positive(self.region_side, "region_side")
         check_positive(self.bandwidth, "bandwidth")
         check_positive(self.coverage_radius, "coverage_radius")
         check_positive(self.capacity, "capacity")
         check_positive(self.delta, "delta")
-        check_integer(self.n_instances, "n_instances", minimum=1)
+        if (not isinstance(self.volume_range, (tuple, list))
+                or len(self.volume_range) != 2):
+            raise InvalidParameterError(
+                f"volume_range must be a (low, high) pair, "
+                f"got {self.volume_range!r}")
+        low = check_non_negative(self.volume_range[0], "volume_range low")
+        if check_finite(self.volume_range[1], "volume_range high") < low:
+            raise InvalidParameterError(
+                f"volume_range must have low <= high, "
+                f"got {self.volume_range!r}")
         if not self.capacity_sweep or not self.delta_sweep:
             raise InvalidParameterError("sweeps must be non-empty")
         for capacity in self.capacity_sweep:

@@ -40,16 +40,13 @@ def fig3_algorithms(config: ExperimentConfig, *,
 def run_fig3(config: ExperimentConfig,
              instances: Optional[Sequence[SensorNetwork]] = None,
              *, n_restarts: int = 3, validate: bool = True,
-             progress=None, jobs: int = 1, cache: bool = True,
-             site_reduction=None) -> SweepResult:
+             progress=None, jobs: int = 1,
+             cache: bool = True) -> SweepResult:
     """Run the Fig. 3 capacity sweep and return the aggregated rows.
 
     ``jobs``/``cache`` select the execution engine and the per-instance
     artifact cache (see :func:`repro.experiments.runner.run_sweep`); the
     aggregated volumes are bitwise-identical across all settings.
-    ``site_reduction`` applies the candidate-site reduction pre-pass to
-    the Algorithm 1 cells (the benchmark has no δ-grid); GRASP seeding
-    is reduction-aware, so ``safe`` leaves the rows bitwise-identical.
     """
     if instances is None:
         instances = make_instances(config)
@@ -63,8 +60,7 @@ def run_fig3(config: ExperimentConfig,
         validate=validate,
         progress=progress,
         jobs=jobs,
-        cache=cache,
-        site_reduction=site_reduction)
+        cache=cache)
 
 
 __all__ = ["run_fig3", "fig3_algorithms"]

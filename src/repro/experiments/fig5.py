@@ -28,15 +28,13 @@ from repro.network.sensor_network import SensorNetwork
 def run_fig5(config: ExperimentConfig,
              instances: Optional[Sequence[SensorNetwork]] = None,
              *, validate: bool = True, progress=None,
-             jobs: int = 1, cache: bool = True,
-             site_reduction=None) -> SweepResult:
+             jobs: int = 1, cache: bool = True) -> SweepResult:
     """Run the Fig. 5 capacity sweep and return the aggregated rows.
 
     ``jobs``/``cache`` select the execution engine and the per-instance
     artifact cache (see :func:`repro.experiments.runner.run_sweep`); δ is
     fixed here, so the cache builds each instance's grid exactly once
-    for the whole sweep.  ``site_reduction`` applies the candidate-site
-    reduction pre-pass to the Algorithm 2/3 cells.
+    for the whole sweep.
     """
     if instances is None:
         instances = make_instances(config)
@@ -56,8 +54,7 @@ def run_fig5(config: ExperimentConfig,
         validate=validate,
         progress=progress,
         jobs=jobs,
-        cache=cache,
-        site_reduction=site_reduction)
+        cache=cache)
 
 
 __all__ = ["run_fig5"]

@@ -63,7 +63,7 @@ def _encode(unit: Unit) -> str:
             f"parallel sweeps ship planner kwargs to workers as JSON; "
             f"make_kwargs returned non-serialisable options for "
             f"{unit['algorithm']!r} at "
-            f"{unit['param_name']}={unit['values'][0]:g}: {exc}") from exc
+            f"{unit['param_name']}={unit['value']:g}: {exc}") from exc
 
 
 def _init_worker(config_json: str, instances_json: str, cache_enabled: bool,
@@ -125,7 +125,7 @@ def map_units(units: Sequence[Unit],
               jobs: int,
               cache: bool,
               meta: Dict[str, Any]
-              ) -> Iterator[Tuple[Unit, List[List[Sample]]]]:
+              ) -> Iterator[Tuple[Unit, List[Sample]]]:
     """Yield ``(unit, execute_unit(unit))`` for every unit, in unit order,
     computed on a pool of up to *jobs* worker processes.
 

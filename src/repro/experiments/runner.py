@@ -8,24 +8,13 @@ across instances.
 
 Work units
 ----------
-:func:`plan_units` cuts the grid into plain-data *work units*, each
-covering one algorithm spec over a rectangle of the grid, in one of two
-kinds:
-
-* ``cell`` — one parameter value x every instance (the default);
-* ``chain`` (``delta_continuation=True``, δ sweeps only) — every δ x one
-  instance of an Algorithm 1 spec, planned in descending δ order,
-  warm-starting every finer grid's reduction corridor and first GRASP
-  construction from the coarser grid's finished tour
-  (:mod:`repro.experiments.continuation`); warm tours are accepted only
-  on strict improvement.
-
-Ineligible specs silently keep the cell kind.  :func:`execute_unit`
-plans one unit of any kind.  ``run_sweep`` maps it over the units in
-canonical order — in process for ``jobs=1``, on a process pool
-(:mod:`repro.experiments.parallel`) for ``jobs=N`` — and merges the
-samples into rows in instance order.  The pool differs only in
-transport, so every deterministic field of every :class:`SweepRow` —
+:func:`plan_units` cuts the grid into plain-data *work units*, one per
+cell: one algorithm spec at one parameter value, over every instance.
+:func:`execute_unit` plans one unit.  ``run_sweep`` maps it over the
+units in canonical order — in process for ``jobs=1``, on a process pool
+(:mod:`repro.experiments.parallel`) for ``jobs=N`` — and aggregates each
+unit's samples, in instance order, into its row.  The pool differs only
+in transport, so every deterministic field of every :class:`SweepRow` —
 volumes, instance counts, the kernel work counters in ``perf`` — is
 bitwise-identical regardless of ``jobs``; only the measured wall-clock
 fields vary run to run.  See ``docs/experiments.md``.
@@ -44,20 +33,13 @@ measure the paper-literal geometry-included time.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.planner import plan_tour
-from repro.core.reduce import resolve_reduction
 from repro.energy.model import EnergyModel
-from repro.experiments.artifacts import (CACHEABLE_METHODS, ArtifactCache,
-                                         resolve_cache)
-from repro.experiments.continuation import (chainable_spec,
-                                            continuation_order,
-                                            project_warm_nodes,
-                                            tour_seed_points)
+from repro.experiments.artifacts import ArtifactCache, resolve_cache
 from repro.experiments.config import ExperimentConfig
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.ledger import get_ledger, record_event
@@ -71,6 +53,7 @@ from repro.obs.tracer import Tracer, TracerLike, activated, get_tracer, span
 from repro.sim.validate import cross_validate
 from repro.utils.errors import InvalidParameterError
 from repro.utils.timing import Timer
+from repro.utils.validation import check_integer
 
 #: MB per GB — figure axes in the paper are GB.
 MB_PER_GB = 1000.0
@@ -140,10 +123,10 @@ class SweepResult:
 
     config: ExperimentConfig
     rows: List[SweepRow]
-    #: Execution metadata — ``jobs``, the continuation chain count and
-    #: the artifact-cache counters, with the same keys under any
-    #: ``jobs``; a pool adds the counts of trace and ledger records it
-    #: merged home.  Diagnostic only, never serialised into the CSVs.
+    #: Execution metadata — ``jobs`` and the artifact-cache counters,
+    #: with the same keys under any ``jobs``; a pool adds the counts of
+    #: trace and ledger records it merged home.  Diagnostic only, never
+    #: serialised into the CSVs.
     meta: Dict[str, Any] = field(default_factory=dict)
 
     def series(self, algorithm: str) -> List[SweepRow]:
@@ -225,31 +208,6 @@ def _emit_sweep_records(config: ExperimentConfig,
                    "n_instances": row.n_instances})
 
 
-def _with_site_reduction(make_kwargs: Callable[[ExperimentConfig, float,
-                                                AlgoSpec], Dict[str, Any]],
-                         transport: Any
-                         ) -> Callable[[ExperimentConfig, float, AlgoSpec],
-                                       Dict[str, Any]]:
-    """Wrap *make_kwargs* to inject a ``site_reduction`` planner kwarg.
-
-    Injection targets only the δ-grid planners (the benchmark hovers over
-    sensors directly — nothing to reduce) and never overrides a
-    reduction a spec sets explicitly.  *transport* is the JSON-safe form
-    from :meth:`~repro.core.reduce.SiteReduction.transport` (a level
-    string or a plain dict), so the wrapped kwargs remain shippable to
-    parallel worker processes as data.
-    """
-    def wrapped(config: ExperimentConfig, value: float,
-                spec: AlgoSpec) -> Dict[str, Any]:
-        kwargs = make_kwargs(config, value, spec)
-        if spec.method not in CACHEABLE_METHODS or "site_reduction" in kwargs:
-            return kwargs
-        augmented = dict(kwargs)
-        augmented["site_reduction"] = transport
-        return augmented
-    return wrapped
-
-
 #: One work unit: plain data, JSON-safe whenever the planner kwargs are
 #: (see :func:`plan_units`).
 Unit = Dict[str, Any]
@@ -260,94 +218,50 @@ def plan_units(config: ExperimentConfig,
                param_name: str,
                param_values: Sequence[float],
                *,
-               n_instances: int,
                make_energy: Callable[[ExperimentConfig, float], EnergyModel],
                make_kwargs: Callable[[ExperimentConfig, float, AlgoSpec],
                                      Dict[str, Any]],
-               validate: bool,
-               delta_continuation: bool) -> List[Unit]:
-    """Cut the sweep grid into work units, in canonical order.
+               validate: bool) -> List[Unit]:
+    """Cut the sweep grid into work units, one per cell, in canonical order.
 
-    Each spec is classified once: a ``chain`` when *delta_continuation*
-    is set and :func:`~repro.experiments.continuation.chainable_spec`
-    holds, else plain ``cell`` units.  A cell unit covers one value x
-    every instance; a chain unit every value x one instance.  Units are
-    ordered by their first cell index, then instance, and each carries
-    its canonical ``unit`` index, the ``cells``, ``values`` and
-    ``instances`` it covers, and per value the energy-model fields and
-    planner kwargs.
+    Unit ``k`` is cell ``k`` of :func:`sweep_cells` over every instance;
+    it carries its ``unit`` index, the spec's name and method, the
+    parameter value, and that value's energy-model fields and planner
+    kwargs.
     """
-    kinds = ["chain" if delta_continuation
-             and chainable_spec(config, spec, param_values, make_kwargs)
-             else "cell" for spec in algorithms]
-    cells = sweep_cells(algorithms, param_values)
-    n_specs = len(algorithms)
-    units: List[Unit] = []
-
-    def add(kind: str, s_idx: int, indices: List[int],
-            instances: List[int]) -> None:
-        spec = algorithms[s_idx]
-        values = [cells[index][1] for index in indices]
-        units.append({
-            "unit": len(units), "kind": kind,
-            "algorithm": spec.name, "method": spec.method,
-            "param_name": param_name, "cells": indices,
-            "values": [float(v) for v in values], "instances": instances,
-            "energies": [asdict(make_energy(config, v)) for v in values],
-            "kwargs": [make_kwargs(config, v, spec) for v in values],
-            "validate": validate})
-
-    for index in range(len(cells)):
-        s_idx = index % n_specs
-        if kinds[s_idx] == "cell":
-            add("cell", s_idx, [index], list(range(n_instances)))
-        elif index < n_specs:           # the spec's first value
-            for i in range(n_instances):
-                add("chain", s_idx,
-                    list(range(s_idx, len(cells), n_specs)), [i])
-    return units
+    return [{"unit": index, "algorithm": spec.name, "method": spec.method,
+             "param_name": param_name, "value": float(value),
+             "energy": asdict(make_energy(config, value)),
+             "kwargs": make_kwargs(config, value, spec),
+             "validate": validate}
+            for index, value, spec in sweep_cells(algorithms, param_values)]
 
 
 def execute_unit(unit: Unit,
                  instances: Sequence[SensorNetwork],
                  radio: Any,
-                 cache: Optional[ArtifactCache]) -> List[List[Sample]]:
-    """Plan one work unit; returns samples per instance, then per value.
+                 cache: Optional[ArtifactCache]) -> List[Sample]:
+    """Plan one work unit; returns one sample per instance, in order.
 
-    The one function every unit kind runs through under any ``jobs``:
     ``run_sweep`` calls it inline for ``jobs=1`` and the pool calls it
     inside a worker, so the timers wrap the same planning calls and the
     samples are bitwise-identical either way.  Opens the unit's
-    ``runner.cell`` / ``runner.chain`` span.
+    ``runner.cell`` span.
     """
-    kind = unit["kind"]
     spec = AlgoSpec(unit["algorithm"], unit["method"])
-    energies = [EnergyModel(**fields) for fields in unit["energies"]]
-    kwargs, validate = unit["kwargs"], unit["validate"]
-    nets = [instances[i] for i in unit["instances"]]
-    attrs: Dict[str, Any]
-    if kind == "cell":
-        attrs = {"cell": unit["cells"][0], "value": unit["values"][0]}
-    else:
-        attrs = {"instance": unit["instances"][0], "width": len(energies)}
-    with span(f"runner.{kind}", unit=unit["unit"], param=unit["param_name"],
-              algorithm=spec.name, **attrs):
-        if kind == "cell":
-            return [[_instance_sample(net, spec, energies[0], radio,
-                                      kwargs=kwargs[0], validate=validate,
-                                      cache=cache)]
-                    for net in nets]
-        assert cache is not None    # run_sweep refuses chains without it
-        return [_plan_chain_instance(net, spec, unit["values"], energies,
-                                     radio, kwargs_by_value=kwargs,
-                                     validate=validate, cache=cache)
-                for net in nets]
+    energy = EnergyModel(**unit["energy"])
+    with span("runner.cell", unit=unit["unit"], param=unit["param_name"],
+              algorithm=spec.name, cell=unit["unit"], value=unit["value"]):
+        return [_instance_sample(net, spec, energy, radio,
+                                 kwargs=unit["kwargs"],
+                                 validate=unit["validate"], cache=cache)
+                for net in instances]
 
 
 def _map_in_process(units: Sequence[Unit],
                     instances: Sequence[SensorNetwork],
                     radio: Any, cache: bool, meta: Dict[str, Any]
-                    ) -> Iterator[Tuple[Unit, List[List[Sample]]]]:
+                    ) -> Iterator[Tuple[Unit, List[Sample]]]:
     """Yield ``(unit, execute_unit(unit))`` for every unit, in unit order.
 
     After the last unit, records in *meta* the artifact-cache counters
@@ -382,9 +296,7 @@ def run_sweep(config: ExperimentConfig,
               progress: Optional[Callable[[str], None]] = None,
               trace: Optional[TracerLike] = None,
               jobs: int = 1,
-              cache: bool = True,
-              site_reduction: Any = None,
-              delta_continuation: bool = False) -> SweepResult:
+              cache: bool = True) -> SweepResult:
     """Run a full sweep and aggregate per-cell statistics.
 
     Parameters
@@ -414,69 +326,30 @@ def run_sweep(config: ExperimentConfig,
         once every earlier cell is complete).
     trace:
         Optional :class:`repro.obs.Tracer` activated for the whole sweep;
-        every work unit gets a ``runner.cell`` / ``runner.chain`` span
-        with the planner's own spans nested underneath.  Under
-        ``jobs > 1`` workers record spans into JSONL shards which are
-        merged into this tracer after the sweep
-        (:mod:`repro.obs.shards`).
+        every work unit gets a ``runner.cell`` span with the planner's
+        own spans nested underneath.  Under ``jobs > 1`` workers record
+        spans into JSONL shards which are merged into this tracer after
+        the sweep (:mod:`repro.obs.shards`).
     jobs:
-        Worker process count; ``1`` runs in-process.
+        Worker process count, an integer >= 1; ``1`` runs in-process.
     cache:
         ``True`` (default) — memoize per-(instance, δ) geometry across
         cells in an :class:`~repro.experiments.artifacts.ArtifactCache`
         (one per process; its hit/miss/artifact counts, summed over
         workers, come back as ``meta["cache"]``); ``False`` — rebuild per
         cell, paper-literal.
-    site_reduction:
-        Candidate-site reduction pre-pass applied to every δ-grid cell
-        (``None``/``"off"``, ``"safe"``, ``"aggressive"``, a
-        :class:`~repro.core.reduce.SiteReduction`, or its dict form).
-        Implemented by wrapping *make_kwargs* with a JSON-safe
-        ``site_reduction`` planner kwarg, so it reaches every unit kind
-        under any ``jobs`` the same way; benchmark specs and specs that
-        already set their own ``site_reduction`` are left alone.
-    delta_continuation:
-        Plan each Algorithm 1 spec's δ column per instance in descending
-        δ order (coarse grids first), warm-starting every finer cell's
-        reduction corridor and first GRASP construction from the coarser
-        cell's finished tour (:mod:`repro.experiments.continuation`).
-        Requires a δ sweep (``param_name == "delta"``) and the artifact
-        cache (the warm payloads flow through it); warm tours are kept
-        only on strict improvement, so with the reduction off or
-        ``safe`` a continuation cell never collects less than its
-        cold-start value.  Other specs keep the per-cell path.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = check_integer(jobs, "jobs", minimum=1)
     if not len(instances):
         raise InvalidParameterError(
             "run_sweep needs at least one network instance: every row is "
             "a mean over the instance set")
-    if delta_continuation:
-        if param_name != "delta":
-            raise ValueError(
-                f"delta_continuation chains along the swept δ axis; this "
-                f"sweep's param_name is {param_name!r}")
-        if not cache:
-            raise ValueError(
-                "delta_continuation needs the artifact cache (cache=True): "
-                "warm payloads for the finer grids flow through it")
-    reduction = resolve_reduction(site_reduction)
-    if reduction.enabled:
-        make_kwargs = _with_site_reduction(make_kwargs,
-                                           reduction.transport())
     cells = sweep_cells(algorithms, param_values)
     units = plan_units(config, algorithms, param_name, param_values,
-                       n_instances=len(instances), make_energy=make_energy,
-                       make_kwargs=make_kwargs, validate=validate,
-                       delta_continuation=delta_continuation)
-    meta: Dict[str, Any] = {
-        "jobs": jobs,
-        "continuation_chains": sum(u["kind"] == "chain" for u in units)}
-    slots: List[List[Optional[Sample]]] = [[None] * len(instances)
-                                           for _ in cells]
-    rows: Dict[int, SweepRow] = {}
-    reported = 0
+                       make_energy=make_energy, make_kwargs=make_kwargs,
+                       validate=validate)
+    meta: Dict[str, Any] = {"jobs": jobs}
+    rows: List[SweepRow] = []
     with activated(trace):
         if jobs == 1 or not units:
             results = _map_in_process(units, instances,
@@ -485,28 +358,16 @@ def run_sweep(config: ExperimentConfig,
             from repro.experiments.parallel import map_units
             results = map_units(units, instances, config, jobs=jobs,
                                 cache=bool(cache), meta=meta)
-        # Results arrive in unit order; a cell's row is aggregated over
-        # its samples in instance order as soon as its last one lands,
-        # and progress covers the contiguous prefix of finished rows.
+        # Results arrive in unit order, which is cell order.
         for unit, samples in results:
-            for i, by_value in zip(unit["instances"], samples):
-                for index, sample in zip(unit["cells"], by_value):
-                    slots[index][i] = sample
-            for index in unit["cells"]:
-                if None not in slots[index]:
-                    _, value, spec = cells[index]
-                    rows[index] = _aggregate_samples(param_name, value, spec,
-                                                     slots[index])
-            while reported in rows:
-                if progress is not None:
-                    progress(format_progress(reported, len(cells),
-                                             param_name, cells[reported][1],
-                                             rows[reported]))
-                reported += 1
-        ordered = [rows[index] for index in range(len(cells))]
+            _, value, spec = cells[unit["unit"]]
+            rows.append(_aggregate_samples(param_name, value, spec, samples))
+            if progress is not None:
+                progress(format_progress(len(rows) - 1, len(cells),
+                                         param_name, value, rows[-1]))
         _emit_sweep_records(config, algorithms, param_name, param_values,
-                            ordered, jobs=jobs)
-    return SweepResult(config=config, rows=ordered, meta=meta)
+                            rows, jobs=jobs)
+    return SweepResult(config=config, rows=rows, meta=meta)
 
 
 #: One per-instance measurement: (volume_gb, planning_time_s, perf dict).
@@ -542,8 +403,7 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
     """Aggregate one cell's per-instance samples into its sweep row.
 
     ``run_sweep`` calls it for every cell with the samples in instance
-    order under any ``jobs`` and unit kind, so the float reductions are
-    identical.
+    order under any ``jobs``, so the float reductions are identical.
     """
     volumes = [s[0] for s in samples]
     times = [s[1] for s in samples]
@@ -570,51 +430,6 @@ def _aggregate_samples(param_name: str, value: float, spec: AlgoSpec,
         perf=perf_mean)
 
 
-def _plan_chain_instance(net: SensorNetwork,
-                         spec: AlgoSpec,
-                         param_values: Sequence[float],
-                         energies: Sequence[EnergyModel],
-                         radio: Any,
-                         *,
-                         kwargs_by_value: Sequence[Dict[str, Any]],
-                         validate: bool,
-                         cache: ArtifactCache) -> List[Sample]:
-    """Plan one instance's δ column coarse→fine with warm continuation.
-
-    Cells run in descending δ order; each finer cell's kwargs gain the
-    coarser cell's ``corridor_seed`` (consumed by the artifact cache's
-    reduction pre-pass) and ``warm_nodes`` (the projected warm-start
-    hint for Algorithm 1).  Returns one sample per parameter value, in
-    *value* order; the timer wraps each cell's planning call exactly
-    like the per-cell path, so ``mean_time_s`` keeps its semantics.
-
-    :func:`execute_unit` runs it for every chain unit — inline or inside
-    a pool worker — so the warm payloads never cross a process boundary
-    and continuation rows are bitwise-identical across ``jobs``.
-    """
-    samples: List[Optional[Sample]] = [None] * len(param_values)
-    seed_points: Optional[List[List[float]]] = None
-    for i in continuation_order(param_values):
-        kwargs = dict(kwargs_by_value[i])
-        if seed_points:
-            kwargs["corridor_seed"] = seed_points
-        call_kwargs = cache.augment_kwargs(net, energies[i], radio,
-                                           spec.method, kwargs)
-        if seed_points:
-            warm = project_warm_nodes(seed_points, call_kwargs["sites"])
-            if warm is not None:
-                call_kwargs["warm_nodes"] = warm
-        with Timer() as t:
-            tour = plan_tour(net, energies[i], radio,
-                             method=spec.method, **call_kwargs)
-        if validate:
-            cross_validate(tour, radio)
-        samples[i] = (tour.collected_volume / MB_PER_GB, t.elapsed,
-                      tour.meta.get("perf"))
-        seed_points = tour_seed_points(tour) or seed_points
-    return [s for s in samples if s is not None]
-
-
 def _population_std(values: Sequence[float]) -> float:
     """Population standard deviation (``np.std`` with ``ddof=0``).
 
@@ -630,7 +445,6 @@ def _population_std(values: Sequence[float]) -> float:
 
 
 __all__ = ["AlgoSpec", "SweepRow", "SweepResult", "run_sweep", "MB_PER_GB",
-           "sweep_cells", "format_progress", "_with_site_reduction",
-           "_emit_sweep_records", "plan_units", "execute_unit",
-           "_instance_sample", "_aggregate_samples",
-           "_plan_chain_instance", "_population_std"]
+           "sweep_cells", "format_progress", "_emit_sweep_records",
+           "plan_units", "execute_unit", "_instance_sample",
+           "_aggregate_samples", "_population_std"]

@@ -238,11 +238,6 @@ register_case(BenchCase(
     config={**_PLAN_CONFIG, "method": "algorithm2"},
     fn=lambda: _plan_workload("algorithm2")))
 register_case(BenchCase(
-    name="plan.alg2_reduce", suites=("smoke",),
-    config={**_PLAN_CONFIG, "method": "algorithm2",
-            "site_reduction": "aggressive"},
-    fn=lambda: _plan_workload("algorithm2", site_reduction="aggressive")))
-register_case(BenchCase(
     name="plan.alg3_kernel", suites=("smoke",),
     config={**_PLAN_CONFIG, "method": "algorithm3", "K": 2},
     fn=lambda: _plan_workload("algorithm3", K=2)))

@@ -15,9 +15,7 @@ Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
 *sorted* restricted candidate list by :func:`rcl_pick`.  Because the
 tape is drawn up front and the RCL is ordered by node index, each
-restart (:func:`greedy_fill` on one tape row) is replayable on its own,
-and its choices are invariant under site renumbering that preserves
-relative index order (the `ReducedSites` survivor maps do).
+restart (:func:`greedy_fill` on one tape row) is replayable on its own.
 """
 # repro: hot-path
 
@@ -94,10 +92,8 @@ def rcl_pick(ratio: np.ndarray, n_feasible: int, u: float,
     """The tape draw *u*'s pick from the sorted restricted candidate list.
 
     The RCL is the ``min(rcl_size, n_feasible)`` best-ratio candidates,
-    ordered by **node index** — an order-isomorphism under any
-    renumbering that preserves relative index order, which is what makes
-    reduction-seeded restarts renumbering-invariant.  ``u`` in ``[0, 1)``
-    indexes the list uniformly.
+    ordered by **node index** (``argpartition`` returns them in no
+    defined order).  ``u`` in ``[0, 1)`` indexes the list uniformly.
     """
     k = rcl_size if rcl_size < n_feasible else n_feasible
     top = np.sort(np.argpartition(-ratio, k - 1)[:k])
@@ -106,16 +102,14 @@ def rcl_pick(ratio: np.ndarray, n_feasible: int, u: float,
 
 
 def draw_rng_tape(rng: np.random.Generator, n_restarts: int,
-                  tape_nodes: int) -> np.ndarray:
+                  n_nodes: int) -> np.ndarray:
     """Pre-draw the GRASP RNG tape: one row per *randomised* restart.
 
     Row ``r`` feeds restart ``r + 1`` (restart 0 is deterministic); each
-    accepted insertion consumes one entry, and a tour of ``tape_nodes``
-    nodes can accept at most ``tape_nodes - 1``.  Drawing against the
-    *original* (pre-reduction) node count keeps the tape — hence every
-    restart — identical whether or not a site reduction ran first.
+    accepted insertion consumes one entry, and a tour of ``n_nodes``
+    nodes can accept at most ``n_nodes - 1``.
     """
-    length = max(int(tape_nodes) - 1, 1)
+    length = max(int(n_nodes) - 1, 1)
     rows = max(int(n_restarts) - 1, 0)
     return rng.random((rows, length))
 

@@ -7,10 +7,6 @@ tests get exact answers for free while the planners scale.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.obs.tracer import span
 from repro.orienteering.exact import MAX_EXACT_NODES, solve_exact
 from repro.orienteering.grasp import solve_grasp
@@ -27,10 +23,7 @@ def solve_orienteering(instance: OrienteeringInstance, *,
                        method: str = "auto",
                        seed: SeedLike = None,
                        n_restarts: int = 8,
-                       rcl_size: int = 3,
-                       tape_nodes: Optional[int] = None,
-                       warm_tour: Optional[np.ndarray] = None
-                       ) -> OrienteeringSolution:
+                       rcl_size: int = 3) -> OrienteeringSolution:
     """Solve an orienteering instance with the chosen backend.
 
     Parameters
@@ -41,10 +34,6 @@ def solve_orienteering(instance: OrienteeringInstance, *,
         ``"auto"``, ``"exact"``, ``"grasp"``, or ``"greedy"``.
     seed, n_restarts, rcl_size:
         Passed through to GRASP when applicable.
-    tape_nodes, warm_tour:
-        Passed through to GRASP: the RNG-tape sizing override (for
-        renumbering-invariant restarts on reduced instances) and an
-        optional warm-start tour polished after the restarts.
 
     Returns
     -------
@@ -56,8 +45,7 @@ def solve_orienteering(instance: OrienteeringInstance, *,
             if instance.n_nodes <= AUTO_EXACT_THRESHOLD:
                 return solve_exact(instance)
             return solve_grasp(instance, n_restarts=n_restarts,
-                               rcl_size=rcl_size, seed=seed,
-                               tape_nodes=tape_nodes, warm_tour=warm_tour)
+                               rcl_size=rcl_size, seed=seed)
         if method == "exact":
             if instance.n_nodes > MAX_EXACT_NODES:
                 raise InvalidParameterError(
@@ -66,8 +54,7 @@ def solve_orienteering(instance: OrienteeringInstance, *,
             return solve_exact(instance)
         if method == "grasp":
             return solve_grasp(instance, n_restarts=n_restarts,
-                               rcl_size=rcl_size, seed=seed,
-                               tape_nodes=tape_nodes, warm_tour=warm_tour)
+                               rcl_size=rcl_size, seed=seed)
         if method == "greedy":
             return solve_greedy(instance)
     raise InvalidParameterError(

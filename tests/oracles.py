@@ -52,7 +52,7 @@ from repro.core.algorithm3 import _VOLUME_TOL, RatioTable
 from repro.core.auxgraph import W2Costs
 from repro.core.kernel import PlannerKernel, PruneCache
 from repro.geometry.distance import cross_distances, pairwise_distances
-from repro.orienteering import grasp, greedy, local_search
+from repro.orienteering import greedy, local_search
 from repro.orienteering._vector import (conflict_neighbors, insertion_ratio,
                                         rcl_pick)
 from repro.orienteering.problem import OrienteeringInstance
@@ -318,7 +318,6 @@ def rescan_greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
 def rescan_construction() -> Iterator[None]:
     """Build every orienteering construction with :func:`rescan_greedy_fill`."""
     with mock.patch.object(greedy, "greedy_fill", rescan_greedy_fill), \
-            mock.patch.object(grasp, "greedy_fill", rescan_greedy_fill), \
             mock.patch.object(local_search, "greedy_fill",
                               rescan_greedy_fill):
         yield

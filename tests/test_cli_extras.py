@@ -93,3 +93,24 @@ class TestTraceFlag:
         assert "runner.cell" in names
         # Every figure's planners ran under the one tracer.
         assert {"alg1.reduction", "alg2.round", "alg3.round"} <= set(names)
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("flag, value", [
+        ("--nodes", "0"), ("--instances", "0"), ("--seed", "-1"),
+        ("--jobs", "0")])
+    def test_one_error_line_and_exit_2(self, capsys, flag, value):
+        # Config errors used to print a traceback and exit 1.
+        rc = main(["fig5", "--quiet", flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", [["--site-reduction", "safe"],
+                                      ["--delta-continuation"]])
+    def test_removed_flags_rejected_by_argparse(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig4", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

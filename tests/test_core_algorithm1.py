@@ -203,25 +203,6 @@ class TestDenseOracle:
                                     solver=solver)
         _same_plan(tour, dense)
 
-    def test_warm_nodes_match_dense_instance(self, small_net, radio, energy):
-        kwargs = dict(delta=25.0, seed=1, n_restarts=2,
-                      warm_nodes=np.arange(1, 40, 3))
-        tour = plan_algorithm1(small_net, energy, radio, **kwargs)
-        assert tour.meta["perf"]["grasp"]["warm_starts"] == 1
-        with dense_auxgraph():
-            dense = plan_algorithm1(small_net, energy, radio, **kwargs)
-        _same_plan(tour, dense)
-
-    @pytest.mark.parametrize("overlap", ["conflict", "ignore"])
-    def test_safe_reduction_matches_dense_instance(self, clustered_net,
-                                                   radio, energy, overlap):
-        kwargs = dict(delta=20.0, seed=2, n_restarts=3,
-                      site_reduction="safe", overlap=overlap)
-        tour = plan_algorithm1(clustered_net, energy, radio, **kwargs)
-        with dense_auxgraph():
-            dense = plan_algorithm1(clustered_net, energy, radio, **kwargs)
-        _same_plan(tour, dense)
-
 
 class TestImplicitCostMemory:
     def test_peak_far_below_dense_matrix(self):

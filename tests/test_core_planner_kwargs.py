@@ -56,13 +56,17 @@ class TestStrayKwargs:
             assert method in message and "'warp_speed'" in message
 
     def test_bad_engine_rejected_everywhere(self, small_net, energy, radio):
-        """``engine=`` is no planner option any more; a stale one gets a
-        clear message from every method."""
+        """``engine=``, ``site_reduction=`` and ``warm_nodes=`` are no
+        planner options any more; a stale one gets a clear message from
+        every method."""
+        stale = {"engine": "turbo", "site_reduction": "safe",
+                 "warm_nodes": [1, 2]}
         for method in PLANNERS:
-            with pytest.raises(InvalidParameterError) as exc:
-                plan_tour(small_net, energy, radio, method=method,
-                          delta=25.0, engine="turbo")
-            assert "'engine'" in str(exc.value)
+            for name, value in stale.items():
+                with pytest.raises(InvalidParameterError) as exc:
+                    plan_tour(small_net, energy, radio, method=method,
+                              delta=25.0, **{name: value})
+                assert f"'{name}'" in str(exc.value)
 
 
 class TestPlannerOptions:

@@ -11,6 +11,7 @@ from repro.experiments.instances import make_instances
 from repro.experiments.runner import AlgoSpec, run_sweep
 from repro.experiments.tables import rows_to_csv, rows_to_markdown
 from repro.obs.record import flatten_perf
+from repro.orienteering.grasp import GRASP_STAT_NAMES
 from repro.utils.errors import InvalidParameterError
 
 
@@ -58,6 +59,27 @@ class TestConfig:
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(k_values=(0,))
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+        ("volume_range", (float("nan"), 10.0)),
+        ("volume_range", (-1.0, 10.0)), ("volume_range", (10.0, 5.0)),
+        ("volume_range", (10.0,))])
+    def test_rejects_bad_seed_and_volume_range(self, field, value):
+        # Unchecked, these failed later inside numpy: seed=-1 with a
+        # ValueError, seed=1.5 with a TypeError, (nan, 10) with an
+        # OverflowError.  The pool's from_dict transport checks too.
+        with pytest.raises(InvalidParameterError, match=field):
+            reduced_settings().scaled(**{field: value})
+        payload = reduced_settings().as_dict()
+        payload[field] = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(InvalidParameterError, match=field):
+            ExperimentConfig.from_dict(payload)
+
+    def test_integral_seed_is_stored_as_int(self):
+        cfg = reduced_settings().scaled(seed=np.int64(7), n_nodes=30.0)
+        assert type(cfg.seed) is int and type(cfg.n_nodes) is int
+        assert cfg == reduced_settings().scaled(seed=7, n_nodes=30)
 
     def test_zero_capacity_override_is_not_the_default(self):
         # A swept capacity of 0 must reach EnergyModel (which rejects it),
@@ -171,24 +193,25 @@ class TestRunner:
         assert row.std_time_s == 0.0
 
     def test_perf_aggregation_flattens_nested_counters(self, tiny_config):
-        # A reduced plan's perf dict nests {"reduce": {...}}; the runner
-        # must flatten it into dotted keys instead of silently dropping
-        # it.  perf holds counts only: phase time lives in spans.
+        # Algorithm 1's perf dict nests {"grasp": {...}}; the runner must
+        # flatten it into dotted keys instead of silently dropping it.
+        # perf holds counts only: phase time lives in spans.
         instances = make_instances(tiny_config)
         result = run_sweep(
             tiny_config, instances,
-            [AlgoSpec("Alg2", "algorithm2", {"delta": 40.0})],
+            [AlgoSpec("Alg1", "algorithm1",
+                      {"delta": 40.0, "seed": 0, "n_restarts": 2})],
             param_name="capacity", param_values=(1.5e4,),
             make_energy=lambda cfg, v: cfg.energy_model(capacity=v),
-            make_kwargs=lambda cfg, v, s: dict(s.kwargs),
-            site_reduction="safe")
+            make_kwargs=lambda cfg, v, s: dict(s.kwargs))
         perf = result.rows[0].perf
         assert perf is not None
-        assert perf["engine"] == "kernel"
-        assert perf["sites_rescored"] > 0
-        reduce_keys = [k for k in perf if k.startswith("reduce.")]
-        assert reduce_keys
-        assert all(perf[k] >= 0.0 for k in reduce_keys)
+        assert perf["engine"] == "scalar"
+        grasp_keys = sorted(k for k in perf if k.startswith("grasp."))
+        assert grasp_keys == [f"grasp.{name}"
+                              for name in sorted(GRASP_STAT_NAMES)]
+        assert perf["grasp.restarts"] == 2.0
+        assert all(perf[k] >= 0.0 for k in grasp_keys)
         assert not any(k.startswith("seconds") for k in perf)
 
 

@@ -149,17 +149,13 @@ class TestProgressParallel:
             assert row.algorithm in line
 
 
-#: The span every work unit opens, one name per unit kind.
-UNIT_SPANS = ("runner.cell", "runner.chain")
-
-
 def unit_spans(records):
     """Unit spans as a sorted multiset: name plus attributes, minus the
     ``worker`` pid a pool stamps on them."""
     return sorted(
         json.dumps([r["name"], {k: v for k, v in r["attrs"].items()
                                 if k != "worker"}], sort_keys=True)
-        for r in records if r["name"] in UNIT_SPANS)
+        for r in records if r["name"] == "runner.cell")
 
 
 def span_nesting(records):
@@ -193,21 +189,18 @@ def span_nesting(records):
 
 
 class TestJobsParity:
-    """One executor runs every unit kind under any ``jobs``: the unit
+    """One executor runs every work unit under any ``jobs``: the unit
     spans, the meta keys and the progress order must not depend on it."""
 
-    @pytest.mark.parametrize("figure, mode, kind", [
-        ("fig5", {}, "runner.cell"),
-        ("fig4", {"delta_continuation": True}, "runner.chain")])
-    def test_spans_meta_and_progress_match(self, tiny_config, figure, mode,
-                                           kind):
+    @pytest.mark.parametrize("figure", ["fig5", "fig4"])
+    def test_spans_meta_and_progress_match(self, tiny_config, figure):
         runner = {"fig4": run_fig4, "fig5": run_fig5}[figure]
         runs = []
         for jobs in (1, 2):
             tracer, lines = Tracer(), []
             with activated(tracer):
                 result = runner(tiny_config, jobs=jobs,
-                                progress=lines.append, **mode)
+                                progress=lines.append)
             records = tracer.records()
             runs.append((result, unit_spans(records), lines,
                          span_nesting(records)))
@@ -227,15 +220,9 @@ class TestJobsParity:
             assert count == n, pair
         for pair, count in par_built.items():
             assert count % n == 0 and n <= count <= 2 * n, pair
-        # One chain span per (spec, instance); one cell span per cell.
-        kind_attrs = [attrs for name, attrs in map(json.loads, seq_spans)
-                      if name == kind]
-        specs = {attrs["algorithm"] for attrs in kind_attrs}
-        assert specs
-        if kind == "runner.chain":
-            assert len(kind_attrs) == len(specs) * tiny_config.n_instances
-        else:
-            assert len(kind_attrs) == len(seq.rows)
+        # One cell span per cell.
+        assert sorted(attrs["cell"] for _, attrs in
+                      map(json.loads, seq_spans)) == list(range(len(seq.rows)))
         assert set(par.meta) == set(seq.meta)
         assert set(par.meta["cache"]) == set(seq.meta["cache"])
         total = len(seq.rows)
@@ -297,18 +284,6 @@ class TestShardsUnit:
         merged = merge_trace_shards(tmp_path)
         assert [r["attrs"]["cell"] for r in merged] == [0, 3]
 
-    def test_merge_orders_chain_only_shards_by_unit(self, tmp_path):
-        # Chain spans carry no cell index; their shards must still
-        # merge in unit order, not by pid filename.
-        append_shard([self._rec(0, None, "runner.chain", unit=1,
-                                instance=1)],
-                     shard_path(tmp_path, 111))
-        append_shard([self._rec(0, None, "runner.chain", unit=0,
-                                instance=0)],
-                     shard_path(tmp_path, 999))
-        merged = merge_trace_shards(tmp_path)
-        assert [r["attrs"]["instance"] for r in merged] == [0, 1]
-
     def test_merge_rebases_ids_and_parents(self, tmp_path):
         append_shard([self._rec(0, None, "runner.cell", cell=0),
                       self._rec(1, 0, "alg1.reduction")],
@@ -364,18 +339,18 @@ class TestWorkUnits:
         specs = [AlgoSpec("Bench", "benchmark", {}),
                  AlgoSpec("Alg 1", "algorithm1", {})]
         units = plan_units(
-            tiny_config, specs, "delta", (40.0, 25.0), n_instances=2,
+            tiny_config, specs, "delta", (40.0, 25.0),
             make_energy=lambda c, v: c.energy_model(),
             make_kwargs=lambda c, v, s: (
                 {} if s.method == "benchmark" else {"delta": v}),
-            validate=True, delta_continuation=True)
-        assert [(u["unit"], u["kind"], u["cells"], u["instances"])
+            validate=True)
+        assert [(u["unit"], u["algorithm"], u["value"], u["kwargs"])
                 for u in units] == [
-            (0, "cell", [0], [0, 1]),
-            (1, "chain", [1, 3], [0]),
-            (2, "chain", [1, 3], [1]),
-            (3, "cell", [2], [0, 1])]
-        assert [k["delta"] for k in units[1]["kwargs"]] == [40.0, 25.0]
+            (0, "Bench", 40.0, {}),
+            (1, "Alg 1", 40.0, {"delta": 40.0}),
+            (2, "Bench", 25.0, {}),
+            (3, "Alg 1", 25.0, {"delta": 25.0})]
+        json.dumps(units)           # plain data: the pool ships it as is
 
 
 class TestEngineSelection:
@@ -384,6 +359,18 @@ class TestEngineSelection:
             run_sweep(tiny_config, [], [], "capacity", (),
                       make_energy=lambda c, v: c.energy_model(),
                       make_kwargs=lambda c, v, s: {}, jobs=0)
+
+    @pytest.mark.parametrize("jobs", [2.5, "2", True])
+    def test_run_sweep_rejects_non_integer_jobs(self, tiny_config, jobs):
+        # Unchecked, 2.5 raised a bare TypeError from the process pool,
+        # "2" a TypeError from the comparison, and True ran with
+        # meta["jobs"] == True.
+        with pytest.raises(InvalidParameterError, match="jobs"):
+            run_sweep(tiny_config, make_instances(tiny_config),
+                      [AlgoSpec("Bench", "benchmark", {})], "capacity",
+                      (1.5e4,),
+                      make_energy=lambda c, v: c.energy_model(capacity=v),
+                      make_kwargs=lambda c, v, s: {}, jobs=jobs)
 
     def test_parallel_empty_cells(self, tiny_config):
         instances = make_instances(tiny_config)
@@ -397,15 +384,11 @@ class TestEngineSelection:
                 assert result.rows == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("figure, mode", [
-        ("fig3", {}),
-        ("fig5", {}),
-        ("fig4", {"delta_continuation": True})])
-    def test_empty_instance_list_rejected(self, tiny_config, jobs, figure,
-                                          mode):
+    @pytest.mark.parametrize("figure", ["fig3", "fig5", "fig4"])
+    def test_empty_instance_list_rejected(self, tiny_config, jobs, figure):
         runner = {"fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5}
         with pytest.raises(InvalidParameterError, match="instance"):
-            runner[figure](tiny_config, [], jobs=jobs, **mode)
+            runner[figure](tiny_config, [], jobs=jobs)
 
 
 class TestConfigTransport:

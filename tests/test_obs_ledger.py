@@ -129,17 +129,17 @@ class TestConfigHashing:
 
 class TestPerfFlattening:
     PERF = {"engine": "kernel", "insertions": 12, "drains": 3,
-            "cache_hit": True, "reduce": {"zero_award": 5, "sites_out": 40}}
+            "cache_hit": True, "grasp": {"restarts": 5, "ls_moves": 40}}
 
     def test_flatten_dots_nested_and_skips_non_numeric(self):
         assert flatten_perf(self.PERF) == {
             "insertions": 12.0, "drains": 3.0,
-            "reduce.zero_award": 5.0, "reduce.sites_out": 40.0}
+            "grasp.restarts": 5.0, "grasp.ls_moves": 40.0}
 
     def test_counter_metrics_namespace_every_count(self):
         assert perf_counter_metrics(self.PERF) == {
             "kernel.insertions": 12.0, "kernel.drains": 3.0,
-            "kernel.reduce.zero_award": 5.0, "kernel.reduce.sites_out": 40.0}
+            "kernel.grasp.restarts": 5.0, "kernel.grasp.ls_moves": 40.0}
 
     def test_empty_perf(self):
         assert flatten_perf({}) == {}

@@ -1,11 +1,8 @@
-"""GRASP's RNG tape, reduction-aware seeding, and warm-start contracts.
+"""GRASP's RNG tape and Algorithm 1's ``meta["perf"]`` contract.
 
 Every randomised restart replays one row of a pre-drawn RNG tape through
-the index-sorted RCL pick, so restarts are replayable one at a time and
-a ``safe`` site reduction (a pure renumbering of survivors) cannot
-change a tour.  The plan-level tests pin Algorithm 1's reduction-aware
-tape sizing and its ``meta["perf"]`` contract, and the warm-start tests
-pin the strict-improvement acceptance the δ-continuation mode relies on.
+the index-sorted RCL pick, so restarts are replayable one at a time.
+The plan-level tests pin Algorithm 1's ``meta["perf"]`` contract.
 """
 
 import numpy as np
@@ -20,7 +17,7 @@ from repro.geometry.region import Region
 from repro.network.sensor_network import SensorNetwork
 from repro.orienteering._vector import draw_rng_tape
 from repro.orienteering.grasp import (GRASP_STAT_NAMES, better_solution,
-                                      solve_grasp, warm_tour_from_nodes)
+                                      solve_grasp)
 from repro.orienteering.greedy import randomized_construct, solve_greedy
 from repro.orienteering.problem import OrienteeringInstance, make_solution
 from repro.orienteering.solver import solve_orienteering
@@ -30,19 +27,15 @@ from repro.utils.errors import InvalidParameterError
 RADIO = RadioModel(bandwidth=150.0, transmission_range=60.0, altitude=0.0)
 
 
-def make_instance(seed, n=12, budget=None, conflicts=False):
+def make_instance(seed, n=12):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 100, (n, 2))
     costs = pairwise_distances(pts)
     awards = rng.uniform(1, 10, n)
     awards[0] = 0.0
-    if budget is None:
-        budget = float(rng.uniform(100, 500))
-    groups = None
-    if conflicts and n >= 5:
-        groups = [np.array([1, 2]), np.array([3, 4])]
+    budget = float(rng.uniform(100, 500))
     return OrienteeringInstance(costs=costs, awards=awards, budget=budget,
-                                depot=0, conflict_groups=groups)
+                                depot=0)
 
 
 def make_network(seed, n=10):
@@ -94,16 +87,6 @@ class TestBitwiseEquivalence:
 
 
 class TestAlgorithm1Engines:
-    def test_safe_reduction_invariant_per_engine(self):
-        """Reduction-aware tape: safe renumbering never changes the tour."""
-        net = make_network(11)
-        cold = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                               seed=2)
-        red = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=5,
-                              seed=2, site_reduction="safe")
-        np.testing.assert_array_equal(cold.points, red.points)
-        assert cold.collected_volume == red.collected_volume
-
     def test_meta_perf_grasp_stats_contract(self):
         net = make_network(5)
         tour = plan_algorithm1(net, ENERGY, RADIO, 30.0, n_restarts=3,
@@ -123,52 +106,3 @@ class TestAlgorithm1Engines:
             plan_tour(net, ENERGY, RADIO, method="algorithm1", delta=30.0,
                       engine="nope")
 
-
-class TestWarmStarts:
-    @given(seed=st.integers(0, 3_000), n=st.integers(3, 14),
-           hint_seed=st.integers(0, 100))
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_warm_tour_from_nodes_always_feasible(self, seed, n, hint_seed):
-        inst = make_instance(seed, n=n, conflicts=True)
-        rng = np.random.default_rng(hint_seed)
-        hints = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-        tour = warm_tour_from_nodes(inst, hints)
-        if tour is not None:
-            assert inst.is_feasible(tour)
-            assert inst.conflicts_ok(tour)
-            assert set(tour) <= set(hints) | {0}
-
-    def test_warm_tour_from_nodes_validates_range(self):
-        inst = make_instance(0, n=8)
-        with pytest.raises(InvalidParameterError):
-            warm_tour_from_nodes(inst, [99])
-        assert warm_tour_from_nodes(inst, np.empty(0, dtype=int)) is None
-
-    @given(seed=st.integers(0, 3_000), n=st.integers(2, 12))
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_non_improving_warm_tour_leaves_result_unchanged(self, seed, n):
-        """Strict-improvement acceptance: the winner's own tour as a warm
-        start can never displace it, so the solution stays bitwise
-        identical (only the warm-start counters move)."""
-        inst = make_instance(seed, n=n)
-        cold = solve_grasp(inst, n_restarts=3, seed=0)
-        warm = solve_grasp(inst, n_restarts=3, seed=0, warm_tour=cold.tour)
-        np.testing.assert_array_equal(cold.tour, warm.tour)
-        assert cold.award == warm.award
-        assert warm.stats["warm_starts"] == 1
-        assert warm.stats["warm_improved"] == 0
-
-    def test_improving_warm_tour_wins(self):
-        """A warm tour strictly better than every restart is kept."""
-        inst = make_instance(42, n=12, budget=1e9)
-        best = solve_grasp(inst, n_restarts=6, seed=0)
-        # With an enormous budget the polish collects everything, so
-        # force a weak baseline: single restart, no local search.
-        weak = solve_grasp(inst, n_restarts=1, seed=0, local_search=False)
-        if best.award > weak.award:
-            warm = solve_grasp(inst, n_restarts=1, seed=0,
-                               local_search=False, warm_tour=best.tour)
-            assert warm.award >= best.award
-            assert warm.stats["warm_improved"] == 1
