@@ -26,9 +26,22 @@ overlapping candidates" rule (lines 11–12) made literal.  The selection
 itself (line 6) is served from a :class:`RatioTable` that is rescored
 only where the kernel's rows changed, with a lazy budget check.
 
+Most rounds are upgrades of an on-tour site ``j`` with one undrained
+sensor ``v``: every k then has the same ratio up to the last bit, the
+first maximum takes the shortest sojourn, and because sojourns re-tile
+the residual, ``v`` drains by ``1/K`` of its residual per round until the
+dust snap (on 4 fig4-reduced instances × 5 δ × K ∈ {2, 4}, 10,120 of
+11,920 rounds).  Such a chain is replayed in one pass
+(:meth:`RatioTable.chain`): ``j``'s rounds in the loop's own scalar
+arithmetic, the rows not covering ``v`` bounded by one argmax taken at
+the start (they are not rescored meanwhile), and the rows covering
+``v`` recomputed for every round in one ``(rounds, nnz)`` block per k.
+The pass stops at the first round the round-by-round loop would spend
+elsewhere, so plans and ``meta["perf"]`` are bitwise unchanged.
+
 With ``K = 1`` this planner coincides with Algorithm 2 (the paper's
 observation that DCM is the special case of PDCM); the test suite asserts
-that equivalence on seeded instances.  Like Algorithm 2, an optional
+that the two take bitwise the same tours.  Like Algorithm 2, an optional
 ``polish`` pass 2-opts the finished tour and resumes the greedy loop with
 the freed travel budget (both planners default to polishing, keeping the
 Fig. 4/5 comparison fair).
@@ -36,14 +49,14 @@ Fig. 4/5 comparison fair).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.algorithm2 import _DENOM_EPS
 from repro.core.hovering import (HoveringSites, build_hovering_sites,
                                  check_prebuilt_sites)
-from repro.core.kernel import PlannerKernel
+from repro.core.kernel import PlannerKernel, _segment_reduce
 from repro.core.tour import CollectionTour
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import pairwise_distances
@@ -80,7 +93,10 @@ class RatioTable:
     checked once and the over-budget ones are set to ``-inf``.  Between
     tour changes the tour length is fixed and the hover time only grows,
     and IEEE rounding is monotone, so such a pair stays over budget until
-    its row is rescored.
+    its row is rescored.  :attr:`rescanned` says whether the last
+    :meth:`select` did that rescan.
+
+    :meth:`chain` scores a tied one-sensor upgrade chain in one pass.
     """
 
     # repro: hot-path  (select() runs once per greedy round)
@@ -95,6 +111,7 @@ class RatioTable:
         self.rho = np.full((kern.m, K), -np.inf)
         self.deltas = np.zeros(kern.m)
         self.stale = True
+        self.rescanned = False
 
     def select(self, eligible_site: np.ndarray, tau: np.ndarray,
                p_partial: np.ndarray, hover: float,
@@ -113,9 +130,10 @@ class RatioTable:
         if pick is None:
             return None
         j, k = pick
-        if ((hover + tau[j, k]) * self.eta_h
-                + (length + self.deltas[j]) * self.etat_m
-                <= self.capacity + 1e-9):
+        self.rescanned = not ((hover + tau[j, k]) * self.eta_h
+                              + (length + self.deltas[j]) * self.etat_m
+                              <= self.capacity + 1e-9)
+        if not self.rescanned:
             return pick
         self.mask_over_budget(tau, hover, length)
         return self._argmax()
@@ -143,6 +161,119 @@ class RatioTable:
         if self.rho[j, k] == -np.inf:
             return None
         return int(j), int(k)
+
+    def chain(self, j: int, v: int, fractions: np.ndarray, hover: float,
+              length: float, rounds: int) -> Tuple[List[float], str]:
+        """Sojourns of the next rounds on site *j*, scored in one pass.
+
+        *j* is on the tour and its one undrained sensor *v* is the only
+        dirty sensor (:meth:`PlannerKernel.lone_sensor`), so every round
+        until *j* loses rescores exactly the rows covering *v*.  The
+        pass returns the sojourns the round-by-round loop would take on
+        *j*, at most *rounds* of them, and why it stopped: ``"dust"``
+        (the dust snap emptied *v*), ``"drained"`` (*j* has no eligible
+        pair otherwise), ``"outside"`` (a row not covering *v* wins),
+        ``"budget"`` (*j*'s pair is over budget), ``"limit"`` (*rounds*
+        reached) or ``"rival"`` (another row covering *v* wins).  The
+        table is left as it was.
+        """
+        kern = self.kern
+        K = self.rho.shape[1]
+        bw, eta_h, etat_m = kern.bandwidth, self.eta_h, self.etat_m
+        rows = kern.csr.sites_of(v)
+        # Rows not covering v are not rescored during the chain: their
+        # first maximum, taken once, bounds every round.
+        kept = self.rho[rows]
+        self.rho[rows] = -np.inf
+        out_flat = int(np.argmax(self.rho))
+        out_best, out_row = float(self.rho.flat[out_flat]), out_flat // K
+        self.rho[rows] = kept
+
+        # j's rounds, in the loop's own scalar arithmetic: t' = r/B,
+        # tau_k = t'·f_k, P'_k = min(r, B·tau_k) (j's other sensors add
+        # exact zeros), the first-max k, the lazy budget test, the drain.
+        fracs = fractions.tolist()
+        delta_j = float(self.deltas[j])
+        travel_j = delta_j * etat_m
+        r = float(kern.rem[v])
+        taus: List[float] = []
+        resid: List[float] = []
+        best_j: List[float] = []
+        stop, snapped = "limit", False
+        while len(taus) < rounds:
+            t = r / bw
+            if not t > _VOLUME_TOL / bw:
+                stop = "dust" if snapped else "drained"
+                break
+            best, kb = -np.inf, 0
+            for k, f in enumerate(fracs):
+                tau = t * f
+                p = min(r, bw * tau)
+                if p > _VOLUME_TOL:
+                    ratio = p / max(tau * eta_h + travel_j, _DENOM_EPS)
+                    if ratio > best:
+                        best, kb = ratio, k
+            if best == -np.inf:
+                stop = "drained"
+                break
+            if not (best > out_best or (best == out_best and j < out_row)):
+                stop = "outside"
+                break
+            tau = t * fracs[kb]
+            if not ((hover + tau) * eta_h + (length + delta_j) * etat_m
+                    <= self.capacity + 1e-9):
+                stop = "budget"
+                break
+            taus.append(tau)
+            resid.append(r)
+            best_j.append(best)
+            hover += tau
+            r -= min(r, bw * tau)
+            snapped = 0.0 < r < kern.volume_tol
+            if snapped:
+                r = 0.0
+
+        others = rows[rows != j]
+        if taus and len(others):
+            lost = self._rival_rounds(others, v, j, np.array(resid),
+                                      np.array(best_j), fractions)
+            if lost.any():
+                taus = taus[:int(np.argmax(lost))]
+                stop = "rival"
+        return taus, stop
+
+    def _rival_rounds(self, others: np.ndarray, v: int, j: int,
+                      resid: np.ndarray, best_j: np.ndarray,
+                      fractions: np.ndarray) -> np.ndarray:
+        """Rounds in which a row of *others* (sites covering *v*) beats *j*.
+
+        Row ``i`` of each block is the kernel's flush of *others* with
+        ``rem[v] = resid[i]`` and the refresh's ratios, in the same
+        IEEE expressions; one ``(rounds, nnz)`` block per k.  A row
+        below *j* wins a tie (first maximum), a row above it does not.
+        """
+        kern = self.kern
+        bw = kern.bandwidth
+        idxs, starts, lengths = kern.csr.gather(others)
+        # repro: allow[hot-path-purity] -- (rounds, nnz of v's covering sites)
+        vals = np.empty((len(resid), len(idxs)))
+        vals[:] = kern.rem[idxs]
+        vals[:, idxs == v] = resid[:, None]
+        t_rows = _segment_reduce(vals, starts, lengths, np.maximum) / bw
+        live = t_rows > _VOLUME_TOL / bw
+        travel = self.deltas[others] * self.etat_m
+        lower = others < j
+        best = best_j[:, None]
+        lost = np.zeros(len(resid), dtype=bool)
+        for f in fractions:
+            tau = t_rows * f
+            p = _segment_reduce(
+                np.minimum(vals, np.repeat(bw * tau, lengths, axis=1)),
+                starts, lengths, np.add)
+            denom = np.maximum(tau * self.eta_h + travel, _DENOM_EPS)
+            ratio = np.where((p > _VOLUME_TOL) & live, p / denom, -np.inf)
+            lost |= np.where(lower, ratio >= best, ratio > best).any(axis=1)
+        return lost
 
 
 def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
@@ -211,7 +342,8 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
 
                 node = j + 1
                 duration = float(tau[j, k])
-                if not kern.in_tour[node]:
+                upgrade = bool(kern.in_tour[node])
+                if not upgrade:
                     kern.insert(j)
                     state["len"] += float(table.deltas[j])
                     sojourn_of[node] = 0.0
@@ -222,6 +354,29 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
                 # Drain residuals (OFDMA: each covered device uploads
                 # min(rem, B * duration) on its own channel).
                 kern.drain_partial(j, duration)
+            if upgrade:
+                replay_chain(j)
+
+    def replay_chain(j: int) -> None:
+        """Replay the tied rounds on *j*'s lone undrained sensor at once."""
+        # After a budget rescan the masked pair is, as a rule, a site
+        # covering v that outranks j again next round: the pass would
+        # stop at once, so those rounds stay round by round.
+        if table.rescanned or state["iters"] >= limit:
+            return
+        v = kern.lone_sensor(j)
+        if v < 0:
+            return
+        with span("alg3.chain") as chain_span:
+            taus, stop = table.chain(j, v, fractions, state["hover"],
+                                     state["len"], limit - state["iters"])
+            kern.drain_chain(j, taus)
+            node = j + 1
+            for duration in taus:
+                sojourn_of[node] += duration
+                state["hover"] += duration
+            state["iters"] += len(taus)
+            chain_span.set(rounds=len(taus), stop=stop)
 
     with span("alg3.greedy"):
         greedy_loop()

@@ -26,10 +26,10 @@ candidates, DESIGN.md §S3) that is hours per run.
   maintained the same way.  Algorithm 3's flush is fused: one gather of
   the dirty rows yields ``P'``, ``t'`` and all K partial-award columns,
   and :attr:`PlannerKernel.changed_rows` tells the planner which rows of
-  its ratio table to recompute.  A flush whose only dirty sensor is ``v``
-  (most of Algorithm 3's rounds: an upgrade of a site with one undrained
-  sensor) reads its rows and their segment gather from a per-sensor plan
-  memoized at first use (:meth:`PlannerKernel.sensor_plan`).
+  its ratio table to recompute.  Algorithm 3's tied one-sensor rounds
+  (an upgrade of a site whose one undrained sensor ``v`` is the only
+  dirty sensor, :meth:`PlannerKernel.lone_sensor`) are scored by the
+  planner in one pass and applied by :meth:`PlannerKernel.drain_chain`.
 * **Cached cheapest-insertion deltas** — each candidate remembers its best
   tour edge.  An insertion destroys exactly one edge and creates two, so
   only candidates whose recorded best edge was destroyed are rescanned
@@ -142,7 +142,6 @@ class PlannerKernel:
         self._p_partial: Optional[np.ndarray] = None
         self._partial_dirty = np.ones(self.m, dtype=bool)
         self.changed_rows: Optional[np.ndarray] = None
-        self._sensor_plans: Dict[int, Tuple[np.ndarray, ...]] = {}
 
         # --- tour + cheapest-insertion cache --------------------------- #
         self.tour: List[int] = [0]
@@ -194,12 +193,18 @@ class PlannerKernel:
         ``tau[j, k] = t'(s_j) * fractions[k]`` and ``p_partial[j, k]`` is
         Eq. 4 evaluated on residual volumes.  Rows are recomputed only for
         candidates whose residuals changed; :attr:`changed_rows` names
-        them.
+        them.  *fractions* must be 1-D, non-empty, finite and in
+        ``(0, 1]`` (checked when they differ from the cached ones).
         """
         fractions = np.asarray(fractions, dtype=float)
         fresh = self._fractions is None or not np.array_equal(
             self._fractions, fractions)
         if fresh:
+            if (fractions.ndim != 1 or len(fractions) == 0
+                    or not ((fractions > 0.0) & (fractions <= 1.0)).all()):
+                raise InvalidParameterError(
+                    "fractions must be a non-empty 1-D array of values in "
+                    f"(0, 1], got {fractions!r}")
             self._fractions = fractions.copy()
             self._partial_dirty[:] = True
             # (m, K) caches, K small and allocated once per fractions change.
@@ -213,51 +218,27 @@ class PlannerKernel:
         assert self._tau is not None and self._p_partial is not None
         return self._t_res, self._tau, self._p_partial
 
-    def sensor_plan(self, sensor: int) -> Tuple[np.ndarray, ...]:
-        """``(rows, idxs, starts, lengths)`` of a flush dirtied by *sensor* only.
-
-        ``rows`` are the sites covering *sensor* (``csr.sites_of``:
-        sorted and duplicate-free, as ``csr.sites_covering([sensor])``)
-        and the rest is ``csr.gather(rows)``.  Memoized at first use;
-        the arrays are read-only.
-        """
-        plan = self._sensor_plans.get(sensor)
-        if plan is None:
-            rows = self.csr.sites_of(sensor)
-            plan = (rows,) + tuple(self.csr.gather(rows))
-            for arr in plan:
-                arr.flags.writeable = False
-            self._sensor_plans[sensor] = plan
-        return plan
-
     def _flush_partial(self) -> np.ndarray:
         """Recompute ``P'``, ``t'`` and the (site, k) rows of dirty sites.
 
         One fused pass: the sites overlapping drained sensors join the
         pending dirty rows, the rows are gathered once, and all K
         partial-award columns come from that gather as one
-        ``(K, nnz)`` block.  With one dirty sensor and no pending row,
-        the rows and the gather come from :meth:`sensor_plan`.  Returns
-        the recomputed rows.
+        ``(K, nnz)`` block.  Returns the recomputed rows.
         """
         assert (self._fractions is not None and self._tau is not None
                 and self._p_partial is not None)
         sensors = np.flatnonzero(self._dirty_sensors)
-        if len(sensors) == 1 and not self._partial_dirty.any():
-            self._dirty_sensors[sensors[0]] = False
-            rows, idxs, starts, lengths = self.sensor_plan(int(sensors[0]))
-            self.counters["sites_rescored"] += len(rows)
-        else:
-            if len(sensors):
-                self._dirty_sensors[:] = False
-                touched = self.csr.sites_covering(sensors)
-                self._partial_dirty[touched] = True
-                self.counters["sites_rescored"] += len(touched)
-            rows = np.flatnonzero(self._partial_dirty)
-            self._partial_dirty[:] = False
-            idxs, starts, lengths = self.csr.gather(rows)
+        if len(sensors):
+            self._dirty_sensors[:] = False
+            touched = self.csr.sites_covering(sensors)
+            self._partial_dirty[touched] = True
+            self.counters["sites_rescored"] += len(touched)
+        rows = np.flatnonzero(self._partial_dirty)
+        self._partial_dirty[:] = False
         if len(rows) == 0:
             return rows
+        idxs, starts, lengths = self.csr.gather(rows)
         vals = self.rem[idxs]
         self._p_res[rows] = _segment_reduce(vals, starts, lengths, np.add)
         t_rows = _segment_reduce(vals, starts, lengths,
@@ -311,6 +292,69 @@ class PlannerKernel:
             self._dirty_sensors |= tiny
         self.covered[idx] = True
         self.counters["drains"] += 1
+
+    def lone_sensor(self, site: int) -> int:
+        """The one undrained sensor of *site* if it is the only dirty one.
+
+        Returns ``-1`` unless *site* covers exactly one sensor ``v`` with
+        a positive residual, ``v`` is the only dirty sensor and no row is
+        pending: the state after an upgrade round of Algorithm 3 on a
+        site with one sensor left, whose next flush rescores exactly
+        ``csr.sites_of(v)``.
+        """
+        idx = self.csr.sensors_of(self._site(site))
+        live = idx[self.rem[idx] > 0.0]
+        if len(live) != 1:
+            return -1
+        v = int(live[0])
+        if (not self._dirty_sensors[v]
+                or np.count_nonzero(self._dirty_sensors) != 1
+                or self._partial_dirty.any()):
+            return -1
+        return v
+
+    def drain_chain(self, site: int, durations) -> None:
+        """Apply replayed Algorithm 3 rounds at *site*, one per duration.
+
+        *site* must have a lone sensor ``v`` (:meth:`lone_sensor`), and
+        every round must find ``v`` undrained and upload from it
+        (``bandwidth * d > 0``).  Each round is what a
+        :meth:`partial_scores` call followed by
+        ``drain_partial(site, d)`` does to the kernel: the flush rescores
+        ``csr.sites_of(v)`` (counted, scored by the caller) and the drain
+        uploads ``min(rem[v], B * d)`` and snaps dust.  ``v`` stays dirty,
+        so the next :meth:`partial_scores` call rescores its rows.
+        Raises :class:`InvalidParameterError`, with the state intact, on
+        any other input.
+        """
+        site = self._site(site)
+        v = self.lone_sensor(site)
+        if v < 0:
+            raise InvalidParameterError(
+                f"site {site} has no lone dirty undrained sensor")
+        durations = np.asarray(durations, dtype=float)
+        if durations.ndim != 1 or not (
+                np.isfinite(durations) & (self.bandwidth * durations > 0.0)
+        ).all():
+            raise InvalidParameterError(
+                "durations must be a 1-D array of finite values that each "
+                f"upload data, got {durations!r}")
+        rounds = len(durations)
+        if rounds == 0:
+            return
+        r = float(self.rem[v])
+        for d in durations.tolist():
+            if not r > 0.0:
+                raise InvalidParameterError(
+                    f"sensor {v} is drained before the last of {rounds} "
+                    "rounds")
+            r -= min(r, self.bandwidth * d)
+            if 0.0 < r < self.volume_tol:
+                r = 0.0
+        self.rem[v] = r
+        self.covered[self.csr.sensors_of(site)] = True
+        self.counters["drains"] += rounds
+        self.counters["sites_rescored"] += rounds * len(self.csr.sites_of(v))
 
     # ------------------------------------------------------------------ #
     # Cheapest-insertion delta cache

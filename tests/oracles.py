@@ -11,6 +11,9 @@
 * :class:`DenseRatioTable` — Algorithm 3's selection as the textbook
   round: every (site, k) pair scored and budget-checked, in place of the
   cached :class:`~repro.core.algorithm3.RatioTable` and its lazy check.
+* :func:`stepwise_chains` — Algorithm 3 with every round of a tied
+  one-sensor upgrade chain run through the per-round loop, in place of
+  the one-pass replay (:meth:`~repro.core.algorithm3.RatioTable.chain`).
 * :class:`LegacyPruneCache` — the baseline's prune loop as a full rescan
   of every removal ratio per round.
 * :func:`dense_w2` — Algorithm 1's auxiliary-graph weights (Eq. 9) as the
@@ -28,9 +31,11 @@
   as the package built it before both moved in-house
   (:mod:`repro.tsp.matching`).  networkx is a test-only dependency.
 
-:func:`dense_planners`, :func:`dense_selection`, :func:`legacy_prune`,
-:func:`dense_auxgraph` and :func:`rescan_construction` install them into
-the planner modules for the duration of a ``with`` block, so a test
+:func:`dense_planners`, :func:`dense_selection`, :func:`stepwise_chains`,
+:func:`legacy_prune`, :func:`dense_auxgraph` and
+:func:`rescan_construction` install them into the planner modules for
+the duration of a ``with`` block (the first two run round by round
+too), so a test
 plans the same instance both ways through the public planner functions
 (:func:`kernel_and_dense` and :func:`plan_on` do exactly that).  All are
 plain context managers (not fixtures), so hypothesis tests can use them.
@@ -324,17 +329,32 @@ def rescan_construction() -> Iterator[None]:
 
 
 @contextmanager
+def stepwise_chains() -> Iterator[None]:
+    """Run every Algorithm 3 round through the per-round loop.
+
+    No site qualifies for the chain pass: :meth:`PlannerKernel.lone_sensor`
+    answers -1, so each tied one-sensor round scores, selects and drains
+    on its own, as before the pass existed.
+    """
+    with mock.patch.object(PlannerKernel, "lone_sensor",
+                           lambda self, site: -1):
+        yield
+
+
+@contextmanager
 def dense_planners() -> Iterator[None]:
-    """Run Algorithms 2/3 on :class:`DenseKernel` inside the block."""
+    """Run Algorithms 2/3 on :class:`DenseKernel`, round by round."""
     with mock.patch.object(algorithm2, "PlannerKernel", DenseKernel), \
-            mock.patch.object(algorithm3, "PlannerKernel", DenseKernel):
+            mock.patch.object(algorithm3, "PlannerKernel", DenseKernel), \
+            stepwise_chains():
         yield
 
 
 @contextmanager
 def dense_selection() -> Iterator[None]:
-    """Run Algorithm 3 on :class:`DenseRatioTable` inside the block."""
-    with mock.patch.object(algorithm3, "RatioTable", DenseRatioTable):
+    """Run Algorithm 3 on :class:`DenseRatioTable`, round by round."""
+    with mock.patch.object(algorithm3, "RatioTable", DenseRatioTable), \
+            stepwise_chains():
         yield
 
 

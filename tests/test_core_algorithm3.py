@@ -1,5 +1,8 @@
 """Unit tests for repro.core.algorithm3 (partial collection)."""
 
+import collections
+import dataclasses
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -9,15 +12,20 @@ from hypothesis import strategies as st
 
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import RatioTable, plan_algorithm3
+from repro.core.hovering import build_hovering_sites
 from repro.core.kernel import PlannerKernel
 from repro.core.tour import validate_tour_feasibility
 from repro.energy.model import EnergyModel
+from repro.experiments.config import reduced_settings
+from repro.experiments.instances import make_instances
 from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
+from repro.network.sensor_network import SensorNetwork
+from repro.obs.tracer import Tracer, activated
 from repro.radio.link import RadioModel
 from repro.sim.validate import cross_validate
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import dense_selection
+from tests.oracles import dense_selection, stepwise_chains
 
 
 class TestFeasibility:
@@ -66,14 +74,25 @@ class TestPartialSemantics:
         # full-collection planners can never do.
         assert partial.any()
 
-    def test_k1_matches_algorithm2_unpolished(self, small_net, radio, energy):
-        # The paper: DCM is the K = 1 special case of PDCM.
-        a2 = plan_algorithm2(small_net, energy, radio, delta=25.0,
-                             polish=False)
-        a3 = plan_algorithm3(small_net, energy, radio, delta=25.0, K=1,
-                             polish=False)
-        assert a3.collected_volume == pytest.approx(a2.collected_volume,
-                                                    rel=0.02)
+    @pytest.mark.parametrize("polish", [False, True],
+                             ids=["no-polish", "polish"])
+    def test_k1_matches_algorithm2(self, generator, radio, polish):
+        # The paper: DCM is the K = 1 special case of PDCM.  Here the two
+        # planners take bitwise the same tours.
+        for seed, n, delta in itertools.product(range(3), (6, 20, 40),
+                                                (10.0, 25.0)):
+            net = generator.uniform(n, seed=seed)
+            sites = build_hovering_sites(net, radio, delta)
+            for capacity in (5e3, 2e4, 5e5):
+                energy = EnergyModel(capacity=capacity, hover_power=150.0,
+                                     travel_power=100.0, speed=10.0)
+                a2 = plan_algorithm2(net, energy, radio, delta,
+                                     polish=polish, sites=sites)
+                a3 = plan_algorithm3(net, energy, radio, delta, K=1,
+                                     polish=polish, sites=sites)
+                np.testing.assert_array_equal(a3.points, a2.points)
+                np.testing.assert_array_equal(a3.sojourns, a2.sojourns)
+                np.testing.assert_array_equal(a3.collected, a2.collected)
 
     def test_collected_never_exceeds_stored(self, small_net, radio, energy):
         tour = plan_algorithm3(small_net, energy, radio, delta=25.0, K=3)
@@ -215,3 +234,119 @@ class TestRatioTableOracle:
         perf = tour.meta["perf"]
         assert spy.call_count <= perf["insertions"] + perf["tour_flushes"] + 1
         assert spy.call_count < tour.meta["iterations"]
+
+
+class TestChainOracle:
+    """The one-pass replay of tied one-sensor chains against the
+    round-by-round loop (:func:`tests.oracles.stepwise_chains`)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(net=_networks(),
+           capacity=st.floats(2.0, 6.0).map(lambda x: 10.0 ** x),
+           delta=st.sampled_from([10.0, 20.0, 40.0]),
+           K=st.integers(1, 8), polish=st.booleans(),
+           max_iterations=st.one_of(st.none(), st.integers(1, 30)))
+    def test_matches_stepwise(self, net, capacity, delta, K, polish,
+                              max_iterations):
+        energy = EnergyModel(capacity=capacity, hover_power=150.0,
+                             travel_power=100.0, speed=10.0)
+        args = (net, energy, RADIO, delta, K)
+        kwargs = dict(polish=polish, max_iterations=max_iterations)
+        chained = plan_algorithm3(*args, **kwargs)
+        with stepwise_chains():
+            stepwise = plan_algorithm3(*args, **kwargs)
+        _assert_bitwise(chained, stepwise)
+
+    def test_reduced_sweep_matches_stepwise(self):
+        """4 reduced instances x 5 δ x K ∈ {2, 4} x 4 capacities."""
+        config = reduced_settings()
+        radio = config.radio_model()
+        replayed = 0
+        for net in make_instances(config, 4):
+            for delta in config.delta_sweep:
+                sites = build_hovering_sites(net, radio, delta)
+                for K, capacity in itertools.product(
+                        config.k_values, config.capacity_sweep):
+                    energy = config.energy_model(capacity)
+                    tracer = Tracer()
+                    with activated(tracer):
+                        chained = plan_algorithm3(net, energy, radio, delta,
+                                                  K, sites=sites)
+                    with stepwise_chains():
+                        stepwise = plan_algorithm3(net, energy, radio,
+                                                   delta, K, sites=sites)
+                    _assert_bitwise(chained, stepwise)
+                    replayed += sum(r["attrs"]["rounds"]
+                                    for r in tracer.records()
+                                    if r["name"] == "alg3.chain")
+        assert replayed > 30_000                    # most rounds replayed
+
+    @staticmethod
+    def _chains(net, energy, radio, delta, K, **kwargs):
+        """``(rounds, stop)`` of every chain pass of one plan, after
+        checking the plan against the round-by-round loop."""
+        tracer = Tracer()
+        with activated(tracer):
+            chained = plan_algorithm3(net, energy, radio, delta, K,
+                                      polish=False, **kwargs)
+        with stepwise_chains():
+            stepwise = plan_algorithm3(net, energy, radio, delta, K,
+                                       polish=False, **kwargs)
+        _assert_bitwise(chained, stepwise)
+        records = [r for r in tracer.records() if r["name"] == "alg3.chain"]
+        assert (sum(r["attrs"]["rounds"] for r in records)
+                + sum(r["name"] == "alg3.round" for r in tracer.records())
+                == chained.meta["iterations"])
+        return [(r["attrs"]["rounds"], r["attrs"]["stop"]) for r in records]
+
+    def test_ties_go_to_the_lower_row(self):
+        """Sites covering v with j's exact ratio: a lower one cuts the
+        pass at once, higher ones never do (first maximum)."""
+        net = SensorNetwork(positions=np.array([[100.0, 100.0]]),
+                            volumes=np.array([300.0]),
+                            depot=np.array([0.0, 0.0]),
+                            region=Region.square(200.0))
+        sites = build_hovering_sites(net, RADIO, 20.0)
+        energy = EnergyModel(capacity=1e6, hover_power=150.0,
+                             travel_power=100.0, speed=10.0)
+        kern = PlannerKernel(sites, energy, RADIO, volume_tol=1e-9)
+        fractions = np.arange(1, 5) / 4
+        t_max, tau, p_partial = kern.partial_scores(fractions)
+        table = RatioTable(kern, energy, 4)       # every delta 0: on tour
+        table.refresh(None, t_max > 0.0, tau, p_partial)
+        rows = sites.csr.sites_of(0)
+        assert len(rows) >= 2
+        taus, stop = table.chain(int(rows[1]), 0, fractions, 0.0, 0.0, 10**4)
+        assert (taus, stop) == ([], "rival")
+        taus, stop = table.chain(int(rows[0]), 0, fractions, 0.0, 0.0, 10**4)
+        assert stop in ("dust", "drained") and len(taus) > 10
+
+    def test_every_exit_runs(self):
+        """Each way a chain pass stops runs on a seeded plan."""
+        stops = collections.Counter()
+        # A tight budget: a site covering v outranks j, and j's pair
+        # runs over budget.
+        net = NetworkGenerator(Region.square(200.0),
+                               volume_range=(50.0, 500.0)).uniform(20, seed=23)
+        energy = EnergyModel(capacity=2e3, hover_power=150.0,
+                             travel_power=100.0, speed=10.0)
+        for max_iterations in (None, 150):
+            for rounds, stop in self._chains(net, energy, RADIO, 20.0, 6,
+                                             max_iterations=max_iterations):
+                stops[stop] += 1
+        # Two on-tour sites with one sensor each: with B != eta_h their
+        # ratios differ in the last bits, and the site off v's rows
+        # (over the depot) wins part-way through the chain.
+        net = SensorNetwork(positions=np.array([[90.0, 30.0], [110.0, 30.0],
+                                                [100.0, 145.0]]),
+                            volumes=np.array([2000.0, 1000.0, 300.0]),
+                            depot=np.array([100.0, 100.0]),
+                            region=Region.square(200.0))
+        radio = dataclasses.replace(RADIO, bandwidth=130.0)
+        energy = EnergyModel(capacity=1e6, hover_power=150.0,
+                             travel_power=100.0, speed=10.0)
+        chains = self._chains(net, energy, radio, 40.0, 4)
+        assert any(rounds > 0 and stop == "outside" for rounds, stop in chains)
+        stops.update(stop for _, stop in chains)
+        assert set(stops) == {"outside", "rival", "budget", "dust",
+                              "drained", "limit"}

@@ -207,7 +207,7 @@ class TestDirtySetResiduals:
 
 
 class TestSensorPlan:
-    """The memoized per-sensor flush plan vs the CSR queries it replaces."""
+    """A flush dirtied by one sensor against the dense recompute."""
 
     def _sites(self, delta):
         net = _net(8, n=20)
@@ -219,23 +219,6 @@ class TestSensorPlan:
                                 volumes=np.append(net.volumes, 100.0),
                                 depot=net.depot, region=net.region)
         return net, build_hovering_sites(net, RADIO, delta)
-
-    @pytest.mark.parametrize("delta", [10.0, 30.0, 80.0])
-    def test_plan_matches_csr(self, delta):
-        net, sites = self._sites(delta)
-        csr = sites.csr
-        kern = PlannerKernel(sites, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
-        empty = 0
-        for v in range(net.n_nodes):
-            plan = kern.sensor_plan(v)
-            rows, idxs, starts, lengths = plan
-            np.testing.assert_array_equal(rows, csr.sites_covering([v]))
-            for got, want in zip((idxs, starts, lengths), csr.gather(rows)):
-                np.testing.assert_array_equal(got, want)
-            assert (lengths > 0).all()
-            assert kern.sensor_plan(v) is plan            # memoized
-            empty += len(rows) == 0
-        assert (empty > 0) == (delta > RADIO.coverage_radius)
 
     @pytest.mark.parametrize("delta", [10.0, 30.0, 80.0])
     @pytest.mark.parametrize("K", [1, 3])
@@ -348,6 +331,11 @@ BAD_CALLS = {
     "insert-on-tour": lambda k: k.insert(0),
     "insert-depot": lambda k: k.insert(-1),
     "insert-site-m": lambda k: k.insert(k.m),
+    "partial_scores-empty": lambda k: k.partial_scores([]),
+    "partial_scores-nan": lambda k: k.partial_scores([float("nan")]),
+    "partial_scores-negative": lambda k: k.partial_scores([-1.0]),
+    "partial_scores-2d": lambda k: k.partial_scores([[0.5, 1.0]]),
+    "drain_chain-no-lone-sensor": lambda k: k.drain_chain(0, [0.1]),
 }
 
 
@@ -381,6 +369,93 @@ class TestMutatorValidation:
         kern.insert(np.int64(kern.m - 1))
         assert kern.counters["drains"] == 3
         assert kern.tour.count(kern.m) == 1
+
+    def test_bad_fractions_keep_the_cache(self):
+        kern = self._kernel()
+        fractions = np.array([0.5, 1.0])
+        before = [a.copy() for a in kern.partial_scores(fractions)]
+        for bad in ([], [float("nan")], [-1.0], [[0.5, 1.0]], [0.5, 1.5]):
+            with pytest.raises(InvalidParameterError):
+                kern.partial_scores(bad)
+        after = kern.partial_scores(fractions)
+        assert len(kern.changed_rows) == 0          # cache kept, not rebuilt
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+
+
+class TestDrainChain:
+    """``drain_chain`` against the same rounds run one call at a time."""
+
+    FRACTIONS = np.array([0.25, 0.5, 0.75, 1.0])
+
+    @classmethod
+    def _lone_kernels(cls):
+        """Two kernels whose site ``j`` has one undrained sensor ``v``,
+        dirty after an upgrade-like drain, plus ``(j, v)``."""
+        net = _net(8, n=20)
+        sites = build_hovering_sites(net, RADIO, 20.0)
+        j = next(j for j in range(sites.n_sites)
+                 if len(sites.csr.sensors_of(j)) >= 2)
+        covered = sites.csr.sensors_of(j)
+        vols = net.volumes.copy()
+        vols[covered[1:]] = 0.0
+        one = build_hovering_sites(net.with_volumes(vols), RADIO, 20.0)
+        kernels = []
+        for _ in range(2):
+            kern = PlannerKernel(one, ENERGY, RADIO, volume_tol=_VOLUME_TOL)
+            kern.partial_scores(cls.FRACTIONS)
+            kern.drain_partial(j, 0.25)
+            kern.partial_scores(cls.FRACTIONS)
+            kern.drain_partial(j, 0.25)
+            kernels.append(kern)
+        return kernels, j, int(covered[0])
+
+    def test_lone_sensor(self):
+        (kern, _), j, v = self._lone_kernels()
+        assert kern.lone_sensor(j) == v
+        live = kern.rem > 0.0
+        for c in range(kern.m):                     # no other site has v
+            if c != j:                              # as its one live sensor
+                mine = kern.csr.sensors_of(c)
+                assert kern.lone_sensor(c) == (
+                    v if mine[live[mine]].tolist() == [v] else -1)
+        kern.partial_scores(self.FRACTIONS)
+        assert kern.lone_sensor(j) == -1            # v no longer dirty
+
+    @pytest.mark.parametrize("dust", [False, True])
+    def test_matches_round_by_round(self, dust):
+        (chain, step), j, v = self._lone_kernels()
+        r = chain.rem[v]
+        taus = [0.01 * r / RADIO.bandwidth, 0.2, 0.05]
+        if dust:
+            left = r - sum(min(chain.bandwidth * d, r) for d in taus)
+            taus.append((left - 0.5 * _VOLUME_TOL) / RADIO.bandwidth)
+        chain.drain_chain(j, taus)
+        for d in taus:
+            step.partial_scores(self.FRACTIONS)
+            step.drain_partial(j, d)
+        assert (chain.rem[v] == 0.0) == dust
+        np.testing.assert_array_equal(chain.rem, step.rem)
+        np.testing.assert_array_equal(chain.covered, step.covered)
+        assert chain.counters == step.counters
+        for a, b in zip(chain.partial_scores(self.FRACTIONS),
+                        step.partial_scores(self.FRACTIONS)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(chain.changed_rows, step.changed_rows)
+        assert chain.counters == step.counters
+
+    @pytest.mark.parametrize("taus", [
+        [0.1, 0.0], [0.1, -0.1], [float("nan")], [float("inf")], [[0.1]],
+        [0.1, 1e3, 0.1]], ids=["zero", "negative", "nan", "inf", "2d",
+                               "drained-before-last"])
+    def test_rejected(self, taus):
+        (kern, _), j, v = self._lone_kernels()
+        rem, counters = kern.rem.copy(), dict(kern.counters)
+        with pytest.raises(InvalidParameterError):
+            kern.drain_chain(j, taus)
+        np.testing.assert_array_equal(kern.rem, rem)
+        assert kern.counters == counters
+        assert kern.lone_sensor(j) == v
 
 
 class TestPruneCache:
