@@ -276,6 +276,36 @@ class RatioTable:
         return lost
 
 
+def round_bound(volumes: np.ndarray, K: int) -> int:
+    """Most greedy iterations a :func:`plan_algorithm3` run can take.
+
+    The default ``max_iterations``: it never stops a run that would end
+    by itself, so it only guards against a defect.  The argument:
+
+    * A round picks an eligible site ``j``, so its largest residual
+      ``r*`` satisfies ``r*/B > tol/B``, hence ``r* > tol`` (rounding
+      is monotone), and a sojourn ``tau = t'_j * k/K`` with ``k >= 1``.
+    * The sensor holding ``r*`` uploads ``min(r*, B * tau)``.  With
+      ``t' = r*/B``, ``k/K``, ``tau`` and ``B * tau`` each rounded once,
+      that is at least ``(1 - 4u) * r*/K`` (``u = 2**-53``), so its
+      residual drops to at most ``q * r*`` with ``q = 1 - 1/(2K)``
+      (for any ``K < 2**50``).  A chain round is such a round too.
+    * Charge each round to that sensor ``v``.  Residuals never grow, so
+      before ``v``'s ``i``-th charged round ``tol < r_v <= D_v *
+      q**(i - 1)``: ``v`` is charged at most ``ceil(log(D_v/tol) /
+      log(1/q))`` rounds, and never when ``D_v <= tol``.
+    * Each greedy loop ends with one round that selects nothing, and
+      the polish resumes the loop once: two more.
+
+    One round of slack per sensor absorbs the rounding of the logs.
+    """
+    live = np.asarray(volumes, dtype=float)
+    live = live[live > _VOLUME_TOL]
+    per_sensor = np.ceil((np.log(live) - np.log(_VOLUME_TOL))
+                         / -np.log1p(-0.5 / K)) + 1.0
+    return int(per_sensor.sum()) + 2
+
+
 def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
                     radio: RadioModel, delta: float, K: int, *,
                     polish: bool = True,
@@ -295,9 +325,9 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
     sites:
         Pre-built hovering sites (else built from the inputs).
     max_iterations:
-        Safety bound on greedy iterations, an integer >= 0 (default
-        ``2 * K * (m + 1)``, mirroring the paper's ``M' = K * M``
-        virtual-square count with headroom for post-polish resumption).
+        Cap on greedy iterations, an integer >= 0.  The default,
+        :func:`round_bound` of the volumes, provably never stops a run
+        that would end by itself.
     """
     # repro: hot-path  (the greedy loop must stay O(overlap) per step)
     K = check_integer(K, "K", minimum=1)
@@ -318,7 +348,8 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
     # --- mutable planner state shared by the greedy loop and the polish ---
     sojourn_of: Dict[int, float] = {0: 0.0}
     state = {"hover": 0.0, "len": 0.0, "iters": 0}
-    limit = max_iterations if max_iterations is not None else 2 * K * (m + 1)
+    limit = (max_iterations if max_iterations is not None
+             else round_bound(network.volumes, K))
     fractions = np.arange(1, K + 1) / K                          # (K,)
 
     def greedy_loop() -> None:
@@ -414,4 +445,4 @@ def plan_algorithm3(network: SensorNetwork, energy: EnergyModel,
         meta=meta)
 
 
-__all__ = ["RatioTable", "plan_algorithm3"]
+__all__ = ["RatioTable", "plan_algorithm3", "round_bound"]

@@ -28,6 +28,7 @@ from repro.energy.model import EnergyModel
 from repro.geometry.distance import cross_distances
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import as_rng
+from repro.utils.rowstore import RowStore
 from repro.utils.validation import check_non_negative
 
 
@@ -54,10 +55,7 @@ class W2Costs:
         self.points = points
         self.w1 = w1
         self.rate = rate
-        n = len(points)
-        self._slot = np.full(n, -1, dtype=np.intp)
-        self._store = np.empty((0, n))
-        self._n_rows = 0
+        self._rows = RowStore(len(points), len(points))
 
     @property
     def n_nodes(self) -> int:
@@ -103,28 +101,10 @@ class W2Costs:
         block[np.arange(len(new)), new] = 0.0
         return block
 
-    def _slots(self, idx) -> np.ndarray:
-        """Store slots of rows *idx*, evaluating the rows not yet cached."""
-        idx = np.asarray(idx, dtype=np.intp)
-        slots = self._slot[idx]
-        if (slots < 0).any():
-            new = np.unique(idx[slots < 0])
-            end = self._n_rows + len(new)
-            if end > len(self._store):
-                grown = np.empty((max(end, 2 * len(self._store)),
-                                  self.n_nodes))
-                grown[:self._n_rows] = self._store[:self._n_rows]
-                self._store = grown
-            self._store[self._n_rows:end] = self._evaluate(new)
-            self._slot[new] = np.arange(self._n_rows, end)
-            self._n_rows = end
-            slots = self._slot[idx]
-        return slots
-
     def rows(self, idx) -> np.ndarray:
         """Fresh ``(len(idx), n)`` copy of rows *idx* (cached per node)."""
-        slots = self._slots(idx)          # may grow the store: call first
-        return self._store[slots]
+        slots = self._rows.slots(idx, self._evaluate)  # may grow the store
+        return self._rows.data[slots]
 
     def block(self, idx, cols) -> np.ndarray:
         """Fresh ``(len(idx), len(cols))`` gather of rows *idx* at *cols*.
@@ -132,9 +112,9 @@ class W2Costs:
         Served from the cached rows: only the requested entries are
         copied, never whole rows (one flat ``take`` over the store).
         """
-        slots = self._slots(idx)
+        slots = self._rows.slots(idx, self._evaluate)
         flat = slots[:, None] * self.n_nodes + np.asarray(cols, dtype=np.intp)
-        return self._store.take(flat)
+        return self._rows.data.take(flat)
 
     def pair(self, i, j) -> np.ndarray:
         """``w2(i, j)`` elementwise over broadcast index arrays."""

@@ -35,7 +35,17 @@ candidates, DESIGN.md §S3) that is hours per run.
   only candidates whose recorded best edge was destroyed are rescanned
   (O(|tour|) each); everyone else is updated against the two new edges in
   O(1).  A 2-opt polish reorders the tour wholesale and triggers a full
-  flush.
+  flush.  Distances come from a **row store** keyed by node id
+  (:class:`~repro.utils.rowstore.RowStore`): one contiguous length-m
+  row of site distances per tour node, evaluated once with
+  ``cross_distances`` when the node joins the tour, so an insertion
+  computes only the new node's row and reads its two neighbours' rows
+  (whose entries at the new site are the new edges' lengths).  Rescans
+  and flushes gather the tour's rows in ring order as **tour-major**
+  ``(|tour| + 1, |idx|)`` blocks (of at most ``_SCAN_CHUNK``
+  candidates) — the layout of GRASP's ``all_insertion_deltas`` — and
+  take ``(d_i + d_{i+1}) - len_i`` with ``np.linalg.norm`` edge lengths
+  and a first-minimum ``argmin`` over the tour axis.
 
 Every result is **bitwise-identical** to the dense formulation's on the
 planners' seeded test instances (tie-breaking order preserved: full
@@ -69,7 +79,13 @@ from repro.geometry.distance import cross_distances
 from repro.obs.tracer import span
 from repro.tsp.construct import repair_insertion_cache
 from repro.utils.errors import InvalidParameterError
+from repro.utils.rowstore import RowStore
 from repro.utils.validation import check_integer, check_non_negative
+
+
+#: Candidates per block of an insertion scan: a full flush at m = 6,122
+#: sites and 40 tour nodes holds ~1 MB of temporaries, not ~6 MB.
+_SCAN_CHUNK = 1024
 
 
 def _segment_reduce(vals: np.ndarray, starts: np.ndarray,
@@ -150,6 +166,9 @@ class PlannerKernel:
         self._ins_deltas = np.zeros(self.m)
         self._ins_edges = np.zeros(self.m, dtype=np.int64)
         self._ins_stale = True
+        # Node -> site distance rows, evaluated the first time a scan or
+        # an insertion needs them and kept: one row per node ever toured.
+        self._rows = RowStore(self.m + 1, self.m)
 
         # Work counters: the ``meta["perf"]`` snapshot always carries
         # the full key set.
@@ -371,6 +390,10 @@ class PlannerKernel:
                 self._flush_insertion()
         return self._ins_deltas.copy(), (self._ins_edges + 1).astype(int)
 
+    def _node_rows(self, nodes: np.ndarray) -> np.ndarray:
+        """``(len(nodes), m)`` distances from tour nodes to every site."""
+        return cross_distances(self.points_all[nodes], self.sites.points)
+
     def _flush_insertion(self) -> None:
         """Full cheapest-insertion scan of every candidate."""
         self._scan_insertion(np.arange(self.m))
@@ -379,17 +402,27 @@ class PlannerKernel:
     def _scan_insertion(self, idx: np.ndarray) -> None:
         """Scan candidates *idx* against every edge of the current tour.
 
-        Caches each one's cheapest insertion delta and the first edge
-        attaining it (first-minimum ``argmin``).
+        Gathers the tour's stored rows in ring order as tour-major
+        ``(|tour| + 1, |chunk|)`` blocks over at most
+        :data:`_SCAN_CHUNK` candidates each; edge ``i``'s delta is
+        ``(d_i + d_{i+1}) - len_i``.  Caches each candidate's cheapest
+        delta and the first edge attaining it (first-minimum ``argmin``).
         """
-        tour_pts = self.points_all[self.tour]
-        nxt = np.roll(np.arange(len(self.tour)), -1)
-        edge_len = np.linalg.norm(tour_pts[nxt] - tour_pts, axis=1)
-        d_site_tour = cross_distances(self.sites.points[idx], tour_pts)
-        cand = d_site_tour + d_site_tour[:, nxt] - edge_len[None, :]
-        best = np.argmin(cand, axis=1)
-        self._ins_deltas[idx] = cand[np.arange(len(idx)), best]
-        self._ins_edges[idx] = best
+        ring = self.tour + self.tour[:1]
+        slots = self._rows.slots(ring, self._node_rows)  # may grow it
+        kept = self._rows.kept
+        pts = self.points_all[ring]
+        edge_len = np.linalg.norm(pts[1:] - pts[:-1], axis=1)[:, None]
+        for lo in range(0, len(idx), _SCAN_CHUNK):
+            cols = idx[lo:lo + _SCAN_CHUNK]
+            # About one row is kept per tour node: taking the columns of
+            # every kept row, then the ring's rows, is the cheaper gather.
+            block = kept.take(cols, axis=1)[slots]
+            cand = block[:-1] + block[1:]
+            cand -= edge_len
+            best = np.argmin(cand, axis=0)
+            self._ins_deltas[cols] = cand[best, np.arange(len(cols))]
+            self._ins_edges[cols] = best
         self.counters["deltas_recomputed"] += len(idx)
 
     def insert(self, site: int) -> int:
@@ -427,15 +460,19 @@ class PlannerKernel:
         self.in_tour[node] = True
 
         with span("kernel.insertion"):
-            deltas, edges = self._ins_deltas, self._ins_edges
-            # O(1) per candidate: compare against the two edges just created.
-            pa, pn, pb = (self.points_all[a], self.points_all[node],
-                          self.points_all[b])
-            d3 = cross_distances(self.sites.points, np.array([pa, pn, pb]))
-            lens = np.linalg.norm(np.array([pn - pa, pb - pn]), axis=1)
+            # O(1) per candidate: compare against the two edges just
+            # created, from the stored rows of a and b and node's new row.
+            # The new edges' lengths are a's and b's distances to the
+            # site, the same IEEE sum of squares as np.linalg.norm.
+            sa, sn, sb = self._rows.slots([a, node, b], self._node_rows)
+            rows = self._rows.data
+            row_a, row_n, row_b = rows[sa], rows[sn], rows[sb]
+            via_a = row_a + row_n
+            via_a -= row_a[site]
+            via_b = row_n + row_b
+            via_b -= row_b[site]
             dead_idx = np.flatnonzero(repair_insertion_cache(
-                deltas, edges, e, (d3[:, 0] + d3[:, 1] - lens[0],
-                                   d3[:, 1] + d3[:, 2] - lens[1])))
+                self._ins_deltas, self._ins_edges, e, (via_a, via_b)))
             # Full rescan only where the recorded best edge was destroyed.
             if len(dead_idx):
                 self._scan_insertion(dead_idx)
@@ -446,13 +483,23 @@ class PlannerKernel:
 
         Flushes the insertion cache — a reorder invalidates every cached
         best edge at once, which is why the polish pass is the one place
-        the kernel pays a full O(m·|tour|) rescan.
+        the kernel pays a full O(m·|tour|) rescan.  *order* must hold
+        distinct integer node ids in ``[0, m]`` including the depot 0;
+        anything else raises :class:`InvalidParameterError` with the
+        state intact.
         """
-        self.tour = [int(v) for v in order]
-        if 0 not in self.tour:
+        tour = [check_integer(v, "tour node", minimum=0) for v in order]
+        if 0 not in tour:
             raise InvalidParameterError("tour must contain the depot (0)")
+        if max(tour) > self.m:
+            raise InvalidParameterError(
+                f"tour nodes must be <= {self.m} (the candidate count), "
+                f"got {max(tour)}")
+        if len(set(tour)) != len(tour):
+            raise InvalidParameterError(f"tour repeats a node: {tour!r}")
+        self.tour = tour
         self.in_tour[:] = False
-        self.in_tour[np.array(self.tour, dtype=int)] = True
+        self.in_tour[tour] = True
         self._ins_stale = True
         self.counters["tour_flushes"] += 1
 

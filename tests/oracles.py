@@ -3,8 +3,9 @@
 * :class:`DenseKernel` — :class:`~repro.core.kernel.PlannerKernel` with
   every incremental cache replaced by the textbook full recompute: the
   ``cov @ rem`` residual awards, an ``(m, n)`` masked row-max for the
-  residual hover times and partial awards, a full cheapest-insertion scan
-  per call, and coverage rows read from the dense matrix.
+  residual hover times and partial awards, a full
+  :func:`site_insertion_deltas` scan per call (no production insertion
+  code), and coverage rows read from the dense matrix.
 * :func:`site_insertion_deltas` — the cheapest-insertion delta of every
   candidate site into a tour as one full ``(m, |tour|)`` scan, in place
   of the kernel's incrementally repaired cache.
@@ -106,16 +107,15 @@ class DenseKernel(PlannerKernel):
         return t_max, tau, p_partial
 
     def insertion_state(self) -> Tuple[np.ndarray, np.ndarray]:
-        self._flush_insertion()
-        return self._ins_deltas.copy(), (self._ins_edges + 1).astype(int)
+        self.counters["deltas_recomputed"] += self.m
+        return site_insertion_deltas(self.sites.points,
+                                     self.points_all[self.tour])
 
     def insert(self, site: int) -> int:
-        if self._ins_stale:
-            self._flush_insertion()
-        pos = int(self._ins_edges[site]) + 1
+        _deltas, positions = self.insertion_state()
+        pos = int(positions[site])
         self.tour.insert(pos, site + 1)
         self.in_tour[site + 1] = True
-        self._ins_stale = True
         self.counters["insertions"] += 1
         return pos
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm2 import plan_algorithm2
-from repro.core.algorithm3 import RatioTable, plan_algorithm3
+from repro.core.algorithm3 import RatioTable, plan_algorithm3, round_bound
 from repro.core.hovering import build_hovering_sites
 from repro.core.kernel import PlannerKernel
 from repro.core.tour import validate_tour_feasibility
@@ -171,6 +171,57 @@ def _networks(draw):
         return gen.clustered(n, n_clusters=draw(st.integers(1, 4)),
                              spread=30.0, seed=seed)
     return gen.uniform(n, seed=seed)
+
+
+class TestIterationBound:
+    """The default ``max_iterations`` never truncates a run."""
+
+    @staticmethod
+    def _three_sensors():
+        """m = 9 at δ = 40: a one-sensor chain needs ≈ K·ln(r/1e-9)
+        rounds, more than the old default 2·K·(m + 1) = 40 at K = 2."""
+        net = SensorNetwork(
+            positions=np.array([[88.1, 190.9], [100.0, 85.0],
+                                [124.0, 199.0]]),
+            volumes=np.array([3000.0, 1500.0, 300.0]),
+            depot=np.array([100.0, 100.0]), region=Region(0, 200, 0, 200))
+        radio = RadioModel(bandwidth=150.0, transmission_range=50.0,
+                           altitude=0.0)
+        energy = EnergyModel(capacity=1e6, hover_power=97.0,
+                             travel_power=100.0, speed=10.0)
+        return net, energy, radio
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_default_collects_everything(self, K):
+        net, energy, radio = self._three_sensors()
+        tour = plan_algorithm3(net, energy, radio, 40.0, K=K)
+        assert tour.meta["n_candidates"] == 9
+        assert tour.collected_volume == 4800.0
+        _assert_bitwise(tour, plan_algorithm3(net, energy, radio, 40.0, K=K,
+                                              max_iterations=100_000))
+        assert plan_algorithm2(net, energy, radio, 40.0).collected_volume \
+            == 4800.0
+
+    def test_k2_needs_more_than_the_old_default(self):
+        net, energy, radio = self._three_sensors()
+        tour = plan_algorithm3(net, energy, radio, 40.0, K=2)
+        assert tour.meta["iterations"] == 43 > 2 * 2 * (9 + 1)
+        assert tour.meta["iterations"] <= round_bound(net.volumes, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(net=_networks(),
+           capacity=st.floats(3.0, 7.0).map(lambda x: 10.0 ** x),
+           delta=st.sampled_from([10.0, 20.0, 40.0]),
+           K=st.integers(1, 8), polish=st.booleans())
+    def test_uncapped_runs_fit_the_bound(self, net, capacity, delta, K,
+                                         polish):
+        energy = EnergyModel(capacity=capacity, hover_power=150.0,
+                             travel_power=100.0, speed=10.0)
+        uncapped = plan_algorithm3(net, energy, RADIO, delta, K,
+                                   polish=polish, max_iterations=10**9)
+        assert uncapped.meta["iterations"] <= round_bound(net.volumes, K)
+        _assert_bitwise(uncapped, plan_algorithm3(net, energy, RADIO, delta,
+                                                  K, polish=polish))
 
 
 class TestRatioTableOracle:

@@ -33,8 +33,10 @@ from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.core.kernel import PlannerKernel, PruneCache
 from repro.core.planner import plan_tour
 from repro.energy.model import EnergyModel
+from repro.experiments.config import reduced_settings
+from repro.experiments.instances import make_instances
 from repro.geometry.coverage import SparseCoverage
-from repro.geometry.distance import pairwise_distances
+from repro.geometry.distance import cross_distances, pairwise_distances
 from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
 from repro.network.scenarios import SCENARIOS, make_scenario
@@ -258,6 +260,33 @@ class TestSensorPlan:
                     == len(csr.sites_covering([v])))
 
 
+def _assert_matches_full_scan(kern: PlannerKernel) -> None:
+    """The kernel's ``(deltas, positions)`` bitwise equal to the full
+    scan of its current tour."""
+    deltas, positions = kern.insertion_state()
+    oracle_d, oracle_p = site_insertion_deltas(
+        kern.sites.points, kern.points_all[np.array(kern.tour)])
+    np.testing.assert_array_equal(deltas, oracle_d)
+    np.testing.assert_array_equal(positions, oracle_p)
+
+
+def _tied_sites(kern: PlannerKernel) -> int:
+    """Sites whose cheapest insertion is attained on two or more edges."""
+    tour_pts = kern.points_all[np.array(kern.tour)]
+    d = cross_distances(kern.sites.points, tour_pts)
+    nxt = np.roll(np.arange(len(tour_pts)), -1)
+    cand = d + d[:, nxt] - np.linalg.norm(tour_pts[nxt] - tour_pts, axis=1)
+    return int(((cand == cand.min(axis=1, keepdims=True)).sum(axis=1)
+                > 1).sum())
+
+
+def _reduced_sites(delta: float):
+    """One reduced-scale network (the Fig. 4 preset) at grid edge *delta*."""
+    config = reduced_settings().scaled(n_instances=1)
+    net = make_instances(config)[0]
+    return build_hovering_sites(net, config.radio_model(), delta), config
+
+
 class TestInsertionCache:
     """Incremental delta cache vs the full-scan `site_insertion_deltas` oracle."""
 
@@ -269,18 +298,67 @@ class TestInsertionCache:
         rng = np.random.default_rng(seed + 50)
         candidates = rng.permutation(sites.n_sites)[:min(10, sites.n_sites)]
         for site in candidates:
-            deltas, positions = kern.insertion_state()
-            oracle_d, oracle_p = site_insertion_deltas(
-                sites.points, kern.points_all[np.array(kern.tour)])
-            np.testing.assert_array_equal(deltas, oracle_d)
-            np.testing.assert_array_equal(positions, oracle_p)
+            _assert_matches_full_scan(kern)
             kern.insert(int(site))
-        # and once more after the final insertion
-        deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = site_insertion_deltas(
-            sites.points, kern.points_all[np.array(kern.tour)])
-        np.testing.assert_array_equal(deltas, oracle_d)
-        np.testing.assert_array_equal(positions, oracle_p)
+        _assert_matches_full_scan(kern)      # and after the final insertion
+
+    @staticmethod
+    def _grow(kern: PlannerKernel, steps: int, rng) -> None:
+        """Insert *steps* sites, alternating the cheapest off-tour site
+        (as the planners' growth) and a random one, checking each."""
+        for step in range(steps):
+            deltas, _positions = kern.insertion_state()
+            off = np.flatnonzero(~kern.in_tour[1:])
+            site = (off[np.argmin(deltas[off])] if step % 2 == 0
+                    else rng.choice(off))
+            kern.insert(int(site))
+            _assert_matches_full_scan(kern)
+
+    @pytest.mark.parametrize("delta,steps", [(10.0, 70), (30.0, 40)])
+    def test_reduced_network_matches_full_scan(self, delta, steps):
+        """70 tour nodes outgrow the row store's first allocation."""
+        sites, config = _reduced_sites(delta)
+        kern = PlannerKernel(sites, config.energy_model(),
+                             config.radio_model())
+        _assert_matches_full_scan(kern)
+        self._grow(kern, steps, np.random.default_rng(int(delta)))
+        assert kern.counters["deltas_recomputed"] < steps * sites.n_sites
+
+    def test_set_tour_part_way(self):
+        """A reorder (reversed, then rotated off the depot) part-way
+        through, then more insertions against the reordered tour."""
+        sites, config = _reduced_sites(30.0)
+        kern = PlannerKernel(sites, config.energy_model(),
+                             config.radio_model())
+        rng = np.random.default_rng(3)
+        self._grow(kern, 15, rng)
+        reordered = kern.tour[:1] + kern.tour[:0:-1]
+        kern.set_tour(reordered[5:] + reordered[:5])
+        assert kern.tour[0] != 0
+        _assert_matches_full_scan(kern)
+        self._grow(kern, 15, rng)
+
+    def test_grid_aligned_ties(self):
+        """Sites and depot on a 10 m lattice: equal distances are equal
+        floats, so many sites tie between edges, and between the two
+        edges an insertion creates (the third insertion here); ties must
+        go to the first edge."""
+        sensors = np.array([[15.0 + 20 * i, 15.0 + 20 * j]
+                            for i in range(5) for j in range(5)])
+        net = SensorNetwork(positions=sensors, volumes=np.full(25, 100.0),
+                            depot=np.array([55.0, 55.0]),
+                            region=Region.square(100.0))
+        sites = build_hovering_sites(net, RADIO, 10.0)
+        at = {tuple(p): j for j, p in enumerate(sites.points.tolist())}
+        kern = PlannerKernel(sites, ENERGY, RADIO)
+        ties = 0
+        for x, y in [(55, 25), (75, 35), (45, 75), (35, 55), (75, 55),
+                     (55, 35), (55, 75), (35, 35), (75, 75), (35, 75),
+                     (15, 55), (95, 55)]:
+            kern.insert(at[(x, y)])
+            _assert_matches_full_scan(kern)
+            ties += _tied_sites(kern)
+        assert ties > 0
 
     def test_insert_keeps_tour_consistent(self):
         net = _net(9, n=15)
@@ -304,11 +382,7 @@ class TestInsertionCache:
         reordered = [kern.tour[0]] + kern.tour[:0:-1]
         kern.set_tour(reordered)
         assert kern.counters["tour_flushes"] == 1
-        deltas, positions = kern.insertion_state()
-        oracle_d, oracle_p = site_insertion_deltas(
-            sites.points, kern.points_all[np.array(kern.tour)])
-        np.testing.assert_array_equal(deltas, oracle_d)
-        np.testing.assert_array_equal(positions, oracle_p)
+        _assert_matches_full_scan(kern)
 
     def test_set_tour_requires_depot(self):
         net = _net(2, n=10)
@@ -336,6 +410,10 @@ BAD_CALLS = {
     "partial_scores-negative": lambda k: k.partial_scores([-1.0]),
     "partial_scores-2d": lambda k: k.partial_scores([[0.5, 1.0]]),
     "drain_chain-no-lone-sensor": lambda k: k.drain_chain(0, [0.1]),
+    "set_tour-duplicate": lambda k: k.set_tour([0, 1, 1, 2]),
+    "set_tour-negative": lambda k: k.set_tour([0, -1]),
+    "set_tour-fractional": lambda k: k.set_tour([0, 1.5]),
+    "set_tour-beyond-m": lambda k: k.set_tour([0, k.m + 5]),
 }
 
 
@@ -354,11 +432,13 @@ class TestMutatorValidation:
     def test_rejected(self, name):
         kern = self._kernel()
         rem, covered = kern.rem.copy(), kern.covered.copy()
+        in_tour = kern.in_tour.copy()
         tour, counters = list(kern.tour), dict(kern.counters)
         with pytest.raises(InvalidParameterError):
             BAD_CALLS[name](kern)
         np.testing.assert_array_equal(kern.rem, rem)
         np.testing.assert_array_equal(kern.covered, covered)
+        np.testing.assert_array_equal(kern.in_tour, in_tour)
         assert kern.tour == tour and kern.counters == counters
 
     def test_valid_calls_still_accepted(self):

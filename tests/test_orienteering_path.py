@@ -5,14 +5,14 @@ import pytest
 
 from repro.geometry.distance import pairwise_distances
 from repro.orienteering.exact import solve_exact
-from repro.orienteering.path import (
+from repro.orienteering.problem import OrienteeringInstance
+from repro.utils.errors import InvalidParameterError
+from tests.path_orienteering import (
     augment_with_dummy_depot,
     path_to_tour,
     solve_path_exact,
     tour_to_path,
 )
-from repro.orienteering.problem import OrienteeringInstance
-from repro.utils.errors import InvalidParameterError
 
 
 def make_instance(rng, n=7, budget=None, groups=None):
