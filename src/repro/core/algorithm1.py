@@ -24,7 +24,7 @@ implementation offers two modes:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
                     seed: SeedLike = None,
                     sites: Optional[HoveringSites] = None,
                     graph: Optional[AuxiliaryGraph] = None,
-                    conflict_neighbors: Optional[List[np.ndarray]] = None
+                    conflict_neighbors: Optional[Sequence[np.ndarray]] = None
                     ) -> CollectionTour:
     """Plan a full-collection tour via the orienteering reduction.
 
@@ -74,6 +74,10 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
         :class:`repro.experiments.artifacts.ArtifactCache`; a supplied
         *graph* must have been weighted with this call's energy rates
         (the capacity may differ — it only enters as the budget).
+        *conflict_neighbors* from :func:`~repro.core.auxgraph.
+        overlap_conflicts` (a :class:`~repro.orienteering.problem.
+        ConflictLists`) was validated when it was built; any other
+        sequence of per-node lists is validated on this call.
 
     Returns
     -------

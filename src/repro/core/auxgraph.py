@@ -19,13 +19,13 @@ plus the rows it has served).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 
 from repro.core.hovering import HoveringSites
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import cross_distances
+from repro.orienteering.problem import ConflictLists
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import as_rng
 from repro.utils.rowstore import RowStore
@@ -221,14 +221,16 @@ def build_auxiliary_graph(sites: HoveringSites,
                           energy=energy)
 
 
-def overlap_conflicts(sites: HoveringSites) -> List[np.ndarray]:
+def overlap_conflicts(sites: HoveringSites) -> ConflictLists:
     """Algorithm 1's per-node conflict lists over ``G_s``'s numbering.
 
     Node ``j + 1`` conflicts with every other site whose coverage set
     intersects site ``j``'s; the depot (node 0) conflicts with nothing.
     Read straight off the sorted indices of the sparse coverage gram
     ``cov @ cov.T`` (coverage sets are tiny, so it holds O(m) entries)
-    with the diagonal dropped — never an ``(m, m)`` array.
+    with the diagonal dropped — never an ``(m, m)`` array.  The lists
+    are validated here, once, into a :class:`ConflictLists`, which every
+    orienteering instance built from them takes without a second check.
     """
     from scipy import sparse
 
@@ -242,8 +244,8 @@ def overlap_conflicts(sites: HoveringSites) -> List[np.ndarray]:
     off_diagonal = gram.indices != rows
     cols = gram.indices[off_diagonal].astype(np.intp) + 1
     ends = np.cumsum(np.bincount(rows[off_diagonal], minlength=m)).tolist()
-    return [np.empty(0, dtype=np.intp),
-            *(cols[a:b] for a, b in zip([0] + ends, ends))]
+    return ConflictLists([np.empty(0, dtype=np.intp),
+                          *(cols[a:b] for a, b in zip([0] + ends, ends))])
 
 
 __all__ = ["AuxiliaryGraph", "W2Costs", "build_auxiliary_graph",

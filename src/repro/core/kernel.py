@@ -33,21 +33,28 @@ candidates, DESIGN.md §S3) that is hours per run.
   are scored by the planner in one pass and applied by
   :meth:`PlannerKernel.drain_chain`.
 * **Cached cheapest-insertion deltas** — each candidate remembers its best
-  tour edge.  An insertion destroys exactly one edge and creates two, so
-  only candidates whose recorded best edge was destroyed are rescanned
-  (O(|tour|) each); everyone else is updated against the two new edges in
-  O(1).  A 2-opt polish reorders the tour wholesale and triggers a full
-  flush.  Distances come from a **row store** keyed by node id
+  tour edge.  An insertion destroys exactly one edge and creates two, and
+  every candidate is updated against the two new edges in O(1).  A
+  candidate whose recorded best edge was destroyed has a delta on every
+  surviving edge at least its old minimum, so a new edge that beats that
+  minimum strictly is exactly what a full scan returns; only the
+  destroyed-edge candidates no new edge beats strictly (exact ties
+  included) are rescanned (O(|tour|) each).  A 2-opt polish reorders
+  the tour wholesale and triggers a full flush.  Distances come from a
+  **row store** keyed by node id
   (:class:`~repro.utils.rowstore.RowStore`): one contiguous length-m
   row of site distances per tour node, evaluated once with
   ``cross_distances`` when the node joins the tour, so an insertion
   computes only the new node's row and reads its two neighbours' rows
-  (whose entries at the new site are the new edges' lengths).  Rescans
-  and flushes gather the tour's rows in ring order as **tour-major**
-  ``(|tour| + 1, |idx|)`` blocks (of at most ``_SCAN_CHUNK``
-  candidates) — the layout of GRASP's ``all_insertion_deltas`` — and
-  take ``(d_i + d_{i+1}) - len_i`` with ``np.linalg.norm`` edge lengths
-  and a first-minimum ``argmin`` over the tour axis.
+  (whose entries at the new site are the new edges' lengths).  The
+  ring's row-store slots and edge lengths are kept in step with the
+  tour: a flush evaluates the lengths with ``np.linalg.norm``, and an
+  insertion splices in the new node's slot and the two new edges'
+  lengths it already read.  Rescans and flushes gather the tour's rows
+  in ring order as **tour-major** ``(|tour| + 1, |idx|)`` blocks (of at
+  most ``_SCAN_CHUNK`` candidates) — the layout of GRASP's
+  ``all_insertion_deltas`` — and take ``(d_i + d_{i+1}) - len_i`` with
+  a first-minimum ``argmin`` over the tour axis.
 
 Every result is **bitwise-identical** to the dense formulation's on the
 planners' seeded test instances (tie-breaking order preserved: full
@@ -168,6 +175,11 @@ class PlannerKernel:
         # Node -> site distance rows, evaluated the first time a scan or
         # an insertion needs them and kept: one row per node ever toured.
         self._rows = RowStore(self.m + 1, self.m)
+        # The ring's row-store slots (tour + depot-closing repeat) and
+        # its edge lengths, kept in step with the tour by every insert
+        # and rebuilt by every full flush.
+        self._ring_slots = np.zeros(1, dtype=np.intp)
+        self._edge_len = np.zeros(0)
 
         # Work counters: the ``meta["perf"]`` snapshot always carries
         # the full key set.
@@ -356,24 +368,31 @@ class PlannerKernel:
         return cross_distances(self.points_all[nodes], self.sites.points)
 
     def _flush_insertion(self) -> None:
-        """Full cheapest-insertion scan of every candidate."""
+        """Full cheapest-insertion scan of every candidate.
+
+        Rebuilds the ring's slots and edge lengths first
+        (``np.linalg.norm`` between consecutive ring points).
+        """
+        ring = self.tour + self.tour[:1]
+        self._ring_slots = self._rows.slots(ring, self._node_rows)
+        pts = self.points_all[ring]
+        self._edge_len = np.linalg.norm(pts[1:] - pts[:-1], axis=1)
         self._scan_insertion(np.arange(self.m))
         self._ins_stale = False
 
     def _scan_insertion(self, idx: np.ndarray) -> None:
         """Scan candidates *idx* against every edge of the current tour.
 
-        Gathers the tour's stored rows in ring order as tour-major
-        ``(|tour| + 1, |chunk|)`` blocks over at most
-        :data:`_SCAN_CHUNK` candidates each; edge ``i``'s delta is
-        ``(d_i + d_{i+1}) - len_i``.  Caches each candidate's cheapest
-        delta and the first edge attaining it (first-minimum ``argmin``).
+        Gathers the tour's stored rows in ring order (the kept ring
+        slots) as tour-major ``(|tour| + 1, |chunk|)`` blocks over at
+        most :data:`_SCAN_CHUNK` candidates each; edge ``i``'s delta is
+        ``(d_i + d_{i+1}) - len_i`` with the kept edge lengths.  Caches
+        each candidate's cheapest delta and the first edge attaining it
+        (first-minimum ``argmin``).
         """
-        ring = self.tour + self.tour[:1]
-        slots = self._rows.slots(ring, self._node_rows)  # may grow it
+        slots = self._ring_slots
         kept = self._rows.kept
-        pts = self.points_all[ring]
-        edge_len = np.linalg.norm(pts[1:] - pts[:-1], axis=1)[:, None]
+        edge_len = self._edge_len[:, None]
         for lo in range(0, len(idx), _SCAN_CHUNK):
             cols = idx[lo:lo + _SCAN_CHUNK]
             # About one row is kept per tour node: taking the columns of
@@ -394,7 +413,9 @@ class PlannerKernel:
         candidate is checked against the two edges the insertion created
         (O(1), exact-tie broken toward the lower edge index like a fresh
         ``argmin``), and only candidates whose recorded best edge was
-        destroyed are fully rescanned.
+        destroyed and that neither new edge beats strictly are fully
+        rescanned.  The ring's slots and edge lengths take the new node's
+        slot and the two new edges' lengths.
 
         Returns the insertion position (for the caller's bookkeeping).
         Raises :class:`InvalidParameterError` for a site that is not a
@@ -425,16 +446,21 @@ class PlannerKernel:
             # created, from the stored rows of a and b and node's new row.
             # The new edges' lengths are a's and b's distances to the
             # site, the same IEEE sum of squares as np.linalg.norm.
-            sa, sn, sb = self._rows.slots([a, node, b], self._node_rows)
+            sa, sb = self._ring_slots[e], self._ring_slots[e + 1]
+            sn = self._rows.slots([node], self._node_rows)[0]
             rows = self._rows.data
             row_a, row_n, row_b = rows[sa], rows[sn], rows[sb]
+            len_a, len_b = row_a[site], row_b[site]
             via_a = row_a + row_n
-            via_a -= row_a[site]
+            via_a -= len_a
             via_b = row_n + row_b
-            via_b -= row_b[site]
-            dead_idx = np.flatnonzero(repair_insertion_cache(
-                self._ins_deltas, self._ins_edges, e, (via_a, via_b)))
-            # Full rescan only where the recorded best edge was destroyed.
+            via_b -= len_b
+            self._ring_slots = np.insert(self._ring_slots, pos, sn)
+            self._edge_len = np.concatenate(
+                (self._edge_len[:e], [len_a, len_b], self._edge_len[pos:]))
+            dead_idx = repair_insertion_cache(
+                self._ins_deltas, self._ins_edges, e, (via_a, via_b))
+            # Full rescan only where no new edge settled a destroyed best.
             if len(dead_idx):
                 self._scan_insertion(dead_idx)
         return pos

@@ -32,7 +32,7 @@ number of cached artifacts, and a sweep publishes it as
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.core.hovering import HoveringSites, build_hovering_sites
 from repro.energy.model import EnergyModel
 from repro.network.sensor_network import SensorNetwork
 from repro.obs.tracer import span
+from repro.orienteering.problem import ConflictLists
 from repro.radio.link import RadioModel
 
 #: Planner methods whose kwargs the cache knows how to augment.
@@ -58,7 +59,7 @@ class ArtifactCache:
     def __init__(self) -> None:
         self._sites: Dict[_SiteKey, HoveringSites] = {}
         self._graphs: Dict[_GraphKey, AuxiliaryGraph] = {}
-        self._conflicts: Dict[_SiteKey, List[np.ndarray]] = {}
+        self._conflicts: Dict[_SiteKey, ConflictLists] = {}
         self._tours: Dict[int, np.ndarray] = {}
         self._pins: Dict[int, SensorNetwork] = {}
         #: Lookups served from the cache / that had to build the artifact.
@@ -98,11 +99,15 @@ class ArtifactCache:
     def conflict_neighbors(self, network: SensorNetwork, radio: RadioModel,
                            delta: float, *,
                            sites: Optional[HoveringSites] = None
-                           ) -> List[np.ndarray]:
+                           ) -> ConflictLists:
         """Memoized Algorithm 1 conflict lists (depot entry included).
 
-        *sites*, when given, must be this cell's cached :meth:`sites`;
-        it only saves the lookup.
+        Validated once, when built (:func:`~repro.core.auxgraph.
+        overlap_conflicts`): every cell of the (instance, δ) plans on
+        the same immutable :class:`~repro.orienteering.problem.
+        ConflictLists` without checking it again.  *sites*, when given,
+        must be this cell's cached :meth:`sites`; it only saves the
+        lookup.
         """
         key = self._site_key(network, radio, delta)
         cached = self._conflicts.get(key)

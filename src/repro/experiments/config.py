@@ -17,12 +17,27 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Dict, Tuple
 
+import numpy as np
+
 from repro.energy.model import EnergyModel
 from repro.geometry.region import Region
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
 from repro.utils.validation import (check_finite, check_integer,
                                     check_non_negative, check_positive)
+
+
+#: The scalar fields, and the sequence fields, whose numpy scalars
+#: (entries) are stored as the Python numbers they hold.
+_SCALAR_FIELDS = ("region_side", "bandwidth", "coverage_radius", "capacity",
+                  "hover_power", "travel_power", "speed", "delta",
+                  "distance_based_travel")
+_SWEEP_FIELDS = ("volume_range", "capacity_sweep", "delta_sweep")
+
+
+def _plain(value: Any) -> Any:
+    """A numpy scalar as the Python number it holds; anything else as is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
@@ -84,7 +99,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         # The integer fields are stored as plain ints: numpy's seeding,
         # the row names and the pool's JSON transport take no float or
-        # numpy integer.
+        # numpy integer.  Numpy scalars in the other numeric fields
+        # become the Python numbers they hold, for the same transport;
+        # Python ints and floats are kept as given, so as_dict() and the
+        # config hashes do not move.
+        for name in _SCALAR_FIELDS:
+            object.__setattr__(self, name, _plain(getattr(self, name)))
+        for name in _SWEEP_FIELDS:
+            sweep = getattr(self, name)
+            if isinstance(sweep, (tuple, list)):
+                object.__setattr__(self, name, type(sweep)(
+                    _plain(v) for v in sweep))
         for name, minimum in (("n_nodes", 1), ("n_instances", 1),
                               ("seed", 0)):
             object.__setattr__(self, name, check_integer(

@@ -8,8 +8,8 @@ greedy constructor (:func:`greedy_fill`) keeps a cheapest-insertion
 cache over its live candidates: one scan of the tour's rows at their
 columns when a call starts, then per insertion an O(|live|) comparison
 against the two new tour edges plus a rescan of the few candidates
-whose best edge the insertion destroyed — not a ``(|tour|, n)`` scan per
-step.
+whose best edge the insertion destroyed and that no new edge beats
+strictly — not a ``(|tour|, n)`` scan per step.
 
 Randomised (GRASP) construction consumes a pre-drawn **RNG tape**: one
 uniform ``[0, 1)`` draw per accepted insertion, mapped onto a
@@ -21,7 +21,7 @@ restart (:func:`greedy_fill` on one tape row) is replayable on its own.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from repro.utils.errors import InvalidParameterError
 
 
 def all_insertion_deltas(tour: np.ndarray, costs: CostOperator,
-                         cols: Optional[np.ndarray] = None
+                         cols: Optional[np.ndarray] = None,
+                         edge_costs: Optional[np.ndarray] = None
                          ) -> Tuple[np.ndarray, np.ndarray]:
     """Cheapest insertion delta of *every* node into the closed *tour*.
 
@@ -44,7 +45,9 @@ def all_insertion_deltas(tour: np.ndarray, costs: CostOperator,
     *cols* (:meth:`CostOperator.block`; column ``v`` of the symmetric
     matrix is row ``v``) and tie-breaks ``argmin`` at the first minimal
     tour position.  Each node's result is the same with or without
-    *cols*.
+    *cols*.  *edge_costs*, when given, must be the tour's edge costs
+    ``costs.pair(tour, np.roll(tour, -1))``; a caller that keeps them in
+    step with the tour spares the scan re-evaluating them.
     """
     if cols is None:
         cols = np.arange(costs.n_nodes)
@@ -58,16 +61,19 @@ def all_insertion_deltas(tour: np.ndarray, costs: CostOperator,
     rows = costs.block(ring, cols)
     # cand[i, v] = c(tour_i, v) + c(v, tour_{i+1}) - edge_i
     cand = rows[:-1] + rows[1:]
-    cand -= costs.pair(ring[:-1], ring[1:])[:, None]
+    if edge_costs is None:
+        edge_costs = costs.pair(ring[:-1], ring[1:])
+    cand -= edge_costs[:, None]
     best = np.argmin(cand, axis=0)
     return cand[best, np.arange(n)], best + 1
 
 
-def conflict_neighbors(instance: OrienteeringInstance) -> Optional[List[np.ndarray]]:
+def conflict_neighbors(instance: OrienteeringInstance
+                       ) -> Optional[Sequence[np.ndarray]]:
     """Per-node arrays of conflicting nodes, or None when unconstrained.
 
     The instance precomputes these at construction, so this is O(1) —
-    the canonical list itself, not a copy (treat it as read-only).
+    the canonical lists themselves, not a copy (treat them as read-only).
     """
     if not instance.has_conflicts:
         return None
@@ -151,9 +157,12 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     columns seeds them; after each insertion the inserted node and its
     conflict neighbours leave the live set, every live candidate is
     compared against the two new edges, and only those whose best edge
-    was destroyed are rescanned
-    (:func:`~repro.tsp.construct.repair_insertion_cache`).  Every step
-    picks from the same full-length ratio array a fresh scan would give.
+    was destroyed and that neither new edge beats strictly are rescanned
+    (:func:`~repro.tsp.construct.repair_insertion_cache`).  The tour's
+    edge costs are kept in step with the tour from the two new edges'
+    costs each insertion evaluates, so a rescan reads them instead of
+    re-evaluating ``costs.pair`` over the ring.  Every step picks from
+    the same full-length ratio array a fresh scan would give.
 
     Parameters
     ----------
@@ -204,7 +213,9 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
     randomized = tape is not None and rcl_size > 1
     drawn = 0
 
-    deltas, positions = all_insertion_deltas(cur, costs, live)
+    # ring[i] = c(cur_i, cur_{i+1}), cyclically (unused below 2 nodes).
+    ring = costs.pair(cur, np.roll(cur, -1))
+    deltas, positions = all_insertion_deltas(cur, costs, live, ring)
     edges = positions - 1
     while len(live):
         feasible = cost + deltas <= budget + 1e-9
@@ -231,18 +242,20 @@ def greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
         a, b = int(cur[e]), int(cur[(e + 2) % len(cur)])
         via = costs.block([a, v, b], live)
         edge = costs.pair(np.array([a, v]), np.array([v, b]))
-        dead = np.flatnonzero(repair_insertion_cache(
+        # repro: allow[hot-path-purity] -- one O(k) copy per accepted insertion
+        ring = np.concatenate((ring[:e], edge, ring[e + 1:]))
+        dead = repair_insertion_cache(
             deltas, edges, e, (via[0] + via[1] - edge[0],
-                               via[1] + via[2] - edge[1])))
+                               via[1] + via[2] - edge[1]))
         if len(dead):
             rescanned, positions = all_insertion_deltas(cur, costs,
-                                                        live[dead])
+                                                        live[dead], ring)
             deltas[dead] = rescanned
             edges[dead] = positions - 1
     return cur
 
 
-def tour_conflict_counts(tour: np.ndarray, neigh: List[np.ndarray],
+def tour_conflict_counts(tour: np.ndarray, neigh: Sequence[np.ndarray],
                          n: int) -> np.ndarray:
     """``counts[v]`` = how many tour nodes conflict with node ``v``.
 

@@ -15,7 +15,9 @@ matrix.
 
 Optional *conflict groups* mark sets of nodes of which at most one may be
 visited — used by Algorithm 1 to enforce non-overlapping hovering coverage
-and by the partial-collection reduction tests.
+and by the partial-collection reduction tests.  Conflicts can also come as
+per-node neighbour lists; a :class:`ConflictLists` holds such lists
+validated once, and an instance takes it without checking it again.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _conflict_lists(raw: Sequence) -> List[np.ndarray]:
     arrays = [np.asarray(nb, dtype=np.int64).ravel() for nb in raw]
     lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=n)
     src = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    dst = np.concatenate(arrays)
+    dst = np.concatenate(arrays) if n else np.empty(0, dtype=np.int64)
     if len(dst) and (dst.min() < 0 or dst.max() >= n):
         raise InvalidParameterError("conflict neighbor index out of range")
     loops = np.flatnonzero(src == dst)
@@ -155,8 +157,28 @@ def _conflict_lists(raw: Sequence) -> List[np.ndarray]:
             f"conflict neighbors not symmetric: {src[bad]} lists "
             f"{dst[bad]} but not vice versa")
     # Views sliced at each node's row bounds: np.split took ~3.5x as long.
+    # They share one read-only buffer, so none can be made writeable.
+    dst.flags.writeable = False
     bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
     return [dst[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class ConflictLists(tuple):
+    """Per-node conflict neighbour arrays, validated once and immutable.
+
+    ``ConflictLists(raw)`` runs the full check of the raw per-node lists
+    (every index in range, no node listing itself, the relation
+    symmetric; :class:`InvalidParameterError` otherwise) and holds the
+    canonical result: one sorted, duplicate-free, read-only int64 array
+    per node.  Being a tuple of read-only arrays, it cannot change after
+    that check, so :class:`OrienteeringInstance` takes it as it is; any
+    other sequence of lists is checked on every construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, raw: Sequence) -> "ConflictLists":
+        return super().__new__(cls, _conflict_lists(raw))
 
 
 @dataclass
@@ -185,7 +207,9 @@ class OrienteeringInstance:
         nodes it may not share a tour with (must be symmetric).  More
         compact than pairwise groups when conflicts are dense — this is
         what Algorithm 1 passes for overlapping hovering coverage.
-        Mutually exclusive with ``conflict_groups``.
+        Stored as a :class:`ConflictLists`: one passed in is kept as it
+        is, any other sequence is validated into one.  Mutually
+        exclusive with ``conflict_groups``.
     """
 
     costs: Any
@@ -193,7 +217,7 @@ class OrienteeringInstance:
     budget: float
     depot: int = 0
     conflict_groups: Optional[List[np.ndarray]] = None
-    conflict_neighbor_lists: Optional[List[np.ndarray]] = None
+    conflict_neighbor_lists: Optional[Sequence[np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.costs, CostOperator):
@@ -214,7 +238,7 @@ class OrienteeringInstance:
                 and self.conflict_neighbor_lists is not None):
             raise InvalidParameterError(
                 "pass conflict_groups or conflict_neighbor_lists, not both")
-        self._neighbors: Optional[List[np.ndarray]] = None
+        self._neighbors: Optional[Sequence[np.ndarray]] = None
         if self.conflict_groups is not None:
             groups = []
             neighbor_sets: List[set] = [set() for _ in range(n)]
@@ -231,10 +255,12 @@ class OrienteeringInstance:
                 np.fromiter(sorted(s), dtype=int) if s else np.empty(0, dtype=int)
                 for s in neighbor_sets]
         elif self.conflict_neighbor_lists is not None:
-            if len(self.conflict_neighbor_lists) != n:
+            lists = self.conflict_neighbor_lists
+            if len(lists) != n:
                 raise InvalidParameterError(
                     f"conflict_neighbor_lists must have {n} entries")
-            lists = _conflict_lists(self.conflict_neighbor_lists)
+            if not isinstance(lists, ConflictLists):
+                lists = ConflictLists(lists)
             self.conflict_neighbor_lists = lists
             self._neighbors = lists
 
@@ -244,7 +270,7 @@ class OrienteeringInstance:
         return self.costs.n_nodes
 
     @property
-    def conflict_lists(self) -> Optional[List[np.ndarray]]:
+    def conflict_lists(self) -> Optional[Sequence[np.ndarray]]:
         """Per-node conflict neighbor arrays, or None when unconstrained.
 
         The canonical arrays built at construction — shared, not copied;
@@ -339,5 +365,6 @@ def make_solution(instance: OrienteeringInstance, tour, method: str,
                                 method=method, stats=stats)
 
 
-__all__ = ["CostOperator", "DenseCosts", "OrienteeringInstance",
-           "OrienteeringSolution", "make_solution", "SYMMETRY_TILE"]
+__all__ = ["ConflictLists", "CostOperator", "DenseCosts",
+           "OrienteeringInstance", "OrienteeringSolution", "make_solution",
+           "SYMMETRY_TILE"]

@@ -84,9 +84,13 @@ def repair_insertion_cache(deltas: np.ndarray, edges: np.ndarray, e,
     Both arrays are updated in place: every candidate's cached best is
     compared against the better of the two new edges, exact ties going
     to the lower edge index as a fresh first-minimum ``argmin`` would.
-    Returns the boolean mask of the candidates whose best edge was the
-    destroyed one — their entries are stale and the caller must rescan
-    them against the whole tour.
+    A *dead* candidate — one whose best edge was the destroyed one — has
+    a delta on every surviving edge at least its delta on ``e``, which
+    was its minimum; so when a new edge beats that delta strictly, the
+    new edge is exactly what a fresh scan returns, and the candidate is
+    settled here.  Returns the indices of the dead candidates that
+    neither new edge beats strictly (exact ties included): their entries
+    are stale and the caller must rescan them against the whole tour.
     """
     dead = edges == e
     edges += edges > e
@@ -96,7 +100,8 @@ def repair_insertion_cache(deltas: np.ndarray, edges: np.ndarray, e,
     better = (cand < deltas) | ((cand == deltas) & (new_edge < edges))
     np.copyto(deltas, cand, where=better)
     np.copyto(edges, new_edge, where=better)
-    return dead
+    dead &= ~better
+    return np.flatnonzero(dead)
 
 
 def best_insertion(tour: np.ndarray, dist: np.ndarray, node: int) -> np.ndarray:

@@ -394,6 +394,31 @@ def rescan_greedy_fill(instance: OrienteeringInstance, tour: np.ndarray, *,
 
 
 @contextmanager
+def dead_edge_spy(module) -> Iterator[dict]:
+    """Count what each ``repair_insertion_cache`` call in *module* does
+    with the candidates whose best edge it destroyed.
+
+    Yields ``{"settled": ..., "tied": ...}``: the destroyed-edge
+    candidates a new edge beat strictly (kept out of the rescan), and
+    those whose better new edge ties their old delta exactly (which the
+    repair returns for a rescan).
+    """
+    counts = {"settled": 0, "tied": 0}
+    repair = module.repair_insertion_cache
+
+    def spy(deltas, edges, e, via_new):
+        dead = edges == e
+        tied = dead & (np.minimum(via_new[0], via_new[1]) == deltas)
+        counts["tied"] += int(np.count_nonzero(tied))
+        rescan = repair(deltas, edges, e, via_new)
+        counts["settled"] += int(np.count_nonzero(dead)) - len(rescan)
+        return rescan
+
+    with mock.patch.object(module, "repair_insertion_cache", spy):
+        yield counts
+
+
+@contextmanager
 def rescan_construction() -> Iterator[None]:
     """Build every orienteering construction with :func:`rescan_greedy_fill`."""
     with mock.patch.object(greedy, "greedy_fill", rescan_greedy_fill), \

@@ -1,18 +1,23 @@
 """Unit tests for repro.core.algorithm1 (orienteering reduction)."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.algorithm1 import plan_algorithm1
-from repro.core.auxgraph import build_auxiliary_graph
+from repro.core.auxgraph import build_auxiliary_graph, overlap_conflicts
 from repro.core.hovering import build_hovering_sites
 from repro.core.planner import plan_tour
 from repro.core.tour import validate_tour_feasibility
+from repro.experiments.artifacts import ArtifactCache
 from repro.experiments.config import reduced_settings
+from repro.experiments.fig3 import run_fig3
 from repro.experiments.instances import make_instances
+from repro.orienteering import problem
 from repro.orienteering.grasp import GRASP_STAT_NAMES
+from repro.orienteering.problem import ConflictLists
 from repro.utils.errors import InvalidParameterError
 from tests.oracles import dense_auxgraph, rescan_construction
 
@@ -167,6 +172,67 @@ class TestPrebuiltGraphValidation:
         with pytest.raises(InvalidParameterError, match="must be finite"):
             plan_tour(small_net, energy, radio, method="algorithm1",
                       delta=30.0, graph=graph, seed=0, n_restarts=2)
+
+
+class TestConflictValidation:
+    """The overlap relation is validated once per (instance, δ); raw
+    conflict lists are validated on every call."""
+
+    @pytest.mark.parametrize("cache", [True, False], ids=["cache", "no-cache"])
+    def test_validator_calls_in_run_fig3(self, cache):
+        config = reduced_settings().scaled(n_nodes=30, n_instances=1)
+        net = make_instances(config)[0]
+        with mock.patch.object(problem, "_conflict_lists",
+                               wraps=problem._conflict_lists) as validator:
+            result = run_fig3(config, [net], validate=False, cache=cache)
+        # One δ: the cache validates once; without it every Algorithm 1
+        # cell (one per capacity) builds and validates its own lists.
+        cells = len(config.capacity_sweep)
+        assert validator.call_count == (1 if cache else cells)
+        assert len(result.series("Algorithm 1")) == cells
+
+    def test_cached_lists_are_a_sequence_plan_tour_takes(self, small_net,
+                                                         radio, energy):
+        cache = ArtifactCache()
+        lists = cache.conflict_neighbors(small_net, radio, 30.0)
+        assert isinstance(lists, ConflictLists)
+        assert cache.conflict_neighbors(small_net, radio, 30.0) is lists
+        sites = cache.sites(small_net, radio, 30.0)
+        assert len(lists) == sites.n_sites + 1
+        assert sum(len(nb) for nb in lists) % 2 == 0
+        kwargs = dict(method="algorithm1", delta=30.0, seed=0, n_restarts=2)
+        tour = plan_tour(small_net, energy, radio, sites=sites,
+                         conflict_neighbors=lists, **kwargs)
+        _same_plan(tour, plan_tour(small_net, energy, radio, **kwargs))
+
+    def test_raw_lists_plan_like_the_container(self, small_net, radio,
+                                               energy):
+        sites = build_hovering_sites(small_net, radio, 30.0)
+        raw = [nb.tolist() for nb in overlap_conflicts(sites)]
+        kwargs = dict(delta=30.0, seed=0, n_restarts=2, sites=sites)
+        _same_plan(plan_algorithm1(small_net, energy, radio,
+                                   conflict_neighbors=raw, **kwargs),
+                   plan_algorithm1(small_net, energy, radio, **kwargs))
+
+    @pytest.mark.parametrize("fault, match", [
+        ("asymmetric", r"^conflict neighbors not symmetric: 1 lists 2 but "
+                       r"not vice versa$"),
+        ("self-loop", r"^node 2 lists itself as a conflict neighbor$"),
+        ("out-of-range", r"^conflict neighbor index out of range$")])
+    def test_raw_lists_rejected(self, small_net, radio, energy, fault,
+                                match):
+        sites = build_hovering_sites(small_net, radio, 30.0)
+        raw = [[] for _ in range(sites.n_sites + 1)]
+        if fault == "asymmetric":
+            raw[1] = [2]
+        elif fault == "self-loop":
+            raw[2] = [2]
+        else:
+            raw[1] = [sites.n_sites + 1]
+        with pytest.raises(InvalidParameterError, match=match):
+            plan_algorithm1(small_net, energy, radio, delta=30.0, seed=0,
+                            n_restarts=2, sites=sites,
+                            conflict_neighbors=raw)
 
 
 def _same_plan(a, b):

@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernel as kernel_module
 from repro.core.algorithm2 import plan_algorithm2
 from repro.core.algorithm3 import plan_algorithm3
 from repro.core.benchmark_alg import plan_benchmark
@@ -43,8 +44,9 @@ from repro.network.scenarios import SCENARIOS, make_scenario
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import (IMPLEMENTATIONS, DenseKernel, kernel_and_dense,
-                          legacy_prune, plan_on, site_insertion_deltas)
+from tests.oracles import (IMPLEMENTATIONS, DenseKernel, dead_edge_spy,
+                          kernel_and_dense, legacy_prune, plan_on,
+                          site_insertion_deltas)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
 ENERGY = EnergyModel(capacity=2e4, hover_power=150.0,
@@ -348,11 +350,10 @@ class TestInsertionCache:
         _assert_matches_full_scan(kern)
         self._grow(kern, 15, rng)
 
-    def test_grid_aligned_ties(self):
-        """Sites and depot on a 10 m lattice: equal distances are equal
-        floats, so many sites tie between edges, and between the two
-        edges an insertion creates (the third insertion here); ties must
-        go to the first edge."""
+    @staticmethod
+    def _lattice_kernel():
+        """Sites and depot on a 10 m lattice, and each site's index by
+        its point."""
         sensors = np.array([[15.0 + 20 * i, 15.0 + 20 * j]
                             for i in range(5) for j in range(5)])
         net = SensorNetwork(positions=sensors, volumes=np.full(25, 100.0),
@@ -360,7 +361,14 @@ class TestInsertionCache:
                             region=Region.square(100.0))
         sites = build_hovering_sites(net, RADIO, 10.0)
         at = {tuple(p): j for j, p in enumerate(sites.points.tolist())}
-        kern = PlannerKernel(sites, ENERGY, RADIO)
+        return PlannerKernel(sites, ENERGY, RADIO), at
+
+    def test_grid_aligned_ties(self):
+        """Sites and depot on a 10 m lattice: equal distances are equal
+        floats, so many sites tie between edges, and between the two
+        edges an insertion creates (the third insertion here); ties must
+        go to the first edge."""
+        kern, at = self._lattice_kernel()
         ties = 0
         for x, y in [(55, 25), (75, 35), (45, 75), (35, 55), (75, 55),
                      (55, 35), (55, 75), (35, 35), (75, 75), (35, 75),
@@ -369,6 +377,17 @@ class TestInsertionCache:
             _assert_matches_full_scan(kern)
             ties += _tied_sites(kern)
         assert ties > 0
+
+    def test_dead_edge_ties(self):
+        """On the lattice, some candidates whose best edge an insertion
+        destroys tie a new edge exactly (rescanned) and others are
+        beaten strictly (settled by the repair); either way the cache
+        equals the full scan after every insert."""
+        kern, _ = self._lattice_kernel()
+        with dead_edge_spy(kernel_module) as seen:
+            _assert_matches_full_scan(kern)
+            self._grow(kern, 40, np.random.default_rng(5))
+        assert seen["tied"] > 0 and seen["settled"] > 0
 
     def test_insert_keeps_tour_consistent(self):
         net = _net(9, n=15)

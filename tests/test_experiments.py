@@ -96,6 +96,39 @@ class TestConfig:
         payload = json.loads(json.dumps(cfg.as_dict()))
         assert ExperimentConfig.from_dict(payload) == cfg
 
+    @pytest.mark.parametrize("field, value, plain", [
+        ("capacity", np.float32(6e4), 6e4),
+        ("delta", np.float32(15), 15.0),
+        ("capacity_sweep", (np.float32(3e4),), (3e4,)),
+        ("delta_sweep", (np.float64(10), np.int64(20)), (10.0, 20)),
+        ("region_side", np.int64(1000), 1000),
+        ("volume_range", (np.float32(100), np.int64(1000)), (100.0, 1000)),
+        ("hover_power", np.float16(150), 150.0),
+        ("distance_based_travel", np.bool_(True), True)],
+        ids=["capacity", "delta", "capacity_sweep", "delta_sweep",
+             "region_side", "volume_range", "hover_power", "travel_flag"])
+    def test_numpy_scalars_are_stored_as_python_numbers(self, field, value,
+                                                        plain):
+        # Kept as given, these failed json.dumps, so a jobs=2 sweep's
+        # JSON transport raised TypeError where jobs=1 ran.
+        cfg = reduced_settings().scaled(**{field: value})
+        stored = getattr(cfg, field)
+        assert stored == plain
+
+        def types(v):
+            return [type(x) for x in (v if isinstance(v, tuple) else (v,))]
+
+        assert types(stored) == types(plain)
+        payload = json.loads(json.dumps(cfg.as_dict()))
+        assert ExperimentConfig.from_dict(payload) == cfg
+        assert cfg == reduced_settings().scaled(**{field: plain})
+
+    def test_python_numbers_are_kept_as_given(self):
+        cfg = reduced_settings().scaled(region_side=1000, delta=15.0)
+        assert type(cfg.region_side) is int and type(cfg.delta) is float
+        assert cfg.as_dict() == {**reduced_settings().as_dict(),
+                                 "region_side": 1000}
+
     def test_zero_capacity_override_is_not_the_default(self):
         # A swept capacity of 0 must reach EnergyModel (which rejects it),
         # not silently fall back to the preset's default capacity.

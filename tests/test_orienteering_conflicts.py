@@ -1,12 +1,16 @@
 """Tests for the conflict-neighbor-list encoding on OrienteeringInstance."""
 
+from collections.abc import Sequence
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.geometry.distance import pairwise_distances
+from repro.orienteering import problem
 from repro.orienteering.exact import solve_exact
 from repro.orienteering.greedy import solve_greedy
-from repro.orienteering.problem import OrienteeringInstance
+from repro.orienteering.problem import ConflictLists, OrienteeringInstance
 from repro.utils.errors import InvalidParameterError
 
 
@@ -24,6 +28,66 @@ def neighbor_lists(n, pairs):
         lists[a].add(b)
         lists[b].add(a)
     return [np.array(sorted(s), dtype=int) for s in lists]
+
+
+class TestConflictListsContainer:
+    """Validated once into immutable read-only arrays, then taken as is."""
+
+    def test_canonical_and_a_sequence(self):
+        lists = ConflictLists([[], [3, 2, 3], [1], [1]])
+        assert isinstance(lists, Sequence) and len(lists) == 4
+        assert [nb.tolist() for nb in lists] == [[], [2, 3], [1], [1]]
+        assert all(nb.dtype == np.int64 for nb in lists)
+        assert ConflictLists([]) == ()
+
+    def test_cannot_be_mutated(self):
+        lists = ConflictLists([[], [2], [1]])
+        with pytest.raises(TypeError):
+            lists[1] = np.array([0])           # type: ignore[index]
+        with pytest.raises(AttributeError):
+            lists.note = "x"                   # type: ignore[attr-defined]
+        for nb in lists:
+            assert not nb.flags.writeable
+        with pytest.raises(ValueError):
+            lists[1][0] = 0
+        with pytest.raises(ValueError):
+            lists[1].flags.writeable = True
+
+    @pytest.mark.parametrize("raw, match", [
+        ([[], [2], []], "not symmetric"),
+        ([[], [1], []], "lists itself"),
+        ([[], [3], []], "out of range")])
+    def test_validated_on_construction(self, raw, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            ConflictLists(raw)
+
+    def test_instance_takes_the_container_unchecked(self, rng):
+        costs, awards = base(rng)
+        lists = ConflictLists(neighbor_lists(6, [(1, 2), (3, 4)]))
+        with mock.patch.object(problem, "_conflict_lists") as validator:
+            inst = OrienteeringInstance(costs=costs, awards=awards,
+                                        budget=1.0,
+                                        conflict_neighbor_lists=lists)
+        validator.assert_not_called()
+        assert inst.conflict_lists is lists
+        assert inst.conflict_neighbor_lists is lists
+
+    def test_instance_validates_raw_lists_into_a_container(self, rng):
+        costs, awards = base(rng)
+        with mock.patch.object(problem, "_conflict_lists",
+                               wraps=problem._conflict_lists) as validator:
+            inst = OrienteeringInstance(
+                costs=costs, awards=awards, budget=1.0,
+                conflict_neighbor_lists=neighbor_lists(6, [(1, 2)]))
+        assert validator.call_count == 1
+        assert isinstance(inst.conflict_lists, ConflictLists)
+
+    def test_container_of_wrong_length_rejected(self, rng):
+        costs, awards = base(rng)
+        with pytest.raises(InvalidParameterError, match="must have 6 entries"):
+            OrienteeringInstance(costs=costs, awards=awards, budget=1.0,
+                                 conflict_neighbor_lists=ConflictLists(
+                                     [[], [2], [1]]))
 
 
 class TestNeighborListConstruction:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.auxgraph import W2Costs
 from repro.geometry.distance import pairwise_distances
+from repro.orienteering import _vector
 from repro.orienteering._vector import (
     all_insertion_deltas,
     conflict_neighbors,
@@ -19,7 +20,8 @@ from repro.orienteering.greedy import randomized_construct
 from repro.orienteering.problem import DenseCosts, OrienteeringInstance
 from repro.tsp.construct import insertion_delta
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import full_insertion_deltas, rescan_greedy_fill
+from tests.oracles import (dead_edge_spy, full_insertion_deltas,
+                          rescan_greedy_fill)
 
 
 def make_instance(rng, n=9, budget=1e6, groups=None):
@@ -273,6 +275,33 @@ class TestCachedConstructionOracle:
                 oracle = rescan_greedy_fill(inst, np.array([0]), tape=tape,
                                             rcl_size=rcl_size)
                 assert cached.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("cost_kind", ["dense", "w2"])
+    def test_dead_edge_ties(self, cost_kind):
+        """Lattice nodes with integer hover energies: candidates whose
+        best edge an insertion destroys tie a new edge exactly
+        (rescanned) or are beaten strictly (settled), and every
+        construction still equals the full rescan's."""
+        rng = np.random.default_rng(17)
+        n = 40
+        pts = rng.integers(0, 6, (n, 2)).astype(float) * 10.0
+        if cost_kind == "dense":
+            costs = DenseCosts(pairwise_distances(pts))
+        else:
+            costs = W2Costs(pts, rng.integers(0, 3, n) * 10.0, 1.0)
+        awards = rng.integers(1, 4, n).astype(float)
+        awards[0] = 0.0
+        inst = OrienteeringInstance(costs=costs, awards=awards,
+                                    budget=1e12, depot=0)
+        with dead_edge_spy(_vector) as seen:
+            for rcl_size in (1, 3):
+                tape = draw_rng_tape(rng, 2, n)[0]
+                cached = greedy_fill(inst, np.array([0]), tape=tape,
+                                     rcl_size=rcl_size)
+                oracle = rescan_greedy_fill(inst, np.array([0]), tape=tape,
+                                            rcl_size=rcl_size)
+                assert cached.tobytes() == oracle.tobytes()
+        assert seen["tied"] > 0 and seen["settled"] > 0
 
 
 class TestRngTapeValidation:

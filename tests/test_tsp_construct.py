@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.auxgraph import W2Costs
 from repro.geometry.distance import pairwise_distances
+from repro.orienteering._vector import all_insertion_deltas
+from repro.orienteering.problem import DenseCosts
 from repro.tsp.construct import (
     best_insertion,
     cheapest_insertion_tour,
     insertion_delta,
     nearest_neighbor_tour,
+    repair_insertion_cache,
 )
 from repro.tsp.length import tour_length_matrix, validate_tour
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import full_insertion_deltas
 
 
 @pytest.fixture
@@ -121,3 +128,89 @@ class TestCheapestInsertionTour:
         rand_tours = [rng.permutation(15) for _ in range(20)]
         rand_best = min(tour_length_matrix(t, dist) for t in rand_tours)
         assert ci <= rand_best
+
+
+class TestRepairInsertionCache:
+    """The repair settles a destroyed edge's candidates a new edge beats."""
+
+    def test_settles_strictly_beaten_and_returns_the_rest(self):
+        # Edge e = 1 is destroyed; candidates 0-3 had it as their best.
+        deltas = np.array([5.0, 3.0, 2.0, 1.0, 1.0, 2.0])
+        edges = np.array([1, 1, 1, 1, 0, 3])
+        via = (np.array([4.0, 3.5, 2.0, 1.5, 1.0, 2.5]),
+               np.array([4.5, 2.0, 2.0, 1.5, 3.0, 2.0]))
+        rescan = repair_insertion_cache(deltas, edges, 1, via)
+        # 0 and 1 are beaten strictly (on new edge 1 and 2), 2 ties its
+        # old best on both new edges and 3 is not beaten: 2 and 3 go to
+        # the rescan.  4 keeps edge 0 on a tie; 5's edge 3 shifts to 4,
+        # and it ties new edge 2, the lower index, which it takes.
+        np.testing.assert_array_equal(rescan, [2, 3])
+        np.testing.assert_array_equal(deltas[[0, 1, 4, 5]],
+                                      [4.0, 2.0, 1.0, 2.0])
+        np.testing.assert_array_equal(edges[[0, 1, 4, 5]], [1, 2, 0, 2])
+
+    def test_tied_dead_candidate_is_rescanned(self):
+        deltas, edges = np.array([7.0]), np.array([2])
+        rescan = repair_insertion_cache(
+            deltas, edges, 2, (np.array([7.0]), np.array([9.0])))
+        np.testing.assert_array_equal(rescan, [0])
+
+    def test_nothing_dead_nothing_returned(self):
+        deltas, edges = np.array([1.0, 2.0]), np.array([0, 4])
+        rescan = repair_insertion_cache(
+            deltas, edges, 2, (np.array([0.5, 3.0]), np.array([0.5, 3.0])))
+        assert len(rescan) == 0
+        np.testing.assert_array_equal(deltas, [0.5, 2.0])
+        np.testing.assert_array_equal(edges, [2, 5])
+
+    @staticmethod
+    def _costs(rng, n, kind, cost_kind):
+        if kind == "lattice":
+            # Integer lattice points (co-located and collinear nodes) and
+            # integer hover energies: many exact ties, on dead edges too.
+            pts = rng.integers(0, 5, (n, 2)).astype(float) * 10.0
+            w1 = rng.integers(0, 3, n).astype(float) * 10.0
+        else:
+            pts = rng.uniform(0, 100, (n, 2))
+            w1 = rng.uniform(0, 40, n)
+        if cost_kind == "dense":
+            return DenseCosts(pairwise_distances(pts))
+        return W2Costs(pts, w1, float(rng.choice([0.5, 1.0, 3.0])))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+           kind=st.sampled_from(["random", "lattice"]),
+           cost_kind=st.sampled_from(["dense", "w2"]),
+           start_len=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_repair_plus_rescan_is_a_full_scan(self, seed, n, kind,
+                                               cost_kind, start_len):
+        """After every insertion, the repair plus a rescan of exactly
+        the returned candidates is bitwise a fresh first-minimum scan."""
+        rng = np.random.default_rng(seed)
+        costs = self._costs(rng, n, kind, cost_kind)
+        order = rng.permutation(n)
+        tour, cols = order[:start_len], np.sort(order[start_len:])
+        deltas, positions = all_insertion_deltas(tour, costs, cols)
+        edges = positions - 1
+        while len(cols):
+            # Half the steps insert the cheapest candidate, as the
+            # planners do, half a random one.
+            i = (int(np.argmin(deltas)) if rng.random() < 0.5
+                 else int(rng.integers(len(cols))))
+            v, e = int(cols[i]), int(edges[i])
+            tour = np.concatenate((tour[:e + 1], [v], tour[e + 1:]))
+            keep = np.arange(len(cols)) != i
+            cols, deltas, edges = cols[keep], deltas[keep], edges[keep]
+            a, b = int(tour[e]), int(tour[(e + 2) % len(tour)])
+            via = costs.block([a, v, b], cols)
+            edge = costs.pair(np.array([a, v]), np.array([v, b]))
+            rescan = repair_insertion_cache(
+                deltas, edges, e, (via[0] + via[1] - edge[0],
+                                   via[1] + via[2] - edge[1]))
+            rescanned, positions = all_insertion_deltas(tour, costs,
+                                                        cols[rescan])
+            deltas[rescan] = rescanned
+            edges[rescan] = positions - 1
+            full_d, full_p = full_insertion_deltas(tour, costs)
+            assert deltas.tobytes() == full_d[cols].tobytes()
+            np.testing.assert_array_equal(edges, full_p[cols] - 1)
