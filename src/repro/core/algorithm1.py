@@ -129,9 +129,8 @@ def plan_algorithm1(network: SensorNetwork, energy: EnergyModel,
     sojourns = graph.hover_times[solution.tour]
 
     collected = np.zeros(network.n_nodes)
-    if len(visited_sites):
-        union = sites.cov_matrix[visited_sites].any(axis=0)
-        collected[union] = network.volumes[union]
+    union, _, _ = sites.csr.gather(visited_sites)
+    collected[union] = network.volumes[union]
 
     meta = {
         "n_candidates": sites.n_sites,

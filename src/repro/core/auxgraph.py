@@ -25,6 +25,7 @@ import numpy as np
 from repro.core.hovering import HoveringSites
 from repro.energy.model import EnergyModel
 from repro.geometry.distance import cross_distances
+from repro.obs.tracer import span
 from repro.orienteering.problem import ConflictLists
 from repro.utils.errors import InvalidParameterError
 from repro.utils.rng import as_rng
@@ -208,17 +209,21 @@ def build_auxiliary_graph(sites: HoveringSites,
     making the edge weights joules end to end; see
     :mod:`repro.energy.model` for why this matches the paper's
     ``l * eta_t`` notation.  O(m): the weights are evaluated on demand.
+    The node awards are ``sites.awards``, so the first graph over a
+    sites object derives its dense coverage matrix.  Runs under an
+    ``auxgraph.build`` span.
     """
     if not isinstance(energy, EnergyModel):
         raise InvalidParameterError("energy must be an EnergyModel")
-    depot = sites.network.depot
-    points = np.vstack([depot[None, :], sites.points])
-    hover_times = np.concatenate([[0.0], sites.hover_times])
-    w1 = hover_times * energy.hover_power
-    awards = np.concatenate([[0.0], sites.awards])
-    return AuxiliaryGraph(points=points, awards=awards, hover_energies=w1,
-                          hover_times=hover_times, sites=sites,
-                          energy=energy)
+    with span("auxgraph.build"):
+        depot = sites.network.depot
+        points = np.vstack([depot[None, :], sites.points])
+        hover_times = np.concatenate([[0.0], sites.hover_times])
+        w1 = hover_times * energy.hover_power
+        awards = np.concatenate([[0.0], sites.awards])
+        return AuxiliaryGraph(points=points, awards=awards,
+                              hover_energies=w1, hover_times=hover_times,
+                              sites=sites, energy=energy)
 
 
 def overlap_conflicts(sites: HoveringSites) -> ConflictLists:
@@ -228,24 +233,31 @@ def overlap_conflicts(sites: HoveringSites) -> ConflictLists:
     intersects site ``j``'s; the depot (node 0) conflicts with nothing.
     Read straight off the sorted indices of the sparse coverage gram
     ``cov @ cov.T`` (coverage sets are tiny, so it holds O(m) entries)
-    with the diagonal dropped — never an ``(m, m)`` array.  The lists
-    are validated here, once, into a :class:`ConflictLists`, which every
-    orienteering instance built from them takes without a second check.
+    with the diagonal dropped — never an ``(m, m)`` array, and ``cov``
+    is the sites' CSR, not the dense matrix.  The lists are validated
+    here, once, into a :class:`ConflictLists`, which every orienteering
+    instance built from them takes without a second check.  Runs under
+    a ``conflicts.build`` span.
     """
     from scipy import sparse
 
-    m = sites.n_sites
-    cov = sparse.csr_matrix(sites.cov_matrix)
-    # repro: allow[hot-path-purity] -- sparse CSR product, nnz-bounded
-    gram = (cov @ cov.T).tocsr()
-    gram.eliminate_zeros()
-    gram.sort_indices()
-    rows = np.repeat(np.arange(m), np.diff(gram.indptr))
-    off_diagonal = gram.indices != rows
-    cols = gram.indices[off_diagonal].astype(np.intp) + 1
-    ends = np.cumsum(np.bincount(rows[off_diagonal], minlength=m)).tolist()
-    return ConflictLists([np.empty(0, dtype=np.intp),
-                          *(cols[a:b] for a, b in zip([0] + ends, ends))])
+    m, csr = sites.n_sites, sites.csr
+    with span("conflicts.build"):
+        cov = sparse.csr_matrix(
+            (np.ones(csr.nnz, dtype=bool), csr.site_indices,
+             csr.site_indptr), shape=(m, csr.n_sensors), copy=True)
+        # repro: allow[hot-path-purity] -- sparse CSR product, nnz-bounded
+        gram = (cov @ cov.T).tocsr()
+        gram.eliminate_zeros()
+        gram.sort_indices()
+        rows = np.repeat(np.arange(m), np.diff(gram.indptr))
+        off_diagonal = gram.indices != rows
+        cols = gram.indices[off_diagonal].astype(np.intp) + 1
+        ends = np.cumsum(np.bincount(rows[off_diagonal],
+                                     minlength=m)).tolist()
+        return ConflictLists([np.empty(0, dtype=np.intp),
+                              *(cols[a:b] for a, b in zip([0] + ends,
+                                                          ends))])
 
 
 __all__ = ["AuxiliaryGraph", "W2Costs", "build_auxiliary_graph",

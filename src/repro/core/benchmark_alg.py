@@ -14,7 +14,11 @@ The pruning loop runs on :class:`repro.core.kernel.PruneCache`: a
 removal only changes the splice savings of the removed node's two
 neighbours, so each round is two scalar rescores plus one vectorised
 argmin instead of a fresh Python pass over the whole tour (O(k) vs O(k²)
-scalar work across a prune-down).
+scalar work across a prune-down).  The loop's energy test reads a
+*running* tour energy: each removal subtracts its splice saving, and the
+fresh sum over the tour is taken only when the running value lies within
+a proven rounding margin of the threshold (:func:`_prune_margin`), so
+every decision is the one the fresh sum would take.
 
 The unpruned tour depends only on the sensor positions and the depot —
 never on the battery, the radio or δ — so :func:`baseline_tour` builds
@@ -58,6 +62,45 @@ def baseline_tour(network: SensorNetwork) -> np.ndarray:
     builds the same tour when it is not given one.
     """
     return christofides_tour(pairwise_distances(_stops(network)), start=0)
+
+
+def _prune_margin(n: int, initial: float) -> float:
+    """Rounding margin of the prune loop's running tour energy.
+
+    The loop keeps ``R``: the fresh energy ``F(τ_0)`` of the initial tour,
+    minus each removal's splice saving as :meth:`PruneCache.saving`
+    computes it.  It compares ``R`` with ``L = capacity + 1e-9`` and takes
+    the fresh sum ``F`` (the old per-removal test, kept as it was) only
+    when ``|R - L|`` is within this margin.  Claim: ``|R - F(τ)| <=
+    margin`` on every tour ``τ`` of the prune-down, so ``R - L > margin``
+    implies ``F > L`` and ``L - R > margin`` implies ``F <= L``, and no
+    decision differs from the fresh sum's.
+
+    Proof.  Let ``u = 2**-53``, ``γ_j = j·u / (1 - j·u)``, and ``E(τ) =
+    η_h·H + η_t·T`` the exact energy over the stored inputs (hover times
+    ``h``, distances ``d``, both ``>= 0``).  (1) ``F`` sums at most
+    ``n + 1`` non-negative terms per part (a sequential ``sum`` of hover
+    times, a NumPy sum of edge lengths), then two products and one
+    addition, so ``|F(τ) - E(τ)| <= γ_{n+2}·E(τ)``.  (2) A removal of
+    ``v`` between ``p`` and ``q`` changes ``E`` by exactly ``S = h_v·η_h
+    + (d_pv + d_vq - d_pq)·η_t``; its computed ``Ŝ`` (five rounded
+    operations) is off by at most ``γ_4·M`` with ``M = h_v·η_h + (d_pv +
+    d_vq + d_pq)·η_t``, and the subtraction from ``R`` by at most
+    ``u·|R - Ŝ|``.  (3) The initial tour visits every node, so its length
+    is at least twice any distance (each ``d`` is the rounded Euclidean
+    distance, within ``3u`` relative), hence ``M <= 1.6·E(τ_0)``; and
+    ``S`` is negative by no more than the distances' rounding, so ``E``,
+    and ``R`` with it, stays below ``1.1·E(τ_0)``.  Over at most ``n``
+    removals, ``|R - E(τ)| <= γ_{n+2}·E(τ_0) + n·(1.6·γ_4 + 1.1·u)·
+    E(τ_0)``, so ``|R - F(τ)| <= 11·(n + 1)·u·E(τ_0)`` to first order.
+    With ``E(τ_0) <= 1.01·F(τ_0)``, ``16·(n + 1)·eps·F(τ_0)`` (``eps =
+    2u``) exceeds that by more than 2×, which also absorbs the rounding
+    of ``R - L`` and of the margin itself.  Taking a fresh sum resets
+    ``R`` to ``F``, which restarts the bound.  An infinite or NaN ``F``
+    makes the margin infinite or NaN, and every test takes the fresh
+    sum.  ∎
+    """
+    return 16.0 * (n + 1) * float(np.finfo(float).eps) * float(initial)
 
 
 def _check_tour(tour: np.ndarray, n: int) -> List[int]:
@@ -114,10 +157,18 @@ def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
 
     removals = 0
     current = tour_energy(initial)
+    limit = capacity + 1e-9
+    margin = _prune_margin(n, current)
     with span("benchmark.prune"):
         cache = PruneCache(dist, volumes, hover_times, eta_h, etat_m)
         cache.set_tour(initial)
-        while current > capacity + 1e-9 and len(cache.tour) > 1:
+        while len(cache.tour) > 1:
+            # The running energy decides unless it lies within the
+            # rounding margin of the limit (see _prune_margin).
+            if not abs(current - limit) > margin:
+                current = tour_energy(cache.tour)
+            if not current > limit:
+                break
             best_i = cache.best()
             if best_i < 0:
                 # No single removal saves energy: every sensor left has
@@ -127,9 +178,9 @@ def plan_benchmark(network: SensorNetwork, energy: EnergyModel,
                 # holding the least data; the depot-only tour is free.
                 best_i = min(range(1, len(cache.tour)),
                              key=lambda i: volumes[cache.tour[i] - 1])
+            current -= cache.saving(best_i)
             cache.remove(best_i)
             removals += 1
-            current = tour_energy(cache.tour)
 
     order = np.array(cache.tour, dtype=int)
     sojourns = np.array([0.0 if v == 0 else hover_times[v - 1] for v in order])

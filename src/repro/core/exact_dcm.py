@@ -112,7 +112,7 @@ def solve_dcm_exact(network: SensorNetwork, energy: EnergyModel,
     site_bits = np.zeros(m, dtype=np.int64)
     for j in range(m):
         bits = 0
-        for v in np.flatnonzero(sites.cov_matrix[j]):
+        for v in sites.csr.sensors_of(j):
             bits |= 1 << int(v)
         site_bits[j] = bits
 

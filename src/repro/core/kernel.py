@@ -535,18 +535,24 @@ class PruneCache:
             if k else np.empty(0)
         self.rescored += k
 
-    def _ratio_at(self, i: int) -> float:
-        """Data lost per joule saved by splicing out position *i*."""
+    def saving(self, i: int) -> float:
+        """Joules saved by splicing out sensor position *i* (not the
+        depot): its hover energy plus the travel its splice saves."""
         tour = self.tour
         v = tour[i]
-        if v == 0:                       # the depot is never removable
-            return np.inf
         prev_node = tour[i - 1]
         next_node = tour[(i + 1) % len(tour)]
         saved_travel = (self.dist[prev_node, v] + self.dist[v, next_node]
                         - self.dist[prev_node, next_node])
-        saved = (self.hover_times[v - 1] * self.eta_h
-                 + saved_travel * self.etat_m)
+        return (self.hover_times[v - 1] * self.eta_h
+                + saved_travel * self.etat_m)
+
+    def _ratio_at(self, i: int) -> float:
+        """Data lost per joule saved by splicing out position *i*."""
+        v = self.tour[i]
+        if v == 0:                       # the depot is never removable
+            return np.inf
+        saved = self.saving(i)
         return self.volumes[v - 1] / saved if saved > 1e-12 else np.inf
 
     def best(self) -> int:

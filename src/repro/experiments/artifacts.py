@@ -4,7 +4,9 @@ A sweep grid re-plans the *same* network instances cell after cell, yet
 most of the planners' per-instance inputs depend only on (instance, δ)
 and the energy *rates* — never on the swept battery capacity:
 
-* the δ-grid hovering sites (coverage matrix, awards, hover times),
+* the δ-grid hovering sites (centres, coverage CSR, hover times; the
+  CSR is built with the sites, so a cached cell's planner finds it built
+  before its timer starts),
 * Algorithm 1's conflict-neighbor lists (coverage-overlap groups),
 * Algorithm 1's auxiliary graph ``G_s`` (edge weights use η_h and the
   J/m travel rate; the capacity only enters as the orienteering budget),
@@ -18,7 +20,10 @@ whole sweep, and every worker of the parallel executor keeps its own
 (instances are not shared across processes).  Cached artifacts are the
 byte-identical outputs of the same pure constructors the planners call
 themselves, so cached and uncached sweeps produce bitwise-identical
-tours — ``tests/test_experiments_parallel.py`` pins that.
+tours — ``tests/test_experiments_parallel.py`` pins that.  Each build
+runs under its builder's span (``hovering.build``, ``conflicts.build``,
+``auxgraph.build``, ``artifacts.baseline_tour``), so a traced sweep
+shows one span per cache miss.
 
 Keys use ``id(network)``; the cache pins a reference to every keyed
 network so an id can never be recycled while the cache lives.  Do not

@@ -107,7 +107,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, _plain(getattr(self, name)))
         for name in _SWEEP_FIELDS:
             sweep = getattr(self, name)
-            if isinstance(sweep, (tuple, list)):
+            if isinstance(sweep, np.ndarray) and sweep.ndim == 1:
+                # A 1-D array is stored as the tuple of Python numbers
+                # it holds: as_dict() and the config hash then equal
+                # the tuple form's.
+                object.__setattr__(self, name, tuple(sweep.tolist()))
+            elif isinstance(sweep, (tuple, list)):
                 object.__setattr__(self, name, type(sweep)(
                     _plain(v) for v in sweep))
         for name, minimum in (("n_nodes", 1), ("n_instances", 1),
@@ -132,6 +137,11 @@ class ExperimentConfig:
             raise InvalidParameterError(
                 f"volume_range must have low <= high, "
                 f"got {self.volume_range!r}")
+        for name in ("capacity_sweep", "delta_sweep"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise InvalidParameterError(
+                    f"{name} must be a sequence of numbers, got "
+                    f"{getattr(self, name)!r}")
         if not self.capacity_sweep or not self.delta_sweep:
             raise InvalidParameterError("sweeps must be non-empty")
         for capacity in self.capacity_sweep:

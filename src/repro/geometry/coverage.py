@@ -6,11 +6,14 @@ The UAV at hovering location ``s_j = (x_j, y_j, H)`` covers sensor
 
 * :func:`projected_radius` — the ``R0`` law,
 * :class:`CoverageIndex` — a KD-tree-backed index answering "which sensors
-  does each candidate cover" in bulk,
+  does each candidate cover" in bulk; the simulator's coverage, kept
+  independent of the planners' window build,
+* :class:`SparseCoverage` — the planners' read-only CSR coverage index and
+  its transpose, built by :func:`repro.core.hovering.build_hovering_sites`,
 * :func:`coverage_sets_bruteforce` — an O(n*m) reference implementation the
   tests cross-check the index against,
 * :func:`coverage_matrix` — a dense boolean (candidates x sensors) matrix
-  used by the vectorised planners.
+  from the KD-tree, the reference the tests pin the window build against.
 """
 
 from __future__ import annotations
@@ -121,24 +124,32 @@ class SparseCoverage:
     sensor_indices: np.ndarray
 
     @classmethod
-    def from_matrix(cls, cov: np.ndarray) -> "SparseCoverage":
-        """Build both CSR directions from a dense boolean ``(m, n)`` matrix."""
-        cov = np.asarray(cov, dtype=bool)
-        if cov.ndim != 2:
-            raise InvalidParameterError(
-                f"coverage matrix must be 2-D, got shape {cov.shape}")
-        m, n = cov.shape
-        rows, cols = np.nonzero(cov)          # row-major ⇒ cols sorted per row
-        site_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=m), out=site_indptr[1:])
-        tcols, trows = np.nonzero(cov.T)      # transpose walk, same trick
-        sensor_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tcols, minlength=n), out=sensor_indptr[1:])
-        for arr in (site_indptr, cols, sensor_indptr, trows):
+    def from_pairs(cls, sites: np.ndarray, sensors: np.ndarray,
+                   n_sites: int, n_sensors: int) -> "SparseCoverage":
+        """Both CSR directions from distinct (site, sensor) coverage pairs.
+
+        The pairs must be sorted by sensor, then site: the transpose's
+        own order, so it is read off as given, and one stable sort by
+        site gives the rows (sensors ascending within each).  Every
+        index array is int64 and read-only.
+        """
+        sites = np.asarray(sites, dtype=np.int64)
+        sensors = np.asarray(sensors, dtype=np.int64)
+        site_indptr = np.zeros(n_sites + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sites, minlength=n_sites),
+                  out=site_indptr[1:])
+        site_indices = sensors[np.argsort(sites, kind="stable")]
+        sensor_indptr = np.zeros(n_sensors + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sensors, minlength=n_sensors),
+                  out=sensor_indptr[1:])
+        sensor_indices = sites.copy()
+        for arr in (site_indptr, site_indices, sensor_indptr,
+                    sensor_indices):
             arr.flags.writeable = False
-        return cls(n_sites=m, n_sensors=n,
-                   site_indptr=site_indptr, site_indices=cols,
-                   sensor_indptr=sensor_indptr, sensor_indices=trows)
+        return cls(n_sites=n_sites, n_sensors=n_sensors,
+                   site_indptr=site_indptr, site_indices=site_indices,
+                   sensor_indptr=sensor_indptr,
+                   sensor_indices=sensor_indices)
 
     @property
     def nnz(self) -> int:
@@ -253,10 +264,6 @@ class CoverageIndex:
             return np.zeros(len(cands), dtype=bool)
         dist, _ = self._tree.query(cands, k=1)
         return dist <= self._radius
-
-    def matrix(self, candidates) -> np.ndarray:
-        """Dense boolean coverage matrix for *candidates* (see module docs)."""
-        return coverage_matrix(candidates, self._sensors, self._radius)
 
 
 __all__ = [

@@ -3,10 +3,11 @@
 The paper makes the set of hovering locations finite by partitioning the
 region into ``M`` squares of edge length δ and letting the UAV hover only at
 square centres.  :class:`GridPartition` materialises exactly that: it
-enumerates square centres, maps arbitrary points to their containing square,
-and can prune the candidate set to squares whose centre actually covers at
-least one sensor (the paper's bound ``M <= (pi*R0^2/delta^2 + 1)*|V|``
-implicitly assumes this pruning).
+enumerates square centres and maps arbitrary points to their containing
+square.  Pruning the candidate set to squares whose centre covers at least
+one sensor (the paper's bound ``M <= (pi*R0^2/delta^2 + 1)*|V|`` assumes
+it) is :func:`repro.core.hovering.build_hovering_sites`'s job: it visits
+only the squares in each sensor's ``R0`` window, read off :meth:`axes`.
 """
 
 from __future__ import annotations
@@ -80,11 +81,21 @@ class GridPartition:
         """Total number of squares ``M = nrows * ncols``."""
         return self.nrows * self.ncols
 
-    def centers(self) -> np.ndarray:
-        """Centres of all squares as an ``(M, 2)`` array in flat-index order."""
+    def axes(self) -> tuple:
+        """``(xs, ys)``: the centre x of every column and y of every row.
+
+        Square ``(i, j)`` has centre ``(xs[j], ys[i])``; :meth:`centers`
+        and :func:`~repro.core.hovering.build_hovering_sites` both read
+        their coordinates from here, so they are the same floats.
+        """
         half = self.delta / 2.0
         xs = self.region.xmin + half + self.delta * np.arange(self.ncols)
         ys = self.region.ymin + half + self.delta * np.arange(self.nrows)
+        return xs, ys
+
+    def centers(self) -> np.ndarray:
+        """Centres of all squares as an ``(M, 2)`` array in flat-index order."""
+        xs, ys = self.axes()
         gx, gy = np.meshgrid(xs, ys)  # gy varies along rows (i), gx along cols (j)
         return np.column_stack([gx.ravel(), gy.ravel()])
 
@@ -114,26 +125,6 @@ class GridPartition:
             self.region.ymin + half + self.delta * row,
         ])
         return out if np.ndim(flat_idx) else out[0]
-
-    def candidate_centers(self, sensor_points, radius: float) -> np.ndarray:
-        """Centres of squares whose centre covers >= 1 sensor within *radius*.
-
-        This is the pruning step that keeps the candidate hovering-location
-        set ``S`` linear in ``|V|`` (paper §IV-A): a square whose centre is
-        farther than ``R0`` from every sensor can never collect anything, so
-        it is dropped.  Returns an ``(m, 2)`` array of surviving centres.
-        """
-        check_positive(radius, "radius")
-        sensors = check_points_array(sensor_points, "sensor_points")
-        centers = self.centers()
-        if len(sensors) == 0:
-            return centers[:0]
-        # KD-tree query: for each centre, is any sensor within `radius`?
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(sensors)
-        dist, _ = tree.query(centers, k=1)
-        return centers[dist <= radius]
 
 
 __all__ = ["GridPartition", "MAX_SQUARES"]

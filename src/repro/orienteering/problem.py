@@ -133,15 +133,32 @@ def _conflict_lists(raw: Sequence) -> List[np.ndarray]:
     ``v * n + u``, so the range and self-conflict checks run over all
     entries at once, one sort makes every list sorted and unique, and the
     relation is symmetric exactly when the reversed keys ``u * n + v``
-    form the same sorted set.
+    form the same sorted set.  Entries must be integers (an integral
+    float counts, as in :func:`~repro.utils.validation.check_integer`);
+    anything else — ``2.7``, NaN, infinities, booleans — is rejected, not
+    truncated.
     """
     n = len(raw)
-    arrays = [np.asarray(nb, dtype=np.int64).ravel() for nb in raw]
+    arrays = [np.asarray(nb).ravel() for nb in raw]
+    # Empty lists arrive as float64 arrays; only entries are typed.
+    kinds = {a.dtype.kind for a in arrays if len(a)}
+    bad = next((a for a in arrays if len(a) and a.dtype.kind not in "iuf"),
+               None)
     lengths = np.fromiter(map(len, arrays), dtype=np.int64, count=n)
     src = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    dst = np.concatenate(arrays) if n else np.empty(0, dtype=np.int64)
+    dst = (np.concatenate(arrays) if n and bad is None
+           else np.empty(0, dtype=np.int64))
+    if bad is None and "f" in kinds:
+        bad = dst[~(np.isfinite(dst) & (dst == np.trunc(dst)))]
+    if bad is not None and len(bad):
+        value = bad[0]
+        if isinstance(value, np.generic):
+            value = value.item()
+        raise InvalidParameterError(
+            f"conflict neighbor entries must be integers, got {value!r}")
     if len(dst) and (dst.min() < 0 or dst.max() >= n):
         raise InvalidParameterError("conflict neighbor index out of range")
+    dst = dst.astype(np.int64, copy=False)
     loops = np.flatnonzero(src == dst)
     if len(loops):
         raise InvalidParameterError(

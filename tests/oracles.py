@@ -21,6 +21,9 @@
   the one-pass replay (:meth:`~repro.core.algorithm3.RatioTable.chain`).
 * :class:`LegacyPruneCache` — the baseline's prune loop as a full rescan
   of every removal ratio per round.
+* :func:`fresh_sum_benchmark` — the baseline with a fresh sum of the tour
+  energy after every removal, in place of the running energy and its
+  rounding margin.
 * :func:`dense_w2` — Algorithm 1's auxiliary-graph weights (Eq. 9) as the
   dense ``(m+1, m+1)`` matrix, built in place in the production
   operator's operation order; :func:`dense_auxgraph` plans Algorithm 1
@@ -31,6 +34,17 @@
   full scan of every tour edge against every node per insertion
   (:func:`full_insertion_deltas`), in place of the production
   cheapest-insertion cache over the live candidates.
+* :func:`kdtree_sites` — the hovering sites as the KD-tree build made
+  them: a nearest-sensor query over every grid centre
+  (:func:`candidate_centers`), the dense coverage matrix from a ball
+  query, ``cov @ volumes`` awards, the dense masked max for the hover
+  times and the CSR read off the matrix (:func:`csr_from_matrix`), in
+  place of the per-sensor window build;
+  :func:`assert_sites_equal` compares the two bitwise.
+* :func:`stepwise_simulate` — the mission simulator event by event: one
+  coverage query, one ledger debit (scalar validation) and one NumPy
+  upload update per hover, in place of the one-pass replay;
+  :func:`assert_traces_equal` compares two traces exactly.
 * :func:`networkx_matching` / :func:`networkx_christofides` — the
   Christofides tour with networkx's blossom matching and Euler circuit,
   as the package built it before both moved in-house
@@ -49,12 +63,14 @@ plain context managers (not fixtures), so hypothesis tests can use them.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 from typing import Any, Iterator, List, Optional, Tuple
 from unittest import mock
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.spatial import cKDTree
 
 from repro.core import algorithm1, algorithm3, benchmark_alg
 from repro.core.algorithm3 import _DENOM_EPS, RatioTable
@@ -62,13 +78,22 @@ from repro.core.auxgraph import W2Costs
 from repro.core.hovering import build_hovering_sites
 from repro.core.kernel import _VOLUME_TOL, PlannerKernel, PruneCache
 from repro.core.tour import CollectionTour
+from repro.energy.ledger import EnergyLedger
+from repro.geometry.coverage import (CoverageIndex, SparseCoverage,
+                                     coverage_matrix)
 from repro.geometry.distance import cross_distances, pairwise_distances
+from repro.geometry.grid import GridPartition
 from repro.orienteering import greedy, local_search
 from repro.orienteering._vector import (conflict_neighbors, insertion_ratio,
                                         rcl_pick)
+from repro.obs.tracer import span
 from repro.orienteering.problem import OrienteeringInstance
+from repro.radio.ofdma import OFDMAScheduler
+from repro.sim.events import FlightLeg, HoverEvent
+from repro.sim.trace import MissionTrace
 from repro.tsp.improve import two_opt
 from repro.tsp.length import tour_length_matrix, validate_tour
+from repro.utils.validation import check_points_array, check_positive
 
 #: The ways a test can plan one Algorithm 2/3 cell (see :func:`plan_on`).
 IMPLEMENTATIONS = ("kernel", "dense")
@@ -252,6 +277,54 @@ class LegacyPruneCache(PruneCache):
 
     def remove(self, i: int) -> int:
         return self.tour.pop(i)
+
+
+def fresh_sum_benchmark(network, energy, radio,
+                        tour=None) -> CollectionTour:
+    """:func:`~repro.core.benchmark_alg.plan_benchmark` with the tour
+    energy summed afresh after every removal."""
+    n = network.n_nodes
+    initial = None if tour is None else benchmark_alg._check_tour(tour, n)
+    pts_all = benchmark_alg._stops(network)
+    volumes = network.volumes
+    hover_times = volumes / radio.bandwidth
+    eta_h = energy.hover_power
+    etat_m = energy.travel_cost_per_meter
+    capacity = energy.capacity
+    dist = pairwise_distances(pts_all)
+    if initial is None:
+        initial = benchmark_alg.baseline_tour(network).tolist()
+
+    def tour_energy(order: List[int]) -> float:
+        travel = tour_length_matrix(np.array(order, dtype=int), dist)
+        hover = sum(hover_times[v - 1] for v in order if v != 0)
+        return hover * eta_h + travel * etat_m
+
+    removals = 0
+    current = tour_energy(initial)
+    cache = PruneCache(dist, volumes, hover_times, eta_h, etat_m)
+    cache.set_tour(initial)
+    while current > capacity + 1e-9 and len(cache.tour) > 1:
+        best_i = cache.best()
+        if best_i < 0:
+            best_i = min(range(1, len(cache.tour)),
+                         key=lambda i: volumes[cache.tour[i] - 1])
+        cache.remove(best_i)
+        removals += 1
+        current = tour_energy(cache.tour)
+
+    order = np.array(cache.tour, dtype=int)
+    sojourns = np.array([0.0 if v == 0 else hover_times[v - 1] for v in order])
+    collected = np.zeros(n)
+    kept = order[order > 0] - 1
+    collected[kept] = volumes[kept]
+    return CollectionTour(
+        points=pts_all[order], sojourns=sojourns, collected=collected,
+        network=network, energy=energy, method="benchmark",
+        meta={"n_visited": int(len(order) - 1), "removals": removals,
+              "initial_nodes": n,
+              "perf": {"engine": "kernel",
+                       "ratios_rescored": cache.rescored}})
 
 
 def dense_w2(points: np.ndarray, w1: np.ndarray, rate: float) -> np.ndarray:
@@ -483,6 +556,185 @@ def plan_on(implementation: str, planner, network, energy, radio,
     """
     with dense_planners() if implementation == "dense" else nullcontext():
         return planner(network, energy, radio, delta, **kwargs)
+
+
+def candidate_centers(grid: GridPartition, sensor_points,
+                      radius: float) -> np.ndarray:
+    """Centres of *grid*'s squares within *radius* of some sensor.
+
+    The pruning as the KD-tree build ran it: one nearest-sensor query
+    for every centre of the grid, kept where ``dist <= radius``.
+    """
+    check_positive(radius, "radius")
+    sensors = check_points_array(sensor_points, "sensor_points")
+    centers = grid.centers()
+    if len(sensors) == 0:
+        return centers[:0]
+    dist, _ = cKDTree(sensors).query(centers, k=1)
+    return centers[dist <= radius]
+
+
+def csr_from_matrix(cov: np.ndarray) -> SparseCoverage:
+    """Both CSR directions read off a dense boolean ``(m, n)`` matrix."""
+    cov = np.asarray(cov, dtype=bool)
+    m, n = cov.shape
+    rows, cols = np.nonzero(cov)          # row-major ⇒ cols sorted per row
+    site_indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=m), out=site_indptr[1:])
+    tcols, trows = np.nonzero(cov.T)      # transpose walk, same trick
+    sensor_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tcols, minlength=n), out=sensor_indptr[1:])
+    for arr in (site_indptr, cols, sensor_indptr, trows):
+        arr.flags.writeable = False
+    return SparseCoverage(n_sites=m, n_sensors=n,
+                          site_indptr=site_indptr, site_indices=cols,
+                          sensor_indptr=sensor_indptr, sensor_indices=trows)
+
+
+def kdtree_sites(network, radio, delta: float, *, prune: bool = True,
+                 grid: Optional[GridPartition] = None) -> SimpleNamespace:
+    """The hovering sites as the KD-tree build made them.
+
+    ``points``, ``cov_matrix``, ``awards``, ``hover_times`` and ``csr``
+    of :func:`~repro.core.hovering.build_hovering_sites` before the
+    window build: every grid centre queried, coverage from a ball query,
+    the hover times as the dense masked max.
+    """
+    check_positive(delta, "delta")
+    if grid is None:
+        grid = GridPartition(network.region, delta)
+    r0 = radio.coverage_radius
+    if prune:
+        centers = candidate_centers(grid, network.positions, r0)
+    else:
+        centers = grid.centers()
+    cov = coverage_matrix(centers, network.positions, r0)
+    upload_times = network.volumes / radio.bandwidth
+    masked = np.where(cov, upload_times[None, :], 0.0)
+    hover_times = (masked.max(axis=1) if masked.shape[1]
+                   else np.zeros(len(centers)))
+    return SimpleNamespace(points=centers, cov_matrix=cov,
+                           awards=cov @ network.volumes,
+                           hover_times=hover_times,
+                           csr=csr_from_matrix(cov))
+
+
+def assert_sites_equal(sites, oracle) -> None:
+    """*sites* bitwise equal to :func:`kdtree_sites`' *oracle*.
+
+    Points as bytes; both CSR directions with their dtypes and read-only
+    flags; hover times; and the derived ``cov_matrix`` and ``awards``.
+    """
+    assert sites.points.dtype == oracle.points.dtype
+    assert sites.points.shape == oracle.points.shape
+    assert sites.points.tobytes() == oracle.points.tobytes()
+    for name in ("site_indptr", "site_indices", "sensor_indptr",
+                 "sensor_indices"):
+        got, want = getattr(sites.csr, name), getattr(oracle.csr, name)
+        assert got.dtype == want.dtype, name
+        assert not got.flags.writeable, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert (sites.csr.n_sites, sites.csr.n_sensors) \
+        == (oracle.csr.n_sites, oracle.csr.n_sensors)
+    assert sites.hover_times.tobytes() == oracle.hover_times.tobytes()
+    np.testing.assert_array_equal(sites.cov_matrix, oracle.cov_matrix)
+    assert sites.awards.tobytes() == oracle.awards.tobytes()
+
+
+def stepwise_simulate(tour, radio, *, ofdma_channels: int = 1024,
+                      strict_energy: bool = True,
+                      strict_channels: bool = False,
+                      rate_model=None) -> MissionTrace:
+    """:func:`~repro.sim.simulator.simulate_mission` event by event.
+
+    Each hover queries its own coverage, debits the ledger through
+    ``debit_hover`` and updates the NumPy residual array sensor by
+    sensor; each leg measures itself and debits ``debit_travel``.
+    """
+    net = tour.network
+    index = CoverageIndex(net.positions, radio.coverage_radius)
+    scheduler = OFDMAScheduler(ofdma_channels, strict=strict_channels)
+    ledger = EnergyLedger(tour.energy, strict=strict_energy)
+
+    rem = net.volumes.astype(float).copy()
+    collected = np.zeros(net.n_nodes)
+    events: list = []
+    clock = 0.0
+    points = tour.points
+
+    with span("sim.mission", method=tour.method, n_stops=len(points)):
+        for i in range(len(points)):
+            pos = points[i]
+            duration = float(tour.sojourns[i])
+            if duration > 0:
+                with span("sim.hover"):
+                    entry = ledger.debit_hover(duration, note=f"hover@{i}")
+                    covered = index.covered_by_single(pos)
+                    assignment = scheduler.assign(covered)
+                    uploads = {}
+                    for v, _ch in assignment.device_to_channel.items():
+                        if rate_model is not None:
+                            ground_d = float(
+                                np.hypot(*(net.positions[v] - pos)))
+                            rate = float(
+                                rate_model.rate_at(np.asarray([ground_d]))[0])
+                        else:
+                            rate = radio.bandwidth
+                        amount = min(rem[v], rate * duration)
+                        if amount > 0:
+                            uploads[v] = amount
+                            rem[v] -= amount
+                            collected[v] += amount
+                    events.append(HoverEvent(
+                        start_time=clock, end_time=clock + duration,
+                        position=(float(pos[0]), float(pos[1])),
+                        energy=entry.energy, uploads=uploads,
+                        channels=dict(assignment.device_to_channel)))
+                    clock += duration
+            nxt = points[(i + 1) % len(points)]
+            leg = float(np.hypot(*(nxt - pos)))
+            if leg > 0:
+                with span("sim.leg"):
+                    entry = ledger.debit_travel(
+                        leg, note=f"leg{i}->{(i + 1) % len(points)}")
+                    events.append(FlightLeg(
+                        start_time=clock, end_time=clock + entry.duration,
+                        origin=(float(pos[0]), float(pos[1])),
+                        destination=(float(nxt[0]), float(nxt[1])),
+                        distance=leg, energy=entry.energy))
+                    clock += entry.duration
+
+    return MissionTrace(events=events, collected=collected, ledger=ledger,
+                        ofdma_max_concurrency=scheduler.max_concurrency)
+
+
+def _typed(value: Any) -> Any:
+    """*value* with the exact type of every number inside it, so that
+    ``==`` on two of them also compares ``float`` against NumPy scalars."""
+    if isinstance(value, dict):
+        return [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [_typed(v) for v in value]
+    if isinstance(value, (float, int, np.generic)):
+        return (type(value), float(value).hex() if isinstance(
+            value, (float, np.floating)) else int(value))
+    return value
+
+
+def assert_traces_equal(got: MissionTrace, want: MissionTrace) -> None:
+    """Two mission traces equal exactly: every event field (value and
+    type, uploads in order), collected bytes, ledger entries and spent,
+    and the OFDMA concurrency."""
+    assert len(got.events) == len(want.events)
+    for a, b in zip(got.events, want.events):
+        assert type(a) is type(b)
+        assert _typed(vars(a)) == _typed(vars(b)), (a, b)
+    assert got.collected.dtype == want.collected.dtype
+    assert got.collected.tobytes() == want.collected.tobytes()
+    assert _typed([vars(e) for e in got.ledger.entries]) \
+        == _typed([vars(e) for e in want.ledger.entries])
+    assert _typed(got.ledger.spent) == _typed(want.ledger.spent)
+    assert got.ofdma_max_concurrency == want.ofdma_max_concurrency
 
 
 def _networkx():

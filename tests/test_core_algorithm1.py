@@ -218,7 +218,11 @@ class TestConflictValidation:
         ("asymmetric", r"^conflict neighbors not symmetric: 1 lists 2 but "
                        r"not vice versa$"),
         ("self-loop", r"^node 2 lists itself as a conflict neighbor$"),
-        ("out-of-range", r"^conflict neighbor index out of range$")])
+        ("out-of-range", r"^conflict neighbor index out of range$"),
+        ("fraction", r"^conflict neighbor entries must be integers, "
+                     r"got 2\.7$"),
+        ("nan", r"^conflict neighbor entries must be integers, got nan$"),
+        ("inf", r"^conflict neighbor entries must be integers, got inf$")])
     def test_raw_lists_rejected(self, small_net, radio, energy, fault,
                                 match):
         sites = build_hovering_sites(small_net, radio, 30.0)
@@ -227,8 +231,13 @@ class TestConflictValidation:
             raw[1] = [2]
         elif fault == "self-loop":
             raw[2] = [2]
-        else:
+        elif fault == "out-of-range":
             raw[1] = [sites.n_sites + 1]
+        else:
+            # Symmetric once truncated: 2.7 used to be read as node 2.
+            entry = {"fraction": 2.7, "nan": float("nan"),
+                     "inf": float("inf")}[fault]
+            raw[1], raw[2] = [entry], [1]
         with pytest.raises(InvalidParameterError, match=match):
             plan_algorithm1(small_net, energy, radio, delta=30.0, seed=0,
                             n_restarts=2, sites=sites,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.algorithm1 import plan_algorithm1
 from repro.core.algorithm2 import plan_algorithm2
@@ -10,12 +12,16 @@ from repro.core.auxgraph import overlap_conflicts
 from repro.core.hovering import build_hovering_sites
 from repro.core.kernel import PlannerKernel
 from repro.energy.model import EnergyModel
+from repro.experiments.config import paper_settings, reduced_settings
+from repro.experiments.instances import make_instances
 from repro.geometry.grid import GridPartition
 from repro.geometry.region import Region
 from repro.network.generator import NetworkGenerator
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import assert_sites_equal, kdtree_sites
+from tests.strategies import networks
 
 
 @pytest.fixture
@@ -138,6 +144,121 @@ class TestCoverageIndex:
         for j in range(sites.n_sites):
             np.testing.assert_array_equal(csr.sensors_of(j),
                                           sites.coverage_list(j))
+
+
+# --------------------------------------------------------------------- #
+# The window build against the KD-tree build (tests/oracles.py).
+# --------------------------------------------------------------------- #
+
+def _net(positions, side=100.0, volumes=None):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    if volumes is None:
+        volumes = np.linspace(100.0, 900.0, len(positions))
+    return SensorNetwork(positions=positions, volumes=volumes,
+                         depot=[side / 2, side / 2],
+                         region=Region.square(side))
+
+
+def _both(net, radio, delta, prune=True):
+    """The window build, checked bitwise against the KD-tree oracle."""
+    sites = build_hovering_sites(net, radio, delta, prune=prune)
+    assert_sites_equal(sites, kdtree_sites(net, radio, delta, prune=prune))
+    return sites
+
+
+#: R0 = 50 exactly, and an irrational R0 = sqrt(50² - 7²).
+_R50 = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
+_R7 = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=7.0)
+
+
+class TestWindowBuildOracle:
+    """``build_hovering_sites`` equals the KD-tree build bitwise: points
+    as bytes, both CSR directions (dtypes, read-only), hover times and
+    the derived ``cov_matrix`` and ``awards``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=networks(),
+           delta=st.sampled_from([3.0, 7.5, 10.0, 25.0, 33.3, 60.0]),
+           radio=st.sampled_from([_R50, _R7, RadioModel(
+               bandwidth=97.0, transmission_range=20.0, altitude=0.0)]),
+           prune=st.booleans())
+    def test_matches_kdtree_build(self, net, delta, radio, prune):
+        if not prune and GridPartition(net.region, delta).num_squares \
+                * net.n_nodes > 2_000_000:
+            return                      # the oracle's dense matrix
+        _both(net, radio, delta, prune)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), delta=st.sampled_from([5.0, 10.0, 12.5, 40.0]))
+    def test_border_and_coincident_sensors(self, data, delta):
+        """Sensors on the region's border and corners, and stacked."""
+        edge = st.sampled_from([0.0, 100.0, 50.0, 5.0, 95.0, 45.0])
+        pts = data.draw(st.lists(st.tuples(edge, edge), min_size=1,
+                                 max_size=8))
+        pts += pts[:data.draw(st.integers(0, len(pts)))]
+        _both(_net(pts), data.draw(st.sampled_from([_R50, _R7])), delta)
+
+    def test_empty_network(self):
+        for prune in (True, False):
+            sites = _both(_net(np.empty((0, 2))), _R50, 10.0, prune)
+            assert sites.n_sites == (0 if prune else 100)
+            assert sites.csr.nnz == 0
+            assert sites.cov_matrix.shape == (sites.n_sites, 0)
+
+    def test_one_sensor(self):
+        sites = _both(_net([[37.0, 61.0]]), _R50, 10.0)
+        assert sites.csr.nnz == sites.n_sites > 0
+        np.testing.assert_array_equal(sites.hover_times,
+                                      np.full(sites.n_sites, 100.0 / 150.0))
+
+    def test_delta_larger_than_the_region(self):
+        sites = _both(_net([[10.0, 90.0], [60.0, 40.0]]), _R50, 150.0)
+        np.testing.assert_array_equal(sites.points, [[75.0, 75.0]])
+        assert sites.coverage_list(0).tolist() == [1]
+
+    def test_unpruned(self, small_net, radio):
+        sites = _both(small_net, radio, 25.0, prune=False)
+        assert sites.n_sites == GridPartition(small_net.region,
+                                              25.0).num_squares
+
+    def test_sensor_exactly_r0_from_a_centre(self):
+        """Centres lie at 5, 15, ..., 95: a sensor 50 m left of (55, 45),
+        and ones a rounding of the distance inside and outside it."""
+        exact = _both(_net([[5.0, 45.0]]), _R50, 10.0)
+        assert [55.0, 45.0] in exact.points.tolist()
+        for d in (np.nextafter(50.0, 0.0), np.nextafter(50.0, 100.0)):
+            sites = _both(_net([[55.0 - d, 45.0]]), _R50, 10.0)
+            assert ([55.0, 45.0] in sites.points.tolist()) == (d < 50.0)
+
+    def test_survivor_that_covers_nothing(self):
+        """sqrt(d²) <= R0 but d² > R0·R0: the KD-tree build kept the
+        centre (55, 45) with an empty coverage set, and so does this one."""
+        sites = _both(_net([[87.98345515502405, 8.079928412359251]]),
+                      _R7, 10.0)
+        row = sites.points.tolist().index([55.0, 45.0])
+        assert len(sites.coverage_list(row)) == 0
+        assert sites.hover_times[row] == 0.0 and sites.awards[row] == 0.0
+
+    @pytest.mark.parametrize("seed", [20200518, 7])
+    def test_reduced_preset(self, seed):
+        config = reduced_settings().scaled(seed=seed)
+        radio = config.radio_model()
+        for net in make_instances(config):
+            for delta in config.delta_sweep:
+                _both(net, radio, delta)
+
+    def test_paper_preset_instance(self):
+        config = paper_settings().scaled(n_instances=1)
+        net = make_instances(config)[0]
+        for delta in config.delta_sweep:
+            _both(net, config.radio_model(), delta)
+
+    def test_chunks_split_the_windows(self, monkeypatch):
+        """A chunk of 64 pairs splits every window into rows."""
+        from repro.core import hovering
+        net = _GEN.uniform(30, seed=3)
+        monkeypatch.setattr(hovering, "_PAIR_CHUNK", 64)
+        _both(net, _RADIO, 7.0)
 
 
 # --------------------------------------------------------------------- #

@@ -44,9 +44,9 @@ from repro.network.scenarios import SCENARIOS, make_scenario
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import (IMPLEMENTATIONS, DenseKernel, dead_edge_spy,
-                          kernel_and_dense, legacy_prune, plan_on,
-                          site_insertion_deltas)
+from tests.oracles import (IMPLEMENTATIONS, DenseKernel, csr_from_matrix,
+                          dead_edge_spy, kernel_and_dense, legacy_prune,
+                          plan_on, site_insertion_deltas)
 
 RADIO = RadioModel(bandwidth=150.0, transmission_range=50.0, altitude=0.0)
 ENERGY = EnergyModel(capacity=2e4, hover_power=150.0,
@@ -67,6 +67,21 @@ def _assert_same_tour(a, b) -> None:
     assert a.meta["iterations"] == b.meta["iterations"]
 
 
+def _csr_of(cov: np.ndarray) -> SparseCoverage:
+    """``SparseCoverage.from_pairs`` over *cov*'s pairs, checked bitwise
+    against the oracle's read of the dense matrix."""
+    sensors, sites = np.nonzero(cov.T)       # sorted by (sensor, site)
+    csr = SparseCoverage.from_pairs(sites, sensors, *cov.shape)
+    want = csr_from_matrix(cov)
+    for name in ("site_indptr", "site_indices", "sensor_indptr",
+                 "sensor_indices"):
+        got = getattr(csr, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, getattr(want, name))
+    return csr
+
+
 class TestSparseCoverage:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_roundtrip_against_matrix(self, seed):
@@ -74,7 +89,7 @@ class TestSparseCoverage:
         cov = rng.random((13, 9)) < 0.25
         cov[3] = False                       # a site covering nothing
         cov[:, 5] = False                    # a sensor covered by nobody
-        csr = SparseCoverage.from_matrix(cov)
+        csr = _csr_of(cov)
         assert csr.n_sites == 13 and csr.n_sensors == 9
         assert csr.nnz == int(cov.sum())
         for j in range(13):
@@ -87,7 +102,7 @@ class TestSparseCoverage:
     def test_sites_covering_matches_oracle(self):
         rng = np.random.default_rng(3)
         cov = rng.random((11, 7)) < 0.3
-        csr = SparseCoverage.from_matrix(cov)
+        csr = _csr_of(cov)
         for _ in range(10):
             sensors = np.flatnonzero(rng.random(7) < 0.4)
             expect = np.flatnonzero(cov[:, sensors].any(axis=1)) \
@@ -98,7 +113,7 @@ class TestSparseCoverage:
         rng = np.random.default_rng(4)
         cov = rng.random((10, 8)) < 0.3
         vals = rng.random(8) * 100
-        csr = SparseCoverage.from_matrix(cov)
+        csr = _csr_of(cov)
         sites = np.array([0, 2, 3, 7, 9])
         idxs, starts, lengths = csr.gather(sites)
         flat = vals[idxs]
@@ -107,7 +122,7 @@ class TestSparseCoverage:
                               vals[cov[sites[row]]].sum())
 
     def test_empty_matrix(self):
-        csr = SparseCoverage.from_matrix(np.zeros((0, 0), dtype=bool))
+        csr = _csr_of(np.zeros((0, 0), dtype=bool))
         assert csr.nnz == 0
         assert len(csr.sites_covering(np.empty(0, dtype=int))) == 0
 
@@ -758,8 +773,8 @@ class TestEdgeCases:
         """(m, 0) coverage: the reduced-axis guard must not raise."""
         net = self._empty_net()
         sites = HoveringSites(points=np.array([[10.0, 10.0], [20.0, 20.0]]),
-                              cov_matrix=np.zeros((2, 0), dtype=bool),
-                              awards=np.zeros(2), hover_times=np.zeros(2),
+                              csr=SparseCoverage.from_pairs([], [], 2, 0),
+                              hover_times=np.zeros(2),
                               network=net, radio=RADIO, delta=10.0)
         out = sites.residual_hover_times(np.empty(0))
         np.testing.assert_array_equal(out, np.zeros(2))

@@ -12,7 +12,7 @@ from repro.experiments.fig5 import run_fig5
 from repro.experiments.instances import make_instances
 from repro.experiments.runner import AlgoSpec, run_sweep
 from repro.experiments.tables import rows_to_csv, rows_to_markdown
-from repro.obs.record import flatten_perf
+from repro.obs.record import config_hash, flatten_perf, sanitize_config
 from repro.orienteering.grasp import GRASP_STAT_NAMES
 from repro.utils.errors import InvalidParameterError
 
@@ -122,6 +122,33 @@ class TestConfig:
         payload = json.loads(json.dumps(cfg.as_dict()))
         assert ExperimentConfig.from_dict(payload) == cfg
         assert cfg == reduced_settings().scaled(**{field: plain})
+
+    @pytest.mark.parametrize("field, array", [
+        ("capacity_sweep", np.array([3e4, 5e4])),
+        ("delta_sweep", np.array([10, 20], dtype=np.int64)),
+        ("volume_range", np.array([100.0, 1000.0], dtype=np.float32))],
+        ids=["capacity_sweep", "delta_sweep", "volume_range"])
+    def test_numpy_array_sweeps_are_stored_as_tuples(self, field, array):
+        # capacity_sweep=np.array([3e4, 5e4]) raised a bare ValueError
+        # ("truth value of an array ... is ambiguous").
+        cfg = reduced_settings().scaled(**{field: array})
+        plain = tuple(array.tolist())
+        twin = reduced_settings().scaled(**{field: plain})
+        stored = getattr(cfg, field)
+        assert type(stored) is tuple and stored == plain
+        assert [type(v) for v in stored] == [type(v) for v in plain]
+        assert cfg.as_dict() == twin.as_dict()
+        assert config_hash(sanitize_config(cfg.as_dict())) \
+            == config_hash(sanitize_config(twin.as_dict()))
+        payload = json.loads(json.dumps(cfg.as_dict()))
+        assert ExperimentConfig.from_dict(payload) == cfg == twin
+
+    @pytest.mark.parametrize("field", ["capacity_sweep", "delta_sweep",
+                                       "volume_range"])
+    def test_empty_or_non_1d_array_sweep_rejected(self, field):
+        for array in (np.array([]), np.array([[1.0, 2.0]])):
+            with pytest.raises(InvalidParameterError):
+                reduced_settings().scaled(**{field: array})
 
     def test_python_numbers_are_kept_as_given(self):
         cfg = reduced_settings().scaled(region_side=1000, delta=15.0)

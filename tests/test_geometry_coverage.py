@@ -132,5 +132,8 @@ class TestCoverageIndex:
         sensors = rng.uniform(0, 100, (10, 2))
         cands = rng.uniform(0, 100, (4, 2))
         idx = CoverageIndex(sensors, 30.0)
-        np.testing.assert_array_equal(idx.matrix(cands),
+        mat = np.zeros((4, 10), dtype=bool)
+        for row, hits in enumerate(idx.covered_by(cands)):
+            mat[row, hits] = True
+        np.testing.assert_array_equal(mat,
                                       coverage_matrix(cands, sensors, 30.0))

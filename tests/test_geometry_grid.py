@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.hovering import build_hovering_sites
 from repro.geometry.grid import MAX_SQUARES, GridPartition
 from repro.geometry.region import Region
+from repro.network.sensor_network import SensorNetwork
+from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
+from tests.oracles import candidate_centers
 
 
 @pytest.fixture
@@ -101,24 +105,38 @@ class TestFlatIndex:
         assert out.shape == (2, 2)
 
 
+def _candidates(grid, sensors, radius):
+    """The pruned centres: the KD-tree oracle's, which the window build
+    (:func:`build_hovering_sites` on *grid*) must reproduce bitwise."""
+    want = candidate_centers(grid, sensors, radius)
+    sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
+    net = SensorNetwork(positions=sensors, volumes=np.ones(len(sensors)),
+                        depot=[0.0, 0.0], region=grid.region)
+    radio = RadioModel(bandwidth=1.0, transmission_range=radius,
+                       altitude=0.0)
+    got = build_hovering_sites(net, radio, grid.delta, grid=grid).points
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return got
+
+
 class TestCandidateCenters:
     def test_prunes_far_squares(self, grid):
         # One sensor at the region corner: only nearby squares survive.
-        cands = grid.candidate_centers([[5.0, 5.0]], radius=10.0)
+        cands = _candidates(grid, [[5.0, 5.0]], radius=10.0)
         assert 0 < len(cands) < grid.num_squares
         d = np.linalg.norm(cands - [5.0, 5.0], axis=1)
         assert (d <= 10.0).all()
 
     def test_no_sensors_no_candidates(self, grid):
-        assert len(grid.candidate_centers(np.empty((0, 2)), radius=10.0)) == 0
+        assert len(_candidates(grid, np.empty((0, 2)), radius=10.0)) == 0
 
     def test_huge_radius_keeps_all(self, grid):
-        cands = grid.candidate_centers([[50.0, 50.0]], radius=1000.0)
+        cands = _candidates(grid, [[50.0, 50.0]], radius=1000.0)
         assert len(cands) == grid.num_squares
 
     def test_every_kept_center_covers_a_sensor(self, grid, rng):
         sensors = rng.uniform(0, 100, (12, 2))
-        cands = grid.candidate_centers(sensors, radius=15.0)
+        cands = _candidates(grid, sensors, radius=15.0)
         for c in cands:
             assert np.min(np.linalg.norm(sensors - c, axis=1)) <= 15.0
 
@@ -126,10 +144,10 @@ class TestCandidateCenters:
         # delta=10 <= radius=15: the square containing a sensor has its
         # centre within delta/sqrt(2) < radius, so coverage is guaranteed.
         sensors = rng.uniform(0, 100, (12, 2))
-        cands = grid.candidate_centers(sensors, radius=15.0)
+        cands = _candidates(grid, sensors, radius=15.0)
         for s in sensors:
             assert np.min(np.linalg.norm(cands - s, axis=1)) <= 15.0
 
     def test_rejects_bad_radius(self, grid):
         with pytest.raises(InvalidParameterError):
-            grid.candidate_centers([[5.0, 5.0]], radius=0.0)
+            _candidates(grid, [[5.0, 5.0]], radius=0.0)

@@ -61,6 +61,23 @@ class TestConflictListsContainer:
         with pytest.raises(InvalidParameterError, match=match):
             ConflictLists(raw)
 
+    @pytest.mark.parametrize("entry", [2.7, float("nan"), float("inf"),
+                                       True],
+                             ids=["fraction", "nan", "inf", "bool"])
+    def test_non_integer_entries_rejected(self, entry):
+        # Cast with np.asarray(nb, dtype=np.int64), node 1's entry 2.7
+        # was read as node 2 (and the relation then passed as symmetric).
+        with pytest.raises(InvalidParameterError,
+                           match=f"^conflict neighbor entries must be "
+                                 f"integers, got {entry!r}$"):
+            ConflictLists([[], [entry], [1]])
+
+    def test_integer_entries_of_any_kind_accepted(self):
+        lists = ConflictLists([np.empty(0, dtype=np.int32), [2.0],
+                               np.array([1], dtype=np.uint8)])
+        assert [nb.tolist() for nb in lists] == [[], [2], [1]]
+        assert all(nb.dtype == np.int64 for nb in lists)
+
     def test_instance_takes_the_container_unchecked(self, rng):
         costs, awards = base(rng)
         lists = ConflictLists(neighbor_lists(6, [(1, 2), (3, 4)]))
@@ -136,6 +153,16 @@ class TestNeighborListConstruction:
         lists = neighbor_lists(6, [])
         lists[1] = np.array([9])
         with pytest.raises(InvalidParameterError):
+            OrienteeringInstance(costs=costs, awards=awards, budget=1.0,
+                                 conflict_neighbor_lists=lists)
+
+    @pytest.mark.parametrize("entry", [2.7, float("nan"), float("inf")],
+                             ids=["fraction", "nan", "inf"])
+    def test_non_integer_entries_rejected(self, rng, entry):
+        costs, awards = base(rng)
+        lists = [nb.tolist() for nb in neighbor_lists(6, [(1, 2)])]
+        lists[1] = [entry]
+        with pytest.raises(InvalidParameterError, match="must be integers"):
             OrienteeringInstance(costs=costs, awards=awards, budget=1.0,
                                  conflict_neighbor_lists=lists)
 
