@@ -11,9 +11,9 @@ repo-specific invariants machine-checked on every change:
   ``file:line``/severity/fix-hint, ``# repro:`` directives
   (``hot-path`` / ``cold-path`` / ``allow[rule-id]``), a JSON baseline,
   text and JSON reporters;
-* :mod:`repro.analysis.rules` — the six rules: ``rng-discipline``,
+* :mod:`repro.analysis.rules` — the seven rules: ``rng-discipline``,
   ``hot-path-purity``, ``registry-sync``, ``export-drift``,
-  ``units-suffix``, ``paper-eq-refs``;
+  ``units-suffix``, ``paper-eq-refs``, ``obs-span-naming``;
 * :mod:`repro.analysis.equations` — the citable-equation registry
   anchoring docstring references into ``PAPER.md``;
 * :mod:`repro.analysis.cli` — ``python -m repro.analysis check [paths]

@@ -134,20 +134,6 @@ class SourceModule:
         """True when the file belongs to the ``repro`` library package."""
         return "repro" in Path(self.rel).parts
 
-    @property
-    def dotted_name(self) -> str:
-        """Best-effort dotted module name (``repro.core.kernel``)."""
-        parts = list(Path(self.rel).parts)
-        if "repro" in parts:
-            parts = parts[parts.index("repro"):]
-        name = ".".join(parts)
-        for suffix in (".py",):
-            if name.endswith(suffix):
-                name = name[: -len(suffix)]
-        if name.endswith(".__init__"):
-            name = name[: -len(".__init__")]
-        return name
-
     def docstrings(self) -> Iterator[Tuple[int, str]]:
         """Yield ``(start_line, text)`` for module/class/function docstrings."""
         if self.tree is None:

@@ -23,16 +23,14 @@ them; Algorithms 2/3, the baseline and the simulator never build an
 whole grid: for every sensor it visits only the squares in its ``R0``
 window — the rows and columns whose centre may lie within ``R0`` (one
 spare square on each side), at most ``(2·R0/δ + 3)²`` of them, the
-paper's per-sensor bound.  One ``dx·dx + dy·dy`` per (centre, sensor)
-pair decides both tests of the KD-tree build it replaces:
-
-* a centre survives the pruning when the square root of its smallest
-  value is ``<= R0`` (what ``cKDTree.query`` plus ``dist <= R0`` does);
-* it covers the sensors whose value is ``<= R0·R0`` (what
-  ``cKDTree.query_ball_point`` does).
-
-The two tests can disagree by one rounding at the boundary; both are
-kept as they were.  Centre coordinates are read off
+paper's per-sensor bound.  One test decides coverage, the one
+``cKDTree.query_ball_point`` makes: a centre covers the sensors whose
+``dx·dx + dy·dy`` is ``<= R0·R0``, and it survives the pruning when it
+covers at least one.  A nearest-sensor distance test,
+``sqrt(min d²) <= R0``, would pass every such centre (``sqrt(fl(R0·R0))
+== R0`` in binary64, and sqrt is monotone), but one rounding at the
+boundary would also pass a centre that covers nothing.  Centre
+coordinates are read off
 :meth:`~repro.geometry.grid.GridPartition.axes`, so they are the same
 floats :meth:`~repro.geometry.grid.GridPartition.centers` holds.  Sensors
 are walked in chunks of window rows, so the temporaries hold at most
@@ -217,16 +215,14 @@ def _window(coord: np.ndarray, low: float, delta: float, count: int,
 
 
 def _window_pairs(grid: GridPartition, sensors: np.ndarray, r0: float
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(square, sensor, covers, survives)`` for the window pairs kept.
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(square, sensor)`` for the covering window pairs.
 
     Every square centre in every sensor's ``R0`` window is paired with
-    the sensor, and ``d2 = dx·dx + dy·dy`` decides both tests: the pair
-    ``covers`` when ``d2 <= R0·R0`` and lets the square ``survive`` the
-    pruning when ``sqrt(d2) <= R0``.  A pair is kept when it passes
-    either test.  The kept pairs are sorted by (sensor, flat
-    square index).  One item per (sensor, window row) holds a whole row
-    of pairs, and the items are walked in chunks of about
+    the sensor, and the pair is kept when the centre covers the sensor:
+    ``dx·dx + dy·dy <= R0·R0``.  The kept pairs are sorted by (sensor,
+    flat square index).  One item per (sensor, window row) holds a whole
+    row of pairs, and the items are walked in chunks of about
     :data:`_PAIR_CHUNK` pairs.
     """
     xs, ys = grid.axes()
@@ -254,18 +250,14 @@ def _window_pairs(grid: GridPartition, sensors: np.ndarray, r0: float
         pj = j0[pv] + np.arange(len(pv)) - np.repeat(offsets, w)
         dx = xs[pj] - sx[pv]
         dy = ys[pi] - sy[pv]
-        d2 = dx * dx + dy * dy
-        covers, survives = d2 <= r2, np.sqrt(d2) <= r0
-        keep = covers | survives
-        kept.append((pi[keep] * ncols + pj[keep], pv[keep], covers[keep],
-                     survives[keep]))
+        covers = dx * dx + dy * dy <= r2
+        kept.append((pi[covers] * ncols + pj[covers], pv[covers]))
         start = stop
     if not kept:
         none = np.empty(0, dtype=np.int64)
-        return none, none, np.empty(0, dtype=bool), np.empty(0, dtype=bool)
-    square, sensor, covers, survives = (np.concatenate(parts)
-                                        for parts in zip(*kept))
-    return square, sensor, covers, survives
+        return none, none
+    square, sensor = (np.concatenate(parts) for parts in zip(*kept))
+    return square, sensor
 
 
 def build_hovering_sites(network: SensorNetwork, radio: RadioModel,
@@ -300,15 +292,10 @@ def build_hovering_sites(network: SensorNetwork, radio: RadioModel,
         grid = GridPartition(network.region, delta)
     r0 = radio.coverage_radius
     with span("hovering.build", delta=float(delta)) as build:
-        square, sensor, covers, survives = _window_pairs(
-            grid, network.positions, r0)
+        square, sensor = _window_pairs(grid, network.positions, r0)
         if prune:
-            squares = np.unique(square[survives])
+            squares = np.unique(square)
             site = np.searchsorted(squares, square)
-            # Only surviving centres are sites, so only their pairs
-            # cover (the two tests can disagree at the boundary).
-            covers &= (squares.take(site, mode="clip") == square
-                       if len(squares) else False)
             xs, ys = grid.axes()
             row, col = np.divmod(squares, grid.ncols)
             points = np.column_stack([xs[col], ys[row]])
@@ -316,8 +303,7 @@ def build_hovering_sites(network: SensorNetwork, radio: RadioModel,
             site = square
             points = grid.centers()
         m = len(points)
-        csr = SparseCoverage.from_pairs(site[covers], sensor[covers], m,
-                                        network.n_nodes)
+        csr = SparseCoverage.from_pairs(site, sensor, m, network.n_nodes)
         upload = network.volumes / radio.bandwidth
         hover_times = np.zeros(m)
         rows = np.diff(csr.site_indptr) > 0

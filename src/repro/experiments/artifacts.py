@@ -84,7 +84,6 @@ class ArtifactCache:
                   delta: float) -> _SiteKey:
         # _pins keeps the network alive, so id() is stable for the cache
         # lifetime and the key never leaves this process.
-        # repro: allow[flow-determinism] -- process-local cache key
         return (self._pin(network), float(delta), float(radio.bandwidth),
                 float(radio.coverage_radius))
 

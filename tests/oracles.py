@@ -34,12 +34,13 @@
   full scan of every tour edge against every node per insertion
   (:func:`full_insertion_deltas`), in place of the production
   cheapest-insertion cache over the live candidates.
-* :func:`kdtree_sites` — the hovering sites as the KD-tree build made
-  them: a nearest-sensor query over every grid centre
+* :func:`kdtree_sites` — the hovering sites from a KD-tree: a
+  nearest-sensor query over every grid centre
   (:func:`candidate_centers`), the dense coverage matrix from a ball
-  query, ``cov @ volumes`` awards, the dense masked max for the hover
-  times and the CSR read off the matrix (:func:`csr_from_matrix`), in
-  place of the per-sensor window build;
+  query (centres whose ball is empty dropped), ``cov @ volumes``
+  awards, the dense masked max for the hover times and the CSR read off
+  the matrix (:func:`csr_from_matrix`), in place of the per-sensor
+  window build;
   :func:`assert_sites_equal` compares the two bitwise.
 * :func:`stepwise_simulate` — the mission simulator event by event: one
   coverage query, one ledger debit (scalar validation) and one NumPy
@@ -593,12 +594,14 @@ def csr_from_matrix(cov: np.ndarray) -> SparseCoverage:
 
 def kdtree_sites(network, radio, delta: float, *, prune: bool = True,
                  grid: Optional[GridPartition] = None) -> SimpleNamespace:
-    """The hovering sites as the KD-tree build made them.
+    """The hovering sites as a KD-tree build makes them.
 
     ``points``, ``cov_matrix``, ``awards``, ``hover_times`` and ``csr``
-    of :func:`~repro.core.hovering.build_hovering_sites` before the
+    of :func:`~repro.core.hovering.build_hovering_sites` without the
     window build: every grid centre queried, coverage from a ball query,
-    the hover times as the dense masked max.
+    the hover times as the dense masked max.  Pruning keeps the centres
+    of :func:`candidate_centers` whose ball-query set is not empty (the
+    nearest-sensor test alone can keep one that covers nothing).
     """
     check_positive(delta, "delta")
     if grid is None:
@@ -606,9 +609,12 @@ def kdtree_sites(network, radio, delta: float, *, prune: bool = True,
     r0 = radio.coverage_radius
     if prune:
         centers = candidate_centers(grid, network.positions, r0)
+        cov = coverage_matrix(centers, network.positions, r0)
+        covering = cov.any(axis=1)
+        centers, cov = centers[covering], cov[covering]
     else:
         centers = grid.centers()
-    cov = coverage_matrix(centers, network.positions, r0)
+        cov = coverage_matrix(centers, network.positions, r0)
     upload_times = network.volumes / radio.bandwidth
     masked = np.where(cov, upload_times[None, :], 0.0)
     hover_times = (masked.max(axis=1) if masked.shape[1]

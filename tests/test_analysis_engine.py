@@ -76,10 +76,6 @@ class TestSourceModule:
         project = Project(tmp_path, [mod])
         assert [f.rule for f in run_rules(project, [])] == ["parse-error"]
 
-    def test_dotted_name(self, tmp_path):
-        src = write(tmp_path / "src" / "repro" / "core" / "__init__.py", "")
-        assert SourceModule.parse(src, tmp_path).dotted_name == "repro.core"
-
 
 class TestSuppression:
     def make(self, tmp_path, source):
@@ -191,6 +187,36 @@ class TestReporters:
         assert payload["checked_files"] == 5
         assert payload["findings"][0]["message"] == "boom"
 
+    def test_json_report_fields_are_pinned(self, tmp_path, capsys):
+        """The CLI's JSON report on a per-file rule's finding: exactly
+        these keys, at the top level and in each finding."""
+        write(tmp_path / "src" / "repro" / "net" / "g.py", TestCli.BAD)
+        assert main(["check", "src", "--root", str(tmp_path),
+                     "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"version", "checked_files", "baselined",
+                                "findings"}
+        assert (payload["version"], payload["checked_files"],
+                payload["baselined"]) == (1, 1, 0)
+        [finding] = payload["findings"]
+        assert set(finding) == {"rule", "path", "line", "severity",
+                                "message", "hint"}
+        assert (finding["rule"], finding["path"], finding["line"],
+                finding["severity"]) == (
+            "rng-discipline", "src/repro/net/g.py", 2, "error")
+        assert finding["message"] and finding["hint"]
+
+    def test_json_orders_errors_before_warnings(self):
+        findings = [
+            Finding(rule="b", path="a.py", line=1, message="later",
+                    severity="warning"),
+            Finding(rule="a", path="z.py", line=9, message="first",
+                    severity="error"),
+        ]
+        payload = json.loads(render_json(findings, checked=2))
+        assert [f["severity"] for f in payload["findings"]] \
+            == ["error", "warning"]
+
 
 class TestCli:
     def seed_tree(self, tmp_path, body="x = 1\n"):
@@ -236,12 +262,34 @@ class TestCli:
         assert main(["check", "src", "--root",
                      str(tmp_path / "missing")]) == 2
 
-    def test_rules_subcommand_lists_all_six(self, capsys):
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        # A typo must not pass the gate with that path unchecked.
+        root = self.seed_tree(tmp_path, self.BAD)
+        assert main(["check", "src", "tets", "--root", str(root)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'tets'" in err and "'src'" not in err
+
+    def test_missing_path_leaves_the_baseline_alone(self, tmp_path, capsys):
+        root = self.seed_tree(tmp_path, self.BAD)
+        assert main(["check", "src", "--root", str(root),
+                     "--update-baseline"]) == 0
+        before = (root / BASELINE_NAME).read_bytes()
+        capsys.readouterr()
+        assert main(["check", "src", "tets", "--root", str(root),
+                     "--update-baseline"]) == 2
+        assert "'tets'" in capsys.readouterr().err
+        assert (root / BASELINE_NAME).read_bytes() == before
+
+    def test_rules_subcommand_lists_all_seven(self, capsys):
         assert main(["rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("rng-discipline", "hot-path-purity", "registry-sync",
-                        "export-drift", "units-suffix", "paper-eq-refs"):
-            assert rule_id in out
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == [
+            "rng-discipline", "hot-path-purity", "registry-sync",
+            "export-drift", "units-suffix", "paper-eq-refs",
+            "obs-span-naming"]
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2

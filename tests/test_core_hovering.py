@@ -20,7 +20,7 @@ from repro.network.generator import NetworkGenerator
 from repro.network.sensor_network import SensorNetwork
 from repro.radio.link import RadioModel
 from repro.utils.errors import InvalidParameterError
-from tests.oracles import assert_sites_equal, kdtree_sites
+from tests.oracles import assert_sites_equal, candidate_centers, kdtree_sites
 from tests.strategies import networks
 
 
@@ -230,14 +230,16 @@ class TestWindowBuildOracle:
             sites = _both(_net([[55.0 - d, 45.0]]), _R50, 10.0)
             assert ([55.0, 45.0] in sites.points.tolist()) == (d < 50.0)
 
-    def test_survivor_that_covers_nothing(self):
-        """sqrt(d²) <= R0 but d² > R0·R0: the KD-tree build kept the
-        centre (55, 45) with an empty coverage set, and so does this one."""
-        sites = _both(_net([[87.98345515502405, 8.079928412359251]]),
-                      _R7, 10.0)
-        row = sites.points.tolist().index([55.0, 45.0])
-        assert len(sites.coverage_list(row)) == 0
-        assert sites.hover_times[row] == 0.0 and sites.awards[row] == 0.0
+    def test_centre_that_covers_nothing_is_pruned(self):
+        """sqrt(d²) <= R0 but d² > R0·R0: the nearest-sensor test keeps
+        the centre (55, 45), yet it covers nothing, so it is no site."""
+        net = _net([[87.98345515502405, 8.079928412359251]])
+        grid = GridPartition(net.region, 10.0)
+        assert [55.0, 45.0] in candidate_centers(
+            grid, net.positions, _R7.coverage_radius).tolist()
+        sites = _both(net, _R7, 10.0)
+        assert [55.0, 45.0] not in sites.points.tolist()
+        assert (np.diff(sites.csr.site_indptr) > 0).all()
 
     @pytest.mark.parametrize("seed", [20200518, 7])
     def test_reduced_preset(self, seed):

@@ -7,8 +7,12 @@ count, and cache on or off.
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -245,6 +249,80 @@ class TestJobsParity:
         for lines in (seq_lines, par_lines):
             assert [line.split("]")[0] for line in lines] == \
                 [f"[{k + 1}/{total}" for k in range(total)]
+
+
+#: Runs the Fig. 3/4/5 sweeps of the config in ``argv[1]`` (JSON) at
+#: ``jobs=1`` under a tracer and again at ``jobs=2``, then plans one tour
+#: per method, and prints everything a row, a trace or a plan must not
+#: take from the interpreter's hash seed.
+HASH_SEED_SCRIPT = """
+import json, sys
+from repro.core.planner import PLANNERS, plan_tour
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig4 import run_fig4
+from repro.experiments.fig5 import run_fig5
+from repro.experiments.instances import make_instances
+from repro.obs.tracer import Tracer, activated
+
+config = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+runners = {"fig3": lambda jobs: run_fig3(config, n_restarts=1, jobs=jobs),
+           "fig4": lambda jobs: run_fig4(config, jobs=jobs),
+           "fig5": lambda jobs: run_fig5(config, jobs=jobs)}
+out = {}
+for figure, run in runners.items():
+    tracer = Tracer()
+    with activated(tracer):
+        seq = run(1)
+    par = run(2)
+    out[figure] = {
+        "rows": [row.deterministic_dict() for row in seq.rows],
+        "par_rows": [row.deterministic_dict() for row in par.rows],
+        "cache": seq.meta["cache"],
+        "spans": [[r["name"], r["attrs"]] for r in tracer.records()],
+        "dropped": tracer.dropped}
+net = make_instances(config)[0]
+seeded = {"algorithm1": {"n_restarts": 1, "seed": config.seed}}
+for method in PLANNERS:
+    tour = plan_tour(net, config.energy_model(), config.radio_model(),
+                     method=method, delta=config.delta,
+                     **seeded.get(method, {}))
+    out[method] = [tour.points.tobytes().hex(), tour.sojourns.tobytes().hex(),
+                   tour.collected.tobytes().hex()]
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+class TestHashSeedParity:
+    """Rows, cache counters, the in-process span sequence and plans
+    depend on the seed alone, not on ``PYTHONHASHSEED``: iterating a set
+    of strings, or a ``hash()`` value, reaching any of them makes two
+    interpreters disagree."""
+
+    def run_script(self, config, hash_seed):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "PYTHONHASHSEED": str(hash_seed)}
+        env.pop("REPRO_TRACE", None)
+        env.pop("REPRO_LEDGER", None)
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT,
+             json.dumps(config.as_dict())],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_outputs_equal_under_two_hash_seeds(self, tiny_config):
+        first, second = (self.run_script(tiny_config, seed)
+                         for seed in (0, 1))
+        assert set(first) == {"fig3", "fig4", "fig5", "algorithm1",
+                              "algorithm2", "algorithm3", "benchmark"}
+        for figure in ("fig3", "fig4", "fig5"):
+            run = first[figure]
+            assert run["dropped"] == 0
+            assert run["rows"] and run["spans"]
+            assert run["par_rows"] == run["rows"]
+        assert first == second
 
 
 class TestTraceShardsIntegration:
